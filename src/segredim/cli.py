@@ -21,7 +21,7 @@ from .config import (
     RunConfig,
     TOOL_VERSION,
 )
-from .ffrank import DEFAULT_MAX_CELLS, DEFAULT_PRIME
+from .ffrank import DEFAULT_MAX_CELLS, DEFAULT_PRIME, MAX_PRIME, check_prime
 from .formats import (
     ParseError,
     Statement,
@@ -45,9 +45,17 @@ EXIT_USAGE = 2
 EXIT_UNDETERMINED = 3
 
 
+def _prime(text: str) -> int:
+    try:
+        return check_prime(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                   help="modulus for rank computations")
+    p.add_argument("--prime", type=_prime, default=DEFAULT_PRIME,
+                   help="modulus for rank computations, a prime in "
+                        f"(2^16, {MAX_PRIME})")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; all point draws derive from it")
     p.add_argument("--retries", type=int, default=3,

@@ -10,6 +10,7 @@ evidence only and is never treated as a disproof.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,8 +18,27 @@ import numpy as np
 
 from .formats import Statement, ambient_dim, target_dim
 
+# Exactness of rank_mod_p.  float64 holds every integer of magnitude at most
+# 2^53.  The kernel keeps each float64 entry it stores at magnitude at most
+# _EXACT = 2^52, so that reducing it (_reduce) is itself exact.  Every GEMM
+# multiplies residues of magnitude at most p-1 over an inner dimension of at
+# most _PANEL, so each partial sum, in any order, is an integer of magnitude
+# at most _PANEL*(p-1)^2.  A prime p < MAX_PRIME satisfies
+# _PANEL*(p-1)^2 + (p-1) <= _EXACT: a freshly reduced entry can always take one
+# more update.  The int64 loop multiplies two residues below p, far inside
+# int64.
+_PANEL = 64
+_EXACT = 1 << 52
+MAX_PRIME = math.isqrt(_EXACT // _PANEL)
+# Matrices up to this many columns run the int64 loop whole: below it the
+# blocked path's extra step per pivot (forward substitution) costs more than
+# the loop's full-width updates save (crossover measured on the scan grid's
+# Terracini matrices at about 160-190 columns, 2-core x86-64 with OpenBLAS).
+_LEAF_COLS = 3 * _PANEL
+_SOLVE_BASE = 16
+
 DEFAULT_PRIME = 1_000_003
-FALLBACK_PRIME = 2_147_483_629
+FALLBACK_PRIME = 4_194_301
 DEFAULT_MAX_CELLS = 200_000
 
 INCONCLUSIVE_NOTE = (
@@ -53,6 +73,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime(p: int) -> int:
+    """Return p if it is an admissible modulus, a prime in (2^16, MAX_PRIME);
+    raise ValueError otherwise."""
+    if p <= 1 << 16:
+        raise ValueError(f"prime {p} too small, need > 2^16")
+    if p >= MAX_PRIME:
+        raise ValueError(
+            f"prime {p} too large: rank_mod_p is exact only below {MAX_PRIME}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
+
+
 class OracleBudgetError(RuntimeError):
     pass
 
@@ -68,10 +101,7 @@ class FieldConfig:
 
     def __post_init__(self) -> None:
         for p in (self.prime, self.fallback_prime):
-            if p <= 1 << 16:
-                raise ValueError(f"prime {p} too small, need > 2^16")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            check_prime(p)
         if self.retries < 1:
             raise ValueError("need at least one attempt")
 
@@ -213,18 +243,25 @@ def build_terracini_matrix(st: Statement, pts: PointSet) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Exact rank over F_p by fraction-free style elimination with delayed
+def _eliminate(
+    a: np.ndarray, p: int
+) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
+    """Row-reduce int64 residues in place by the per-column loop with delayed
     reduction: only the pivot row and multipliers are reduced each step, the
-    trailing block is reduced just often enough to stay inside int64."""
-    a = np.array(matrix, dtype=np.int64, copy=True) % p
+    trailing block is reduced just often enough to stay inside int64.
+
+    Leaves `a` as LAPACK's getrf does: each pivot row is scaled to 1 at its
+    pivot, and below each pivot sits the multiplier that cleared that entry.
+    Returns the rank, the pivot columns, the inverses of the pivots before
+    scaling, and the row swaps in the order made."""
     rows, cols = a.shape
-    if rows == 0 or cols == 0:
-        return 0
     # entries grow by at most (p-1)^2 per unreduced step
     batch = max(1, ((1 << 62) - p) // ((p - 1) ** 2))
     rank = 0
     dirty = 0
+    pivots: list[int] = []
+    inverses: list[int] = []
+    swaps: list[tuple[int, int]] = []
     for c in range(cols):
         if rank == rows:
             break
@@ -235,18 +272,109 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
         piv = rank + int(nz[0])
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
+            swaps.append((rank, piv))
         a[rank, c:] %= p
         inv = pow(int(a[rank, c]), p - 2, p)
         a[rank, c:] = a[rank, c:] * inv % p
         below = a[rank + 1 :, c] % p
         if below.size:
-            a[rank + 1 :, c:] -= below[:, None] * a[rank, c:][None, :]
+            a[rank + 1 :, c + 1 :] -= below[:, None] * a[rank, c + 1 :][None, :]
+            a[rank + 1 :, c] = below
             dirty += 1
             if dirty >= batch:
-                a[rank + 1 :, c:] %= p
+                a[rank + 1 :, c + 1 :] %= p
                 dirty = 0
+        pivots.append(c)
+        inverses.append(inv)
         rank += 1
-    return rank
+    return rank, pivots, inverses, swaps
+
+
+def _reduce(x: np.ndarray, p: int) -> None:
+    """Replace each entry of x (integers of magnitude at most _EXACT) in place
+    by a congruent one of magnitude at most p-1.  The quotient estimate is
+    off by less than 1/p, so the remainder lies within p/2 + 1 of zero.
+    np.fmod would do the same at a cost that grows with the bit length of
+    x/p, many times slower on large entries."""
+    q = np.rint(x * (1.0 / p))
+    q *= p
+    x -= q
+
+
+def _solve_unit_lower(lower: np.ndarray, y: np.ndarray, p: int) -> None:
+    """Overwrite the rows of y by L^-1 y mod p, where L is the unit lower
+    triangle of `lower` (its entries on and above the diagonal are ignored)
+    and y is reduced.  Halving turns most of the work into GEMMs."""
+    r = len(y)
+    if r <= _SOLVE_BASE:
+        for i in range(1, r):
+            y[i] -= lower[i, :i] @ y[:i]
+            _reduce(y[i], p)
+        return
+    h = r // 2
+    _solve_unit_lower(lower[:h, :h], y[:h], p)
+    y[h:] -= lower[h:, :h] @ y[:h]
+    _reduce(y[h:], p)
+    _solve_unit_lower(lower[h:, h:], y[h:], p)
+
+
+def _blocked_rank(matrix: np.ndarray, p: int) -> int:
+    """Rank by column panels of width _PANEL.  _eliminate finds each panel's
+    pivots in int64; the rows left below them get the Schur-complement update
+    of the columns to the right as one float64 GEMM, and the panel's columns
+    are then dropped.  The trailing block is reduced only when the next
+    update could take it past _EXACT."""
+    rows, cols = matrix.shape
+    f = np.empty((rows, cols), dtype=np.float64)
+    np.remainder(matrix, p, out=f)
+    step = (p - 1) ** 2  # growth of a trailing entry per unit of inner dimension
+    bound = p - 1  # largest magnitude a trailing entry can have
+    top = 0
+    for c in range(0, cols, _PANEL):
+        e = min(c + _PANEL, cols)
+        panel = f[top:, c:e].astype(np.int64) % p
+        r, pivots, inverses, swaps = _eliminate(panel, p)
+        top += r
+        if top == rows or e == cols:
+            break
+        if r == 0:
+            continue
+        t = f[top - r :, e:]
+        if swaps:
+            order = np.arange(len(t))
+            for i, j in swaps:
+                order[i], order[j] = order[j], order[i]
+            moved = np.flatnonzero(order != np.arange(len(t)))
+            t[moved] = t[order[moved]]
+        # Multipliers against the unscaled pivot rows: column k scaled by the
+        # k-th pivot inverse, so the triangle to solve has a unit diagonal.
+        lower = (panel[:, pivots] * np.array(inverses) % p).astype(np.float64)
+        pivot_rows, rest = t[:r], t[r:]
+        _reduce(pivot_rows, p)
+        _solve_unit_lower(lower[:r], pivot_rows, p)
+        if bound + r * step > _EXACT:
+            _reduce(rest, p)
+            bound = p - 1
+        rest -= lower[r:] @ pivot_rows
+        bound += r * step
+    return top
+
+
+def rank_mod_p(matrix: np.ndarray, p: int) -> int:
+    """Exact rank of an integer matrix over F_p, for a prime p < MAX_PRIME.
+
+    A matrix of at most _LEAF_COLS columns is row-reduced whole by the int64
+    loop; a wider one goes through _blocked_rank."""
+    if not 2 <= p < MAX_PRIME:
+        raise ValueError(
+            f"modulus {p} outside [2, {MAX_PRIME}), where rank_mod_p is exact")
+    a = np.asarray(matrix, dtype=np.int64)
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return 0
+    if cols <= _LEAF_COLS:
+        return _eliminate(a % p, p)[0]
+    return _blocked_rank(a, p)
 
 
 def terracini_oracle(st: Statement, cfg: FieldConfig | None = None) -> OracleResult:

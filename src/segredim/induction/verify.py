@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Optional, Union
 
-from ..ffrank import is_prime, recompute_rank, row_count
+from ..ffrank import check_prime, recompute_rank, row_count
 from ..formats import (
     Statement,
     ambient_dim,
@@ -51,10 +51,18 @@ def _same_statement(a: Statement, b: Statement) -> bool:
     return a.canonical().key() == b.canonical().key()
 
 
-def _witness_checks(node: CertNode, path: str, recheck_oracle: bool) -> None:
+def _witness_checks(node: CertNode, path: str,
+                    rechecked: Optional[dict]) -> None:
+    """Check a True rank-witness leaf.  With `rechecked` (a memo shared by
+    one verify call) the rank is recomputed once per statement, prime and
+    seed instead of being taken from the witness."""
     w = node.witness
     _need(w is not None, path, "missing rank witness")
     st = node.statement
+    _need(rules.known_false(st) is None, path,
+          f"{node.kind} leaf contradicts the falsity catalog")
+    _need(w.rank <= min(w.rows, w.cols), path,
+          f"witness rank {w.rank} exceeds the {w.rows}x{w.cols} matrix")
     _need(w.rows == row_count(st), path,
           f"witness rows {w.rows} != configuration rows {row_count(st)}")
     _need(w.cols == ambient_dim(st.format), path,
@@ -63,12 +71,16 @@ def _witness_checks(node: CertNode, path: str, recheck_oracle: bool) -> None:
           f"witness target {w.target} != expected dimension {target_dim(st)}")
     _need(w.rank == w.target, path,
           f"witness rank {w.rank} does not certify the target {w.target}")
-    _need(w.prime > 2 ** 16 and is_prime(w.prime), path,
-          f"witness modulus {w.prime} is not an admissible prime")
-    if recheck_oracle:
-        redo = recompute_rank(st, w.prime, w.seed)
-        _need(redo.rank == w.rank, path,
-              f"oracle re-run gives rank {redo.rank}, witness says {w.rank}")
+    try:
+        check_prime(w.prime)
+    except ValueError as exc:
+        _fail(path, f"witness modulus is not admissible: {exc}")
+    if rechecked is not None:
+        key = (st.canonical().key(), w.prime, w.seed)
+        if key not in rechecked:
+            rechecked[key] = recompute_rank(st, w.prime, w.seed).rank
+        _need(rechecked[key] == w.rank, path,
+              f"oracle re-run gives rank {rechecked[key]}, witness says {w.rank}")
 
 
 def _grouped_dominance(parent_pairs, child_pairs, key_idx: int, cmp_idx: int,
@@ -223,13 +235,12 @@ def _check_falsity_leaf(node: CertNode, path: str) -> None:
               f"table id {node.table_id!r} does not match {reason.table_id!r}")
 
 
-def _check_table_true(node: CertNode, path: str, recheck_oracle: bool) -> None:
+def _check_table_true(node: CertNode, path: str,
+                      rechecked: Optional[dict]) -> None:
     st = node.statement
     _need(st.format.k == 3 and max(st.format.dims) <= 2, path,
           "table_true leaf outside the three-factor base domain")
-    _need(rules.known_false(st) is None, path,
-          "table_true leaf contradicts the falsity catalog")
-    _witness_checks(node, path, recheck_oracle)
+    _witness_checks(node, path, rechecked)
 
 
 def _check_trivial(node: CertNode, path: str) -> None:
@@ -240,7 +251,7 @@ def _check_trivial(node: CertNode, path: str) -> None:
 
 
 def _check_node(node: CertNode, verdict: bool, path: str,
-                recheck_oracle: bool) -> None:
+                rechecked: Optional[dict]) -> None:
     if node.kind not in cert.ALL_KINDS:
         _fail(path, f"unknown kind {node.kind!r}")
     if node.kind in cert.FALSE_KINDS:
@@ -262,10 +273,10 @@ def _check_node(node: CertNode, verdict: bool, path: str,
         _check_monotone_sa(node, path)
     elif node.kind == cert.ORACLE:
         _child_count(node, path, 0)
-        _witness_checks(node, path, recheck_oracle)
+        _witness_checks(node, path, rechecked)
     elif node.kind == cert.TABLE_TRUE:
         _child_count(node, path, 0)
-        _check_table_true(node, path, recheck_oracle)
+        _check_table_true(node, path, rechecked)
     elif node.kind in cert.FALSE_KINDS:
         _child_count(node, path, 0)
         _check_falsity_leaf(node, path)
@@ -274,7 +285,7 @@ def _check_node(node: CertNode, verdict: bool, path: str,
         _check_trivial(node, path)
 
     for idx, child in enumerate(node.children):
-        _check_node(child, verdict, f"{path}.{idx}", recheck_oracle)
+        _check_node(child, verdict, f"{path}.{idx}", rechecked)
 
 
 def verify(certificate: Union[Certificate, dict, str],
@@ -283,7 +294,8 @@ def verify(certificate: Union[Certificate, dict, str],
 
     Raises VerificationError naming the first failing node.  With
     recheck_oracle, rank witnesses are recomputed from their recorded
-    (prime, seed) instead of being taken at face value.
+    (prime, seed) instead of being taken at face value, once per distinct
+    (statement, prime, seed).
     """
     if isinstance(certificate, str):
         certificate = Certificate.loads(certificate)
@@ -293,7 +305,8 @@ def verify(certificate: Union[Certificate, dict, str],
     _need(_same_statement(certificate.statement, root.statement), "root",
           f"root node proves {root.statement}, certificate claims "
           f"{certificate.statement}")
-    _check_node(root, certificate.verdict, "root", recheck_oracle)
+    _check_node(root, certificate.verdict, "root",
+                {} if recheck_oracle else None)
     return True
 
 

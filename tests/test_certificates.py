@@ -1,10 +1,12 @@
 """Certificate serialization, schema validation, and tamper rejection."""
 
 import copy
+import importlib
 import json
 
 import pytest
 
+from segredim.ffrank import DEFAULT_PRIME, MAX_PRIME
 from segredim.induction import (
     Certificate,
     CertificateFormatError,
@@ -13,6 +15,8 @@ from segredim.induction import (
     verify,
 )
 from segredim.induction import certificate as cert_mod
+
+verify_mod = importlib.import_module("segredim.induction.verify")
 
 
 def find_witness_node(node: dict) -> dict:
@@ -165,3 +169,45 @@ class TestTamperRejection:
 
     def test_recheck_oracle_accepts_honest(self, true_cert_doc):
         assert verify(copy.deepcopy(true_cert_doc), recheck_oracle=True)
+
+    def test_forged_oracle_leaf_on_catalog_false_statement(self):
+        # every witness field is consistent; only the catalog knows better
+        doc = {
+            "version": "cert-v1", "statement": "T(3,3,2;5)", "verdict": True,
+            "node": {"kind": "oracle", "statement": "T(3,3,2;5)",
+                     "witness": {"prime": DEFAULT_PRIME, "seed": 0, "rows": 55,
+                                 "cols": 48, "rank": 45, "target": 45}},
+        }
+        with pytest.raises(VerificationError, match="falsity catalog"):
+            verify(doc)
+
+    def test_witness_prime_beyond_exact_kernel(self, true_cert_doc):
+        doc = copy.deepcopy(true_cert_doc)
+        find_witness_node(doc["node"])["witness"]["prime"] = 4294967311
+        assert 4294967311 > MAX_PRIME
+        with pytest.raises(VerificationError, match="too large"):
+            verify(doc)
+
+    def test_witness_rank_above_matrix_size(self, true_cert_doc):
+        doc = copy.deepcopy(true_cert_doc)
+        w = find_witness_node(doc["node"])["witness"]
+        w["rank"] = min(w["rows"], w["cols"]) + 1
+        with pytest.raises(VerificationError, match="exceeds"):
+            verify(doc)
+
+    def test_recheck_once_per_distinct_witness(self, true_cert_doc,
+                                               monkeypatch):
+        calls = []
+        real = verify_mod.recompute_rank
+
+        def counting(st, prime, seed):
+            calls.append((st.canonical().key(), prime, seed))
+            return real(st, prime, seed)
+
+        monkeypatch.setattr(verify_mod, "recompute_rank", counting)
+        cert = Certificate.from_json(true_cert_doc)
+        leaves = [(n.statement.canonical().key(), n.witness.prime, n.witness.seed)
+                  for n in cert.walk() if n.witness is not None]
+        assert len(leaves) > len(set(leaves))
+        assert verify(cert, recheck_oracle=True)
+        assert sorted(calls) == sorted(set(leaves))

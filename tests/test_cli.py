@@ -66,6 +66,18 @@ class TestProve:
         assert code == 3
         assert "UNDETERMINED" in out
 
+    @pytest.mark.parametrize("prime", ["4294967311", "65521", "1000004", "x"])
+    def test_inadmissible_prime_is_a_usage_error(self, capsys, tmp_path, prime):
+        # 4294967311 once overflowed the rank kernel: this defective
+        # statement came out TRUE
+        out_file = tmp_path / "c.json"
+        code, out, err = run(capsys, "prove", "T(2,4,4;7)", "--prime", prime,
+                             "--out", str(out_file))
+        assert code == 2
+        assert "TRUE" not in out
+        assert "--prime" in err
+        assert not out_file.exists()
+
     def test_summary_lists_leaf_kinds(self, capsys, tmp_path):
         code, out, _ = run(capsys, "prove", "T(3,3,3;6)",
                            "--out", str(tmp_path / "c.json"))
@@ -96,6 +108,19 @@ class TestVerify:
         cert.write_text(json.dumps(doc))
         code, out, err = run(capsys, "verify", str(cert))
         assert code == 1
+
+    def test_forged_oracle_leaf_fails_without_recheck(self, capsys, tmp_path):
+        cert = tmp_path / "c.json"
+        cert.write_text(json.dumps({
+            "version": "cert-v1", "statement": "T(3,3,2;5)", "verdict": True,
+            "node": {"kind": "oracle", "statement": "T(3,3,2;5)",
+                     "witness": {"prime": 1000003, "seed": 0, "rows": 55,
+                                 "cols": 48, "rank": 45, "target": 45}},
+        }))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert code == 1
+        assert "certificate OK" not in out
+        assert "falsity catalog" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))

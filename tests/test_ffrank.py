@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from segredim.ffrank import (
     DEFAULT_PRIME,
     FALLBACK_PRIME,
+    MAX_PRIME,
+    _LEAF_COLS,
+    _PANEL,
     FieldConfig,
     OracleBudgetError,
     RankWitness,
@@ -83,6 +86,83 @@ class TestRankModP:
         assert is_prime(DEFAULT_PRIME)
         assert is_prime(FALLBACK_PRIME)
         assert not is_prime(1_000_000)
+
+
+LARGEST_PRIME = next(q for q in range(MAX_PRIME - 1, 0, -1) if is_prime(q))
+KERNEL_PRIMES = [5, 97, DEFAULT_PRIME, FALLBACK_PRIME, LARGEST_PRIME]
+
+
+def staircase(rows: int, cols: int, steps: int, p: int, seed: int) -> np.ndarray:
+    """X @ Y mod p where the columns of panel j only involve the first
+    (j+1)*steps rows of Y, so each panel adds up to `steps` pivots."""
+    rng = np.random.default_rng(seed)
+    k = steps * -(-cols // _PANEL)
+    y = rng.integers(0, p, size=(k, cols), dtype=np.int64)
+    for c in range(0, cols, _PANEL):
+        y[(c // _PANEL + 1) * steps:, c:c + _PANEL] = 0
+    x = rng.integers(0, p, size=(rows, k), dtype=np.int64)
+    return x @ y % p  # exact: k * p^2 < 2^63 here
+
+
+class TestBlockedKernel:
+    """Shapes past _LEAF_COLS columns take the panel-by-panel path."""
+
+    def test_exactness_bound(self):
+        # the argument in ffrank: one full-width update of a reduced entry
+        # stays within 2^52 for every admissible prime
+        assert _PANEL * (MAX_PRIME - 2) ** 2 + (MAX_PRIME - 2) <= 2 ** 52
+        assert DEFAULT_PRIME < FALLBACK_PRIME < LARGEST_PRIME < MAX_PRIME
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_pivots_spread_over_panels(self, p):
+        # wider than a leaf, taller than a panel: 22 new pivots in each
+        # panel, duplicated rows and zero columns inside panels
+        mat = staircase(80, _LEAF_COLS + 9, 22, p, seed=p % 1000)
+        mat[70:] = mat[:10]
+        mat[:, 5:9] = 0
+        mat[:, _PANEL + 3] = 0
+        want = reference_rank(mat, p)
+        assert want == 70  # the distinct rows
+        assert rank_mod_p(mat, p) == want
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_wide_and_tall(self, p):
+        rng = np.random.default_rng(p % 1000)
+        wide = rng.integers(0, p, size=(40, _LEAF_COLS + 50), dtype=np.int64)
+        assert rank_mod_p(wide, p) == reference_rank(wide, p)  # rank < panel
+        tall = staircase(_LEAF_COLS + 8, _LEAF_COLS + 1, 18, p, seed=p % 997)
+        assert rank_mod_p(tall, p) == reference_rank(tall, p)
+
+    def test_worst_case_accumulation_at_largest_prime(self):
+        # Eight panels of pivot rows [0 .. I .. 0 | b] above two rows
+        # [m m .. m | c], with m near p and b near p/2.  Each panel adds
+        # _PANEL products near p^2/2 to c, so left unreduced c would pass
+        # 2^53 by the fifth panel.  c makes the exact result 0 mod p, so a
+        # rounded update would show as one more pivot.
+        p = LARGEST_PRIME
+        panels = 8
+        n = panels * _PANEL
+        rng = np.random.default_rng(3)
+        m = rng.integers(p - 1024, p, size=_PANEL)
+        b = rng.integers(p // 2 - 1024, p // 2, size=_PANEL)
+        mat = np.zeros((n + 2, n + 3), dtype=np.int64)
+        for j in range(panels):
+            block = slice(j * _PANEL, (j + 1) * _PANEL)
+            mat[block, block] = np.eye(_PANEL, dtype=np.int64)
+            mat[block, n:] = b[:, None]
+            mat[n:, block] = m
+        step = sum(int(x) * int(y) for x, y in zip(m, b))
+        c = panels * step % p
+        mat[n:, n:] = c
+        assert any(float(c - j * step) != c - j * step for j in range(panels))
+        assert reference_rank(mat, p) == n
+        assert rank_mod_p(mat, p) == n
+        near = rng.integers(p - 3, p, size=(70, _LEAF_COLS + 30), dtype=np.int64)
+        assert rank_mod_p(near, p) == reference_rank(near, p)
+
+    def test_inexact_modulus_refused(self):
+        with pytest.raises(ValueError):
+            rank_mod_p(np.eye(3, dtype=np.int64), MAX_PRIME + 1)
 
 
 class TestTerraciniMatrix:
@@ -170,6 +250,13 @@ class TestOracle:
         seeds = {derive_seed("T(2,2,2;4;0,0,0)", DEFAULT_PRIME, 0, i)
                  for i in range(4)}
         assert len(seeds) == 4
+
+    def test_overflowing_prime_refused(self):
+        # 4294967311 once overflowed int64 and reported rank 48 of a
+        # 55x48 matrix whose true rank is at most 45
+        with pytest.raises(ValueError, match="too large"):
+            terracini_oracle(Statement.of((2, 3, 3), 5),
+                             FieldConfig(prime=4294967311))
 
     def test_witness_json_round_trip(self):
         res = terracini_oracle(Statement.of((2, 2, 2), 4))
