@@ -1,0 +1,103 @@
+"""Golden CLI output: scan, classify and prove stay byte-identical.
+
+The files under tests/golden/ hold the stdout (and, for prove, the
+certificate file) of each command below.  Certificate references in the
+classify records pin the certificate bytes.  The one field that depends on
+the clock, prove's `elapsed_s`, is masked on both sides.
+
+Regenerate only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import contextlib
+import io
+import json
+import os
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from segredim.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+SCANS = {
+    "scan_k3_n5_r30": ["scan", "--k", "3", "--max-n", "5", "--max-r", "30"],
+    "scan_k4_n3_r30": ["scan", "--k", "4", "--max-n", "3", "--max-r", "30"],
+}
+CLASSIFIES = {
+    f"classify_{fmt.replace(',', '')}": ["classify", fmt, "--json"]
+    for fmt in ("3,3,3", "2,4,4", "3,3,4", "3,3,3,3")
+}
+# name -> (argv, certificate file name)
+PROVES = {
+    "prove_333_7": (["prove", "T(3,3,3;7)", "--json"], "cert.json"),
+    "prove_233_5": (["prove", "T(2,3,3;5)"], "cert.json"),
+}
+
+_ELAPSED = re.compile(r'"elapsed_s": [0-9.e+-]+')
+
+
+def _mask(text: str) -> str:
+    return _ELAPSED.sub('"elapsed_s": "masked"', text)
+
+
+def _run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, _mask(out.getvalue())
+
+
+def _expected(name: str) -> tuple[int, str]:
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    return codes[name], (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted({**SCANS, **CLASSIFIES}))
+def test_report_output(name, tmp_path):
+    argv = {**SCANS, **CLASSIFIES}[name]
+    want = _expected(name)
+    assert _run(argv) == want
+    # a cold cache run writes what a warm one reads back; both print the
+    # same bytes as the uncached run
+    cache = tmp_path / "verdicts.ldjson"
+    assert _run(argv + ["--cache", str(cache)]) == want
+    assert _run(argv + ["--cache", str(cache)]) == want
+
+
+@pytest.mark.parametrize("name", sorted(PROVES))
+def test_prove_output_and_certificate(name, tmp_path, monkeypatch):
+    argv, cert_name = PROVES[name]
+    monkeypatch.chdir(tmp_path)
+    assert _run(argv + ["--out", cert_name]) == _expected(name)
+    got = (tmp_path / cert_name).read_text()
+    assert got == (GOLDEN / f"{name}.cert.json").read_text()
+
+
+def _capture() -> None:
+    """Rewrite every golden file from the current code."""
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name, argv in {**SCANS, **CLASSIFIES}.items():
+        codes[name], out = _run(argv)
+        (GOLDEN / f"{name}.txt").write_text(out)
+    cwd = os.getcwd()
+    for name, (argv, cert_name) in PROVES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            try:
+                codes[name], out = _run(argv + ["--out", cert_name])
+            finally:
+                os.chdir(cwd)
+            cert = (Path(tmp) / cert_name).read_text()
+        (GOLDEN / f"{name}.txt").write_text(out)
+        (GOLDEN / f"{name}.cert.json").write_text(cert)
+    (GOLDEN / "exit_codes.json").write_text(
+        json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    _capture()
