@@ -7,7 +7,6 @@ skipped on load.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -75,13 +74,10 @@ class VerdictCache:
     def put(self, statement: Union[Statement, str], verdict: bool,
             certificate, config_digest: str) -> CacheRecord:
         text = _key_text(statement)
-        cert_sha = ""
-        if certificate is not None:
-            cert_sha = hashlib.sha256(certificate.dumps().encode()).hexdigest()
         rec = CacheRecord(
             statement=text,
             verdict=bool(verdict),
-            cert_sha256=cert_sha,
+            cert_sha256=certificate.sha256 if certificate is not None else "",
             tool_version=TOOL_VERSION,
             timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             config_digest=config_digest,

@@ -9,7 +9,6 @@ dimensions.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional
@@ -30,7 +29,7 @@ from .formats import (
     unbalanced_typical_rank,
 )
 from .induction import ProofEngine, SearchBudget
-from .induction.rules import known_false
+from .induction.rules import SMALL_FORMAT_DIMS, known_false
 
 NONDEFECTIVE = "NonDefective"
 DEFECTIVE = "Defective"
@@ -43,8 +42,6 @@ INDUCTION_NODE_BUDGET = 2_000
 
 # extra secants to sweep past the expected fill count before giving up
 _CAP_MARGIN = 6
-
-_SMALL_COMPLETE = frozenset({(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)})
 
 
 class CatalogConsistencyError(RuntimeError):
@@ -183,7 +180,7 @@ def _catalog_row(fmt: Format, s: int) -> Optional[ProfileRow]:
     if s == 1:
         # the first secant is the cone over the variety itself
         return _nd(s, affine, "first-secant")
-    if pos in _SMALL_COMPLETE:
+    if pos in SMALL_FORMAT_DIMS:
         plain = Statement.of(pos, s, (0,) * k)
         if known_false(plain) is None:
             return _nd(s, affine, "small-format")
@@ -225,8 +222,30 @@ def _catalog_row(fmt: Format, s: int) -> Optional[ProfileRow]:
     return None
 
 
-def _cert_ref(certificate) -> str:
-    return hashlib.sha256(certificate.dumps().encode()).hexdigest()[:12]
+def _settle(st: Statement, cfg: RunConfig, engine: Optional[ProofEngine],
+            cache, nodes: int):
+    """Settle a canonical statement the catalog leaves open: the cache,
+    then a proof search of at most `nodes` nodes, then the oracle.
+
+    Returns (verdict, cert_ref, oracle).  A cache hit or a certificate
+    gives verdict and cert_ref; otherwise verdict is None and oracle is
+    the fallback's OracleResult, or the OracleBudgetError refusing it.
+    The cache digest covers the node budget the search runs with.
+    """
+    digest = cfg.with_overrides(budget_nodes=nodes).digest()
+    hit = cache.get(st, digest) if cache is not None else None
+    if hit is not None:
+        return hit.verdict, hit.cert_sha256[:12], None
+    v = (engine or ProofEngine(cfg)).prove(
+        st, budget=SearchBudget(nodes, cfg.budget_cols))
+    if v.status is not None:
+        if cache is not None:
+            cache.put(st, v.status, v.certificate, digest)
+        return v.status, v.certificate.sha256[:12], None
+    try:
+        return None, None, terracini_oracle(st, cfg.field_config())
+    except OracleBudgetError as exc:
+        return None, None, exc
 
 
 def _measure(fmt: Format, s: int, row: ProfileRow, cfg: RunConfig) -> ProfileRow:
@@ -257,26 +276,8 @@ def resolve_secant(fmt: FormatLike, s: int, cfg: Optional[RunConfig] = None,
         return row
 
     st = Statement.of(f, s, (0,) * f.k).canonical()
-    digest = cfg.digest()
-    verdict = None
-    ref = None
-    if cache is not None:
-        hit = cache.get(st, digest)
-        if hit is not None:
-            verdict, ref = hit.verdict, hit.cert_sha256[:12]
-
-    if verdict is None:
-        if engine is None:
-            engine = ProofEngine(cfg.field_config(),
-                                 SearchBudget(cfg.budget_nodes, cfg.budget_cols))
-        v = engine.prove(st, budget=SearchBudget(
-            min(cfg.budget_nodes, INDUCTION_NODE_BUDGET), cfg.budget_cols))
-        if v.status is not None:
-            verdict = v.status
-            ref = _cert_ref(v.certificate)[:12]
-            if cache is not None:
-                cache.put(st, v.status, v.certificate, digest)
-
+    verdict, ref, oracle = _settle(st, cfg, engine, cache,
+                                   min(cfg.budget_nodes, INDUCTION_NODE_BUDGET))
     if verdict is True:
         return ProfileRow(s, affine, affine, affine, NONDEFECTIVE, 0,
                           "induction", ref)
@@ -284,17 +285,14 @@ def resolve_secant(fmt: FormatLike, s: int, cfg: Optional[RunConfig] = None,
         row = ProfileRow(s, affine, None, affine - 1, DEFECTIVE, None,
                          "induction", ref)
         return _measure(f, s, row, cfg)
-
-    try:
-        res = terracini_oracle(st, cfg.field_config())
-    except OracleBudgetError as exc:
+    if isinstance(oracle, OracleBudgetError):
         return ProfileRow(s, affine, None, affine, UNKNOWN, None, "oracle",
-                          None, str(exc))
-    if res.certified:
+                          None, str(oracle))
+    if oracle.certified:
         return ProfileRow(s, affine, affine, affine, NONDEFECTIVE, 0, "oracle")
-    best = max(w.rank for w in res.attempts)
+    best = max(w.rank for w in oracle.attempts)
     return ProfileRow(s, affine, best, affine, EVIDENCE_DEFECTIVE, None,
-                      "oracle", None, res.note)
+                      "oracle", None, oracle.note)
 
 
 # --- profiles -------------------------------------------------------------
@@ -324,8 +322,7 @@ def secant_profile(fmt: FormatLike, cfg: Optional[RunConfig] = None,
     f = Format.of(fmt)
     cfg = cfg or RunConfig()
     if engine is None:
-        engine = ProofEngine(cfg.field_config(),
-                             SearchBudget(cfg.budget_nodes, cfg.budget_cols))
+        engine = ProofEngine(cfg)
     P = ambient_dim(f)
     cap = max_s if max_s is not None else expected_fill_count(f) + _CAP_MARGIN
     rows: list[ProfileRow] = []
@@ -478,26 +475,18 @@ def perfect_check(fmt: FormatLike, cfg: Optional[RunConfig] = None,
     if k >= 3 and _odd_power_family(pos):
         return PerfectCheck(PERFECT, s_star, st, "catalog:odd-power-family")
 
-    if engine is None:
-        engine = ProofEngine(cfg.field_config(),
-                             SearchBudget(cfg.budget_nodes, cfg.budget_cols))
-    v = engine.prove(st)
-    if v.status is True:
-        return PerfectCheck(PERFECT, s_star, st, "induction",
-                            _cert_ref(v.certificate))
-    if v.status is False:
-        return PerfectCheck(NOT_PERFECT, s_star, st, "induction",
-                            _cert_ref(v.certificate))
-    try:
-        res = terracini_oracle(st, cfg.field_config())
-    except OracleBudgetError as exc:
-        return PerfectCheck(UNKNOWN, s_star, st, "oracle", note=str(exc))
-    if res.certified:
+    verdict, ref, oracle = _settle(st, cfg, engine, cache, cfg.budget_nodes)
+    if verdict is not None:
+        return PerfectCheck(PERFECT if verdict else NOT_PERFECT, s_star, st,
+                            "induction", ref)
+    if isinstance(oracle, OracleBudgetError):
+        return PerfectCheck(UNKNOWN, s_star, st, "oracle", note=str(oracle))
+    if oracle.certified:
         return PerfectCheck(PERFECT, s_star, st, "oracle")
     return PerfectCheck(
         UNKNOWN, s_star, st, "oracle",
-        note=f"rank deficit observed ({res.witness.rank} < {res.witness.target}); "
-             "not a proof of imperfection")
+        note=f"rank deficit observed ({oracle.witness.rank} < "
+             f"{oracle.witness.target}); not a proof of imperfection")
 
 
 # --- defective scan -------------------------------------------------------
@@ -553,8 +542,7 @@ def defective_scan(k_max: int, n_max: int, r_max: int,
     is not certified nondefective.  One engine memoizes across the grid."""
     cfg = cfg or RunConfig()
     if engine is None:
-        engine = ProofEngine(cfg.field_config(),
-                             SearchBudget(cfg.budget_nodes, cfg.budget_cols))
+        engine = ProofEngine(cfg)
     hits: list[ScanHit] = []
     for k in range(k_min, k_max + 1):
         for dims in combinations_with_replacement(range(1, n_max + 1), k):

@@ -24,7 +24,6 @@ from .config import (
 from .ffrank import DEFAULT_MAX_CELLS, DEFAULT_PRIME, MAX_PRIME, check_prime
 from .formats import (
     ParseError,
-    Statement,
     ambient_dim,
     expected_secant_dim,
     parse_format,
@@ -34,7 +33,6 @@ from .induction import (
     CertificateFormatError,
     Certificate,
     ProofEngine,
-    SearchBudget,
     VerificationError,
     verify,
 )
@@ -81,18 +79,11 @@ def _config(args: argparse.Namespace) -> RunConfig:
         budget_cols=args.budget_cols,
         max_cells=DEFAULT_MAX_CELLS,
         force=args.force,
-        cache_path=args.cache,
-        json_output=args.json,
     )
 
 
-def _engine(cfg: RunConfig) -> ProofEngine:
-    return ProofEngine(cfg.field_config(),
-                       SearchBudget(cfg.budget_nodes, cfg.budget_cols))
-
-
-def _cache(cfg: RunConfig) -> Optional[VerdictCache]:
-    return VerdictCache(cfg.cache_path) if cfg.cache_path else None
+def _cache(args: argparse.Namespace) -> Optional[VerdictCache]:
+    return VerdictCache(args.cache) if args.cache else None
 
 
 # --- dim ------------------------------------------------------------------
@@ -108,7 +99,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
     if args.s < 1:
         print(f"error: secant index must be >= 1, got {args.s}", file=sys.stderr)
         return EXIT_USAGE
-    row = cls.resolve_secant(fmt, args.s, cfg, _engine(cfg), _cache(cfg))
+    row = cls.resolve_secant(fmt, args.s, cfg, cache=_cache(args))
     positive = sum(1 for n in fmt.dims if n > 0)
     if args.json:
         print(json.dumps(row.record(fmt), sort_keys=True))
@@ -149,9 +140,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    engine = _engine(cfg)
+    engine = ProofEngine(cfg)
     v = engine.prove(st)
-    cache = _cache(cfg)
+    cache = _cache(args)
     out_path = Path(args.out)
     if v.status is None:
         word = "UNDETERMINED"
@@ -197,8 +188,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    engine = _engine(cfg)
-    cache = _cache(cfg)
+    engine = ProofEngine(cfg)
+    cache = _cache(args)
     profile = cls.secant_profile(fmt, cfg, max_s=args.max_s, engine=engine,
                                  cache=cache)
     perf = cls.perfect_check(fmt, cfg, engine=engine, cache=cache)
@@ -230,7 +221,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     report = cls.defective_scan(args.k, args.max_n, args.max_r, cfg,
-                                engine=_engine(cfg), cache=_cache(cfg))
+                                cache=_cache(args))
     if args.json:
         for rec in report.records():
             print(json.dumps(rec, sort_keys=True))
@@ -253,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         cert = Certificate.loads(text)
-        verify(cert, recheck_oracle=args.recheck)
+        verify(cert)
     except (CertificateFormatError, json.JSONDecodeError) as exc:
         print(f"verification failed: malformed certificate: {exc}",
               file=sys.stderr)
@@ -317,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a certificate file")
     p.add_argument("certificate")
     p.add_argument("--recheck", action="store_true",
-                   help="recompute every rank witness from its prime/seed")
+                   help="recompute every rank witness from its prime/seed "
+                        "(the default; accepted for compatibility)")
     _add_common_flags(p)
     p.set_defaults(func=cmd_verify)
 

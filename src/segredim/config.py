@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .ffrank import DEFAULT_MAX_CELLS, DEFAULT_PRIME, FALLBACK_PRIME, FieldConfig
 
@@ -23,8 +23,6 @@ class RunConfig:
     budget_cols: int = DEFAULT_BUDGET_COLS
     max_cells: int = DEFAULT_MAX_CELLS
     force: bool = False
-    cache_path: str | None = None
-    json_output: bool = False
 
     def field_config(self) -> FieldConfig:
         return FieldConfig(

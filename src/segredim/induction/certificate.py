@@ -6,8 +6,10 @@ re-running the search.  Serialized form is versioned ("cert-v1").
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterator, Optional
 
 from ..formats import Statement, parse_statement
@@ -128,6 +130,12 @@ class Certificate:
 
     def dumps(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_json(), indent=indent)
+
+    @cached_property
+    def sha256(self) -> str:
+        """Hex SHA-256 of dumps(), computed once per certificate; cache
+        records store it and cert_ref is its first 12 digits."""
+        return hashlib.sha256(self.dumps().encode()).hexdigest()
 
     @staticmethod
     def from_json(data: dict) -> "Certificate":

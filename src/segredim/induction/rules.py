@@ -8,7 +8,7 @@ falsity catalog (the known-defective configurations) also lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..formats import (
     Format,
@@ -56,6 +56,19 @@ class SplitChoice:
             "a_parts": [list(self.a_parts[0]), list(self.a_parts[1])],
         }
 
+    @staticmethod
+    def parse(side_conditions: dict) -> "SplitChoice":
+        """Inverse of describe(); KeyError, TypeError, ValueError or
+        IndexError on malformed side conditions."""
+        sc = side_conditions
+        return SplitChoice(
+            slot=int(sc["slot"]),
+            n_parts=tuple(int(x) for x in sc["n_parts"]),
+            s_parts=tuple(int(x) for x in sc["s_parts"]),
+            a_parts=(tuple(int(x) for x in sc["a_parts"][0]),
+                     tuple(int(x) for x in sc["a_parts"][1])),
+        )
+
 
 def split_children(st: Statement, choice: SplitChoice):
     """Construct the two children of a split; validates bookkeeping only."""
@@ -91,40 +104,23 @@ def split_children(st: Statement, choice: SplitChoice):
 def split_mode(st: Statement, choice: SplitChoice):
     """Classify a split as sub/super/equi and return (mode, child1, child2).
 
+    This is the one abundance check for splits: the search labels its
+    split nodes with it and the verifier accepts exactly that label.
     Parameter counts always satisfy L(c1) + L(c2) = L(st) and the two
     child ambients sum to the parent ambient, so requiring both children
     on one side of abundance forces the parent to the same side.
     """
     c1, c2 = split_children(st, choice)
-    sub = is_subabundant(c1) and is_subabundant(c2)
-    sup = is_superabundant(c1) and is_superabundant(c2)
-    if sub and sup:
+    # parameter count minus ambient: <= 0 subabundant, >= 0 superabundant
+    e1 = parameter_count(c1) - ambient_dim(c1.format)
+    e2 = parameter_count(c2) - ambient_dim(c2.format)
+    if e1 == e2 == 0:
         return cert.EQUI_SPLIT, c1, c2
-    if sub:
+    if e1 <= 0 and e2 <= 0:
         return cert.SUB_SPLIT, c1, c2
-    if sup:
+    if e1 >= 0 and e2 >= 0:
         return cert.SUPER_SPLIT, c1, c2
     raise RuleError(f"children of {st} straddle abundance: {c1}, {c2}")
-
-
-def sub_split(st: Statement, choice: SplitChoice):
-    """Split with both children subabundant; the parent is then subabundant
-    and true whenever both children are true."""
-    c1, c2 = split_children(st, choice)
-    if not (is_subabundant(c1) and is_subabundant(c2)):
-        raise RuleError("children are not both subabundant")
-    # parent subabundance follows from the additivity identities
-    assert is_subabundant(st)
-    return c1, c2
-
-
-def super_split(st: Statement, choice: SplitChoice):
-    """Split with both children superabundant; parent true when both are."""
-    c1, c2 = split_children(st, choice)
-    if not (is_superabundant(c1) and is_superabundant(c2)):
-        raise RuleError("children are not both superabundant")
-    assert is_superabundant(st)
-    return c1, c2
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +236,69 @@ def monotone_sa(st: Statement, s_new: int, a_new) -> Statement:
     else:
         raise RuleError(f"point-count move of {st} disagrees with abundance")
     return Statement.of(st.format, s_new, a_new)
+
+
+def monotone_source(kind: str, st: Statement, side_conditions: dict) -> Statement:
+    """Rebuild the source of a monotone move onto st from its side
+    conditions, and check the move through monotone_format/monotone_sa.
+
+    MONOTONE_FORMAT reads `from_format`, MONOTONE_SA reads `from_s` and
+    `from_a`; the source keeps st's slot order.  Raises RuleError when the
+    move disagrees with the source's abundance, and KeyError, TypeError or
+    ValueError when the side conditions are malformed.
+    """
+    sc = side_conditions
+    if kind == cert.MONOTONE_FORMAT:
+        source = Statement.of(tuple(int(n) for n in sc["from_format"]),
+                              st.s, st.a)
+        monotone_format(source, st.format)
+    elif kind == cert.MONOTONE_SA:
+        source = Statement.of(st.format, int(sc["from_s"]),
+                              tuple(int(x) for x in sc["from_a"]))
+        monotone_sa(source, st.s, st.a)
+    else:
+        raise RuleError(f"{kind} is not a monotone move")
+    return source
+
+
+def monotone_moves(st: Statement) -> Iterator[tuple[str, dict, Statement]]:
+    """Admissible monotone moves onto st, as (kind, side conditions, source).
+
+    A superabundant st may come from one tangent or fiber point fewer, a
+    subabundant one from a format with one factor a dimension smaller.
+    Every source is built and checked by monotone_source, as in the
+    verifier.
+    """
+    dims, a, s = st.format.dims, st.a, st.s
+    moves = []
+    if is_superabundant(st):
+        if s >= 1:
+            moves.append((cert.MONOTONE_SA, {"from_s": s - 1, "from_a": list(a)}))
+        moves += [(cert.MONOTONE_SA,
+                   {"from_s": s, "from_a": list(_decrement(a, j))})
+                  for j in _distinct_slots(st) if a[j] > 0]
+    if is_subabundant(st):
+        moves += [(cert.MONOTONE_FORMAT,
+                   {"from_format": list(_decrement(dims, j))})
+                  for j in _distinct_slots(st) if dims[j] > 0]
+    for kind, sc in moves:
+        try:
+            source = monotone_source(kind, st, sc)
+        except RuleError:
+            continue
+        yield kind, sc, source
+
+
+def _distinct_slots(st: Statement) -> list:
+    # slots with equal (n, a) give equal moves: keep the first of each
+    first: dict = {}
+    for j, sig in enumerate(zip(st.format.dims, st.a)):
+        first.setdefault(sig, j)
+    return list(first.values())
+
+
+def _decrement(values: tuple, j: int) -> tuple:
+    return values[:j] + (values[j] - 1,) + values[j + 1:]
 
 
 # ---------------------------------------------------------------------------

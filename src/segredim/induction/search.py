@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..config import DEFAULT_BUDGET_COLS, DEFAULT_BUDGET_NODES, RunConfig
-from ..ffrank import FieldConfig, OracleBudgetError, OracleResult, terracini_oracle
+from ..ffrank import OracleBudgetError, OracleResult, terracini_oracle
 from ..formats import (
     Statement,
     ambient_dim,
     is_subabundant,
-    is_superabundant,
     parameter_count,
     parse_statement,
 )
@@ -74,19 +73,17 @@ def _outward(lo: int, hi: int, center: int) -> Iterator[int]:
 class ProofEngine:
     """Proof search with a memo table shared across calls.
 
+    Field settings and the default budget come from one RunConfig.
     Verdicts are memoized by canonical statement, so permuted inputs reuse
     earlier work.  Failed (undetermined) subgoals are only remembered for
     the duration of one prove() call, letting later calls retry with a
     fresh budget.
     """
 
-    def __init__(self, field_config: Optional[FieldConfig] = None,
-                 budget: Optional[SearchBudget] = None):
-        if field_config is not None and not isinstance(field_config, FieldConfig):
-            # Accept a RunConfig (or anything else carrying a field_config()).
-            field_config = field_config.field_config()
-        self.field_config = field_config or FieldConfig()
-        self.budget = budget or SearchBudget()
+    def __init__(self, cfg: Optional[RunConfig] = None):
+        cfg = cfg or RunConfig()
+        self.field_config = cfg.field_config()
+        self.budget = SearchBudget(cfg.budget_nodes, cfg.budget_cols)
         self._memo: dict = {}
         self._dead: set = set()
         self._nodes_used = 0
@@ -237,14 +234,9 @@ class ProofEngine:
     # -- splits ------------------------------------------------------------
 
     def _try_splits(self, st: Statement) -> Optional[CertNode]:
-        L = parameter_count(st)
-        P = ambient_dim(st.format)
-        kind = (cert.EQUI_SPLIT if L == P
-                else cert.SUB_SPLIT if L < P
-                else cert.SUPER_SPLIT)
         tried = set()
         for choice in self._split_choices(st):
-            c1, c2 = rules.split_children(st, choice)
+            kind, c1, c2 = rules.split_mode(st, choice)
             c1, c2 = c1.canonical(), c2.canonical()
             pair = (c1.key(), c2.key())
             if pair in tried:
@@ -333,59 +325,15 @@ class ProofEngine:
     # -- monotone moves ----------------------------------------------------
 
     def _try_monotone(self, st: Statement) -> Optional[CertNode]:
-        k = st.format.k
-        if is_superabundant(st):
-            # walk point counts down while staying superabundant
-            shrunk = []
-            if st.s >= 1:
-                shrunk.append(Statement.of(st.format, st.s - 1, st.a))
-            seen = set()
-            for j in range(k):
-                if st.a[j] == 0:
-                    continue
-                sig = (st.format.dims[j], st.a[j])
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                a_new = st.a[:j] + (st.a[j] - 1,) + st.a[j + 1:]
-                shrunk.append(Statement.of(st.format, st.s, a_new))
-            for child in shrunk:
-                if not is_superabundant(child):
-                    continue
-                res = self._search(child.canonical())
-                if res is not None and res[0]:
-                    conds = {"from_s": child.s, "from_a": list(child.a)}
-                    return CertNode(cert.MONOTONE_SA, st,
-                                    side_conditions=conds, children=(res[1],))
-        if is_subabundant(st):
-            # prove a smaller format and lift
-            seen = set()
-            for j in range(k):
-                n_j = st.format.dims[j]
-                if n_j < 1:
-                    continue
-                sig = (n_j, st.a[j])
-                if sig in seen:
-                    continue
-                seen.add(sig)
-                dims = st.format.dims[:j] + (n_j - 1,) + st.format.dims[j + 1:]
-                child = Statement.of(dims, st.s, st.a)
-                if not is_subabundant(child):
-                    continue
-                res = self._search(child.canonical())
-                if res is not None and res[0]:
-                    conds = {"from_format": list(child.format.dims)}
-                    return CertNode(cert.MONOTONE_FORMAT, st,
-                                    side_conditions=conds, children=(res[1],))
+        for kind, conds, source in rules.monotone_moves(st):
+            res = self._search(source.canonical())
+            if res is not None and res[0]:
+                return CertNode(kind, st, side_conditions=conds,
+                                children=(res[1],))
         return None
 
 
 def prove(statement, run_config: Optional[RunConfig] = None,
           engine: Optional[ProofEngine] = None) -> Verdict:
     """One-shot proof attempt; see ProofEngine for the reusable version."""
-    if engine is not None:
-        return engine.prove(statement)
-    cfg = run_config or RunConfig()
-    eng = ProofEngine(cfg.field_config(),
-                      SearchBudget(cfg.budget_nodes, cfg.budget_cols))
-    return eng.prove(statement)
+    return (engine or ProofEngine(run_config)).prove(statement)

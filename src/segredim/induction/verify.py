@@ -7,18 +7,10 @@ uses it, and the error names the path from the root.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Optional, Union
 
 from ..ffrank import check_prime, recompute_rank, row_count
-from ..formats import (
-    Statement,
-    ambient_dim,
-    is_subabundant,
-    is_superabundant,
-    parameter_count,
-    target_dim,
-)
+from ..formats import Statement, ambient_dim, target_dim
 from . import certificate as cert
 from . import rules
 from .certificate import Certificate, CertNode
@@ -83,97 +75,48 @@ def _witness_checks(node: CertNode, path: str,
               f"oracle re-run gives rank {rechecked[key]}, witness says {w.rank}")
 
 
-def _grouped_dominance(parent_pairs, child_pairs, key_idx: int, cmp_idx: int,
-                       parent_at_least: bool) -> bool:
-    """Is there a slot bijection with equal key component and a dominance
-    on the other component?  Sorted pairing within a key group is exact."""
-    gp = defaultdict(list)
-    gc = defaultdict(list)
-    for pair in parent_pairs:
-        gp[pair[key_idx]].append(pair[cmp_idx])
-    for pair in child_pairs:
-        gc[pair[key_idx]].append(pair[cmp_idx])
-    if set(gp) != set(gc):
-        return False
-    for key, pvals in gp.items():
-        cvals = gc[key]
-        if len(pvals) != len(cvals):
-            return False
-        for p, c in zip(sorted(pvals), sorted(cvals)):
-            if parent_at_least and p < c:
-                return False
-            if not parent_at_least and p > c:
-                return False
-    return True
-
-
 def _check_split(node: CertNode, path: str) -> None:
     _child_count(node, path, 2)
-    sc = node.side_conditions
     try:
-        choice = rules.SplitChoice(
-            slot=int(sc["slot"]),
-            n_parts=tuple(int(x) for x in sc["n_parts"]),
-            s_parts=tuple(int(x) for x in sc["s_parts"]),
-            a_parts=(tuple(int(x) for x in sc["a_parts"][0]),
-                     tuple(int(x) for x in sc["a_parts"][1])),
-        )
+        choice = rules.SplitChoice.parse(node.side_conditions)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         _fail(path, f"malformed split side conditions: {exc}")
     try:
-        c1, c2 = rules.split_children(node.statement, choice)
+        mode, c1, c2 = rules.split_mode(node.statement, choice)
     except rules.RuleError as exc:
         _fail(path, str(exc))
     for got, want, idx in ((node.children[0].statement, c1, 0),
                           (node.children[1].statement, c2, 1)):
-        _need(_same_statement(got, want), path,
-              f"child {idx} is {got}, split arithmetic gives {want}")
-    if node.kind == cert.SUB_SPLIT:
-        _need(is_subabundant(c1) and is_subabundant(c2), path,
-              "children of a subabundant split must both be subabundant")
-    elif node.kind == cert.SUPER_SPLIT:
-        _need(is_superabundant(c1) and is_superabundant(c2), path,
-              "children of a superabundant split must both be superabundant")
-    else:
-        st = node.statement
-        _need(parameter_count(st) == ambient_dim(st.format), path,
-              "equiabundant split on a non-equiabundant statement")
-        for c in (c1, c2):
-            _need(parameter_count(c) == ambient_dim(c.format), path,
-                  "equiabundant split with a non-equiabundant child")
+        if not _same_statement(got, want):
+            _fail(path, f"child {idx} is {got}, split arithmetic gives {want}")
+    if node.kind != mode:
+        _fail(path, f"split arithmetic gives {mode}, node claims {node.kind}")
 
 
-def _check_drop_conditions(node: CertNode, path: str, verdict: bool) -> None:
-    _child_count(node, path, 1)
-    st = node.statement
-    try:
-        slot = int(node.side_conditions["slot"])
-        child = rules.drop_conditions(st, slot, require_subabundant=False)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        _fail(path, f"bad drop slot: {exc}")
-    except rules.RuleError as exc:
-        _fail(path, str(exc))
-    _need(_same_statement(node.children[0].statement, child), path,
-          "child statement does not match the dropped-conditions form")
-    if verdict is False:
-        # the equivalence direction needs independence of generic points,
-        # which holds below the ambient dimension only
-        _need(is_subabundant(st), path,
-              "False cannot pass through drop_conditions on a "
-              "superabundant statement")
+def _rebuilt_child(node: CertNode, verdict: bool) -> Statement:
+    st, sc = node.statement, node.side_conditions
+    if node.kind == cert.DROP_ZERO_FACTOR:
+        return rules.drop_zero_factor(st, int(sc["slot"]))
+    if node.kind == cert.DROP_CONDITIONS:
+        # False passes through only where the drop is an equivalence
+        return rules.drop_conditions(st, int(sc["slot"]),
+                                     require_subabundant=verdict is False)
+    return rules.monotone_source(node.kind, st, sc)
 
 
-def _check_drop_zero_factor(node: CertNode, path: str) -> None:
+def _check_one_child(node: CertNode, path: str, verdict: bool) -> None:
+    """A drop or monotone node: rebuild its child from the side conditions
+    through the rule and compare it with the stored child."""
     _child_count(node, path, 1)
     try:
-        slot = int(node.side_conditions["slot"])
-        child = rules.drop_zero_factor(node.statement, slot)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        _fail(path, f"bad drop slot: {exc}")
+        want = _rebuilt_child(node, verdict)
     except rules.RuleError as exc:
         _fail(path, str(exc))
-    _need(_same_statement(node.children[0].statement, child), path,
-          "child statement does not match the factor-dropped form")
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        _fail(path, f"malformed {node.kind} side conditions: {exc}")
+    got = node.children[0].statement
+    if not _same_statement(got, want):
+        _fail(path, f"child is {got}, side conditions give {want}")
 
 
 def _check_append_zero_factor(node: CertNode, path: str) -> None:
@@ -187,41 +130,6 @@ def _check_append_zero_factor(node: CertNode, path: str) -> None:
         _fail(path, str(exc))
     _need(_same_statement(node.statement, grown), path,
           "statement does not match the child with a point factor appended")
-
-
-def _check_monotone_format(node: CertNode, path: str) -> None:
-    _child_count(node, path, 1)
-    parent, child = node.statement, node.children[0].statement
-    _need(parent.s == child.s, path, "tangent count must be preserved")
-    pp = list(zip(parent.format.dims, parent.a))
-    cp = list(zip(child.format.dims, child.a))
-    _need(len(pp) == len(cp), path, "factor count must be preserved")
-    lift = (_grouped_dominance(pp, cp, key_idx=1, cmp_idx=0, parent_at_least=True)
-            and is_subabundant(child))
-    descend = (_grouped_dominance(pp, cp, key_idx=1, cmp_idx=0, parent_at_least=False)
-               and is_superabundant(child))
-    _need(lift or descend, path,
-          "format move matches neither the subabundant lift nor the "
-          "superabundant descent")
-
-
-def _check_monotone_sa(node: CertNode, path: str) -> None:
-    _child_count(node, path, 1)
-    parent, child = node.statement, node.children[0].statement
-    _need(sorted(parent.format.dims) == sorted(child.format.dims), path,
-          "point-count move must stay on the same format")
-    pp = list(zip(parent.format.dims, parent.a))
-    cp = list(zip(child.format.dims, child.a))
-    down = (parent.s <= child.s
-            and _grouped_dominance(pp, cp, key_idx=0, cmp_idx=1,
-                                   parent_at_least=False)
-            and is_subabundant(child))
-    up = (parent.s >= child.s
-          and _grouped_dominance(pp, cp, key_idx=0, cmp_idx=1,
-                                 parent_at_least=True)
-          and is_superabundant(child))
-    _need(down or up, path,
-          "point-count move matches neither monotone direction")
 
 
 def _check_falsity_leaf(node: CertNode, path: str) -> None:
@@ -261,16 +169,11 @@ def _check_node(node: CertNode, verdict: bool, path: str,
 
     if node.kind in (cert.SUB_SPLIT, cert.SUPER_SPLIT, cert.EQUI_SPLIT):
         _check_split(node, path)
-    elif node.kind == cert.DROP_CONDITIONS:
-        _check_drop_conditions(node, path, verdict)
-    elif node.kind == cert.DROP_ZERO_FACTOR:
-        _check_drop_zero_factor(node, path)
+    elif node.kind in (cert.DROP_CONDITIONS, cert.DROP_ZERO_FACTOR,
+                       cert.MONOTONE_FORMAT, cert.MONOTONE_SA):
+        _check_one_child(node, path, verdict)
     elif node.kind == cert.APPEND_ZERO_FACTOR:
         _check_append_zero_factor(node, path)
-    elif node.kind == cert.MONOTONE_FORMAT:
-        _check_monotone_format(node, path)
-    elif node.kind == cert.MONOTONE_SA:
-        _check_monotone_sa(node, path)
     elif node.kind == cert.ORACLE:
         _child_count(node, path, 0)
         _witness_checks(node, path, rechecked)
@@ -289,13 +192,13 @@ def _check_node(node: CertNode, verdict: bool, path: str,
 
 
 def verify(certificate: Union[Certificate, dict, str],
-           recheck_oracle: bool = False) -> bool:
+           recheck_oracle: bool = True) -> bool:
     """Check every node of a certificate; True on success.
 
-    Raises VerificationError naming the first failing node.  With
-    recheck_oracle, rank witnesses are recomputed from their recorded
-    (prime, seed) instead of being taken at face value, once per distinct
-    (statement, prime, seed).
+    Raises VerificationError naming the first failing node.  Rank
+    witnesses are recomputed from their recorded (prime, seed), once per
+    distinct (statement, prime, seed).  recheck_oracle=False is the
+    structural-only mode: it takes each witness's rank at face value.
     """
     if isinstance(certificate, str):
         certificate = Certificate.loads(certificate)
@@ -310,7 +213,7 @@ def verify(certificate: Union[Certificate, dict, str],
     return True
 
 
-def is_valid(certificate, recheck_oracle: bool = False) -> bool:
+def is_valid(certificate, recheck_oracle: bool = True) -> bool:
     """Boolean form of verify: False instead of an exception."""
     try:
         return verify(certificate, recheck_oracle=recheck_oracle)

@@ -6,12 +6,16 @@ import json
 
 import pytest
 
-from segredim.ffrank import DEFAULT_PRIME, MAX_PRIME
+from segredim.ffrank import DEFAULT_PRIME, MAX_PRIME, terracini_oracle
+from segredim.formats import parse_statement
 from segredim.induction import (
     Certificate,
     CertificateFormatError,
+    CertNode,
     VerificationError,
+    is_valid,
     prove,
+    rules,
     verify,
 )
 from segredim.induction import certificate as cert_mod
@@ -211,3 +215,126 @@ class TestTamperRejection:
         assert len(leaves) > len(set(leaves))
         assert verify(cert, recheck_oracle=True)
         assert sorted(calls) == sorted(set(leaves))
+
+    def test_equi_split_relabel(self):
+        # every split of an equiabundant statement has equiabundant
+        # children, so neither one-sided label applies
+        v = prove("T(2,2,4;5)")
+        assert v.certificate.root.kind == "equi_split"
+        assert verify(v.certificate)
+        for label in ("sub_split", "super_split"):
+            doc = json.loads(v.certificate.dumps())
+            doc["node"]["kind"] = label
+            with pytest.raises(VerificationError, match="gives equi_split"):
+                verify(doc)
+
+
+# T(2,4,4;7) lies in the defective (2,n,n), n even, family but in no
+# falsity catalog; its true rank is 74 of 75.
+FORGED_RANK_75 = {
+    "version": "cert-v1", "statement": "T(4,4,2;7)", "verdict": True,
+    "node": {"kind": "oracle", "statement": "T(4,4,2;7)",
+             "witness": {"prime": DEFAULT_PRIME, "seed": 0, "rows": 91,
+                         "cols": 75, "rank": 75, "target": 75}},
+}
+
+
+class TestDefaultRecheck:
+    def test_forged_witness_rank_rejected(self):
+        with pytest.raises(VerificationError,
+                           match="oracle re-run gives rank 74"):
+            verify(copy.deepcopy(FORGED_RANK_75))
+        assert not is_valid(copy.deepcopy(FORGED_RANK_75))
+
+    def test_structural_only_mode_takes_the_rank_on_trust(self):
+        assert verify(copy.deepcopy(FORGED_RANK_75), recheck_oracle=False)
+
+
+def oracle_leaf(text: str) -> CertNode:
+    """An oracle node carrying the witness the oracle itself produces."""
+    st = parse_statement(text).canonical()
+    result = terracini_oracle(st)
+    assert result.certified
+    return CertNode(cert_mod.ORACLE, st, witness=result.witness)
+
+
+def monotone_doc(kind: str, parent: str, side_conditions: dict,
+                 child: str) -> dict:
+    st = parse_statement(parent)
+    assert st == st.canonical(), "side conditions follow canonical slots"
+    node = CertNode(kind, st, side_conditions=side_conditions,
+                    children=(oracle_leaf(child),))
+    return json.loads(Certificate(st, True, node).dumps())
+
+
+def single_edits(side_conditions: dict):
+    """Every copy of the side conditions with one number moved by 1."""
+    for key, value in side_conditions.items():
+        if isinstance(value, list):
+            for i in range(len(value)):
+                for delta in (-1, 1):
+                    edited = copy.deepcopy(side_conditions)
+                    edited[key][i] += delta
+                    yield edited
+        else:
+            for delta in (-1, 1):
+                yield {**side_conditions, key: value + delta}
+
+
+# (kind, parent, honest side conditions, child): a subabundant format lift,
+# a superabundant tangent-count move and a superabundant fiber-count move
+HONEST_MONOTONE = [
+    ("monotone_format", "T(3,3,3;4;0,0,0)", {"from_format": [3, 3, 2]},
+     "T(3,3,2;4)"),
+    ("monotone_sa", "T(3,3,3;8;0,0,0)", {"from_s": 7, "from_a": [0, 0, 0]},
+     "T(3,3,3;7)"),
+    ("monotone_sa", "T(3,3,3;7;1,0,0)", {"from_s": 7, "from_a": [0, 0, 0]},
+     "T(3,3,3;7)"),
+]
+
+# the same moves against the child's abundance: a subabundant source may
+# not shrink its format or gain points, a superabundant one may not lose
+# points
+WRONG_DIRECTION = [
+    ("monotone_format", "T(3,3,2;4;0,0,0)", {"from_format": [3, 3, 3]},
+     "T(3,3,3;4)"),
+    ("monotone_sa", "T(3,3,3;5;0,0,0)", {"from_s": 4, "from_a": [0, 0, 0]},
+     "T(3,3,3;4)"),
+    ("monotone_sa", "T(3,3,3;7;0,0,0)", {"from_s": 8, "from_a": [0, 0, 0]},
+     "T(3,3,3;8)"),
+]
+
+
+class TestMonotoneCertificates:
+    @pytest.mark.parametrize("kind,parent,sc,child", HONEST_MONOTONE)
+    def test_honest_move_verifies_with_recheck(self, kind, parent, sc, child):
+        assert verify(monotone_doc(kind, parent, sc, child),
+                      recheck_oracle=True)
+
+    @pytest.mark.parametrize("kind,parent,sc,child", HONEST_MONOTONE)
+    def test_each_side_condition_edit_rejected(self, kind, parent, sc, child):
+        doc = monotone_doc(kind, parent, sc, child)
+        edits = list(single_edits(sc))
+        assert len(edits) == 2 * sum(
+            len(v) if isinstance(v, list) else 1 for v in sc.values())
+        for edited in edits:
+            tampered = copy.deepcopy(doc)
+            tampered["node"]["side_conditions"] = edited
+            with pytest.raises(VerificationError):
+                verify(tampered)
+
+    @pytest.mark.parametrize("kind,parent,sc,child", WRONG_DIRECTION)
+    def test_wrong_direction_rejected(self, kind, parent, sc, child):
+        with pytest.raises(VerificationError, match="abundance"):
+            verify(monotone_doc(kind, parent, sc, child))
+
+    def test_search_moves_rebuild_from_their_side_conditions(self):
+        # the verifier rebuilds a monotone child with monotone_source; every
+        # move the search may try must come back as the same child
+        for text in ("T(3,3,3;8;0,1,0)", "T(3,3,2;4;0,1,0)",
+                     "T(4,3,3;12;1,0,0)", "T(2,2,2;1;1,1,0)"):
+            st = parse_statement(text)
+            moves = list(rules.monotone_moves(st))
+            assert moves, text
+            for kind, sc, source in moves:
+                assert rules.monotone_source(kind, st, sc) == source

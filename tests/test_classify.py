@@ -2,6 +2,7 @@
 
 import pytest
 
+from segredim.cache import VerdictCache
 from segredim.classify import (
     defective_scan,
     perfect_check,
@@ -138,6 +139,19 @@ class TestPerfect:
     def test_numerically_perfect_but_defective(self, engine):
         pc = perfect_check((1, 2, 5), engine=engine)
         assert pc.status == "NotPerfect"
+
+    def test_cache_settles_a_searched_statement(self, tmp_path, monkeypatch):
+        # (2,2,4) is in neither closed family, so the search proves T(2,2,4;5)
+        cache = VerdictCache(tmp_path / "verdicts.ldjson")
+        first = perfect_check((2, 2, 4), cache=cache)
+        assert (first.status, first.source) == ("Perfect", "induction")
+        assert len(VerdictCache(cache.path)) == 1
+
+        fresh = ProofEngine()
+        monkeypatch.setattr(fresh, "prove", None)  # a search would fail
+        again = perfect_check((2, 2, 4), engine=fresh,
+                              cache=VerdictCache(cache.path))
+        assert again == first
 
 
 class TestScan:

@@ -122,6 +122,21 @@ class TestVerify:
         assert "certificate OK" not in out
         assert "falsity catalog" in err
 
+    def test_forged_witness_rank_fails_by_default(self, capsys, tmp_path):
+        # T(2,4,4;7) is in no falsity catalog; its true rank is 74 of 75
+        cert = tmp_path / "c.json"
+        cert.write_text(json.dumps({
+            "version": "cert-v1", "statement": "T(4,4,2;7)", "verdict": True,
+            "node": {"kind": "oracle", "statement": "T(4,4,2;7)",
+                     "witness": {"prime": 1000003, "seed": 0, "rows": 91,
+                                 "cols": 75, "rank": 75, "target": 75}},
+        }))
+        for extra in ((), ("--recheck",)):
+            code, out, err = run(capsys, "verify", str(cert), *extra)
+            assert code == 1
+            assert "certificate OK" not in out
+            assert "oracle re-run gives rank 74" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
@@ -175,6 +190,20 @@ class TestScan:
         code, out2, _ = run(capsys, *args)
         assert code == 0
         assert out1 == out2
+
+    def test_cache_digest_follows_the_row_budget(self, capsys, tmp_path):
+        # scan rows search at most 2000 nodes whatever --budget-nodes says
+        # above that, so a second budget reuses every record
+        cache = tmp_path / "cache.ldjson"
+        outs = []
+        for budget in ("3000", "4000"):
+            code, out, _ = run(capsys, "scan", "--k", "3", "--max-n", "4",
+                               "--max-r", "20", "--cache", str(cache),
+                               "--budget-nodes", budget)
+            assert code == 0
+            outs.append(out)
+            assert len(cache.read_text().splitlines()) == 28
+        assert outs[0] == outs[1]
 
 
 class TestGlobalFlags:

@@ -97,6 +97,15 @@ class TestUndetermined:
         assert v.stats["exhausted"]
 
 
+    def test_engine_takes_its_budget_from_the_config(self):
+        v = ProofEngine(RunConfig(budget_nodes=2)).prove("T(3,3,3;6)")
+        assert v.status is None
+        assert v.stats["exhausted"]
+        assert v.stats["nodes"] == 3  # the third node is refused
+        # without a budget the same statement is proven
+        assert ProofEngine(RunConfig()).prove("T(3,3,3;6)").status is True
+
+
 class TestEngineState:
     def test_memo_reuse(self):
         engine = ProofEngine(RunConfig())
