@@ -1,7 +1,8 @@
 """Append-only verdict cache, one JSON record per line.
 
 Records are keyed by canonical statement text plus a digest of the run
-configuration, so results from a different seed or budget never alias.
+configuration, so results from a different seed, budget or certificate
+format never alias.
 The file is human-diffable and safe to truncate; unreadable lines are
 skipped on load.
 """
@@ -77,7 +78,7 @@ class VerdictCache:
         rec = CacheRecord(
             statement=text,
             verdict=bool(verdict),
-            cert_sha256=certificate.sha256 if certificate is not None else "",
+            cert_sha256=certificate.root.digest if certificate is not None else "",
             tool_version=TOOL_VERSION,
             timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             config_digest=config_digest,

@@ -230,7 +230,8 @@ def _settle(st: Statement, cfg: RunConfig, engine: Optional[ProofEngine],
     Returns (verdict, cert_ref, oracle).  A cache hit or a certificate
     gives verdict and cert_ref; otherwise verdict is None and oracle is
     the fallback's OracleResult, or the OracleBudgetError refusing it.
-    The cache digest covers the node budget the search runs with.
+    cert_ref is the first 12 digits of the root's Merkle digest.  The
+    cache digest covers the node budget the search runs with.
     """
     digest = cfg.with_overrides(budget_nodes=nodes).digest()
     hit = cache.get(st, digest) if cache is not None else None
@@ -241,7 +242,7 @@ def _settle(st: Statement, cfg: RunConfig, engine: Optional[ProofEngine],
     if v.status is not None:
         if cache is not None:
             cache.put(st, v.status, v.certificate, digest)
-        return v.status, v.certificate.sha256[:12], None
+        return v.status, v.certificate.root.digest[:12], None
     try:
         return None, None, terracini_oracle(st, cfg.field_config())
     except OracleBudgetError as exc:

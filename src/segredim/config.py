@@ -13,6 +13,8 @@ DEFAULT_BUDGET_COLS = 4_096
 
 TOOL_VERSION = "0.1.0"
 
+CERT_VERSION = "cert-v2"
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -35,8 +37,10 @@ class RunConfig:
         )
 
     def digest(self) -> str:
-        """Hash of every field that can change a verdict; cache records carry it."""
+        """Hash of every field that can change a verdict, and of the
+        certificate format that cert_refs depend on; cache records carry it."""
         payload = {
+            "cert_version": CERT_VERSION,
             "prime": self.prime,
             "seed": self.seed,
             "retries": self.retries,

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .formats import Statement, ambient_dim, target_dim
+from .formats import Statement, ambient_dim, json_int, parse_statement, target_dim
 
 # Exactness of rank_mod_p.  float64 holds every integer of magnitude at most
 # 2^53.  The kernel keeps each float64 entry it stores at magnitude at most
@@ -140,16 +140,14 @@ class RankWitness:
 
     @classmethod
     def from_json(cls, data: dict) -> "RankWitness":
-        from .formats import parse_statement
-
         return cls(
             statement=parse_statement(data["statement"]),
-            prime=int(data["prime"]),
-            seed=int(data["seed"]),
-            rows=int(data["rows"]),
-            cols=int(data["cols"]),
-            rank=int(data["rank"]),
-            target=int(data["target"]),
+            prime=json_int(data["prime"]),
+            seed=json_int(data["seed"]),
+            rows=json_int(data["rows"]),
+            cols=json_int(data["cols"]),
+            rank=json_int(data["rank"]),
+            target=json_int(data["target"]),
         )
 
 

@@ -233,6 +233,14 @@ class ParseError(ValueError):
         self.text = text
 
 
+def json_int(value) -> int:
+    """`value` if it is an int and not a bool, else TypeError; unlike int()
+    it never truncates 0.9 to 0.  Certificate numbers go through it."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text

@@ -21,6 +21,7 @@ from ..formats import (
     unbalanced_defective_range,
     unbalanced_span_dim,
     is_unbalanced,
+    json_int,
 )
 from . import certificate as cert
 
@@ -62,11 +63,11 @@ class SplitChoice:
         IndexError on malformed side conditions."""
         sc = side_conditions
         return SplitChoice(
-            slot=int(sc["slot"]),
-            n_parts=tuple(int(x) for x in sc["n_parts"]),
-            s_parts=tuple(int(x) for x in sc["s_parts"]),
-            a_parts=(tuple(int(x) for x in sc["a_parts"][0]),
-                     tuple(int(x) for x in sc["a_parts"][1])),
+            slot=json_int(sc["slot"]),
+            n_parts=tuple(json_int(x) for x in sc["n_parts"]),
+            s_parts=tuple(json_int(x) for x in sc["s_parts"]),
+            a_parts=(tuple(json_int(x) for x in sc["a_parts"][0]),
+                     tuple(json_int(x) for x in sc["a_parts"][1])),
         )
 
 
@@ -124,7 +125,7 @@ def split_mode(st: Statement, choice: SplitChoice):
 
 
 # ---------------------------------------------------------------------------
-# drops and padding
+# drops
 
 def find_zero_factor_slot(st: Statement, with_conditions: bool) -> Optional[int]:
     for j, (n, a) in enumerate(zip(st.format.dims, st.a)):
@@ -174,18 +175,6 @@ def drop_zero_factor(st: Statement, slot: Optional[int] = None) -> Statement:
     dims = st.format.dims[:slot] + st.format.dims[slot + 1:]
     a = st.a[:slot] + st.a[slot + 1:]
     return Statement.of(dims, st.s, a)
-
-
-def append_zero_factor(st: Statement, extra: int) -> Statement:
-    """Append a point factor carrying `extra` conditions.
-
-    Truth of st implies truth of the result for any extra >= 0: the new
-    items are generic points, which extend any spanning configuration.
-    This direction only.
-    """
-    if extra < 0:
-        raise RuleError("extra conditions must be non-negative")
-    return Statement.of(st.format.dims + (0,), st.s, st.a + (extra,))
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +238,12 @@ def monotone_source(kind: str, st: Statement, side_conditions: dict) -> Statemen
     """
     sc = side_conditions
     if kind == cert.MONOTONE_FORMAT:
-        source = Statement.of(tuple(int(n) for n in sc["from_format"]),
+        source = Statement.of(tuple(json_int(n) for n in sc["from_format"]),
                               st.s, st.a)
         monotone_format(source, st.format)
     elif kind == cert.MONOTONE_SA:
-        source = Statement.of(st.format, int(sc["from_s"]),
-                              tuple(int(x) for x in sc["from_a"]))
+        source = Statement.of(st.format, json_int(sc["from_s"]),
+                              tuple(json_int(x) for x in sc["from_a"]))
         monotone_sa(source, st.s, st.a)
     else:
         raise RuleError(f"{kind} is not a monotone move")

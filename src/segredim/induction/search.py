@@ -1,8 +1,9 @@
 """Memoized proof search over the reduction rules.
 
-Priority order per statement: falsity catalog, trivial truths, the small
-three-factor base table, drop rules, splits, monotone moves, and finally a
-direct oracle leaf when the ambient dimension is within the column budget.
+Priority order per statement: falsity catalog, trivial truths, an oracle
+leaf for the small three-factor base formats, drop rules, splits, monotone
+moves, and finally a direct oracle leaf; both oracle leaves need the
+ambient dimension within the column budget.
 False only ever comes from the catalog (directly, or passed through an
 equivalence); an inconclusive oracle is never treated as False.
 """
@@ -155,9 +156,10 @@ class ProofEngine:
             return True, CertNode(cert.TRIVIAL, st, reason=why)
 
         if st.format.k == 3 and max(st.format.dims) <= 2:
-            node = self._base_table(st)
-            if node is not None:
-                return True, node
+            # tiny ambient: an oracle run settles the small base formats
+            res = self._try_oracle(st)
+            if res is not None:
+                return res
 
         slot = rules.find_zero_factor_slot(st, with_conditions=False)
         if slot is not None and st.format.k >= 2:
@@ -200,20 +202,6 @@ class ProofEngine:
         return self._try_oracle(st)
 
     # -- leaves ------------------------------------------------------------
-
-    def _base_table(self, st: Statement) -> Optional[CertNode]:
-        # catalog falses were screened before this point; tiny ambient,
-        # so an oracle run settles the entry
-        try:
-            result = terracini_oracle(st, self.field_config)
-        except OracleBudgetError:
-            return None
-        if not result.certified:
-            self._note_evidence(st, result)
-            return None
-        dims = ",".join(str(n) for n in sorted(st.format.dims))
-        return CertNode(cert.TABLE_TRUE, st, table_id=f"base:{dims}",
-                        witness=result.witness)
 
     def _try_oracle(self, st: Statement):
         if ambient_dim(st.format) > self._active_budget.oracle_cols:

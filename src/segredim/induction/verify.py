@@ -1,40 +1,44 @@
 """Independent certificate checking.
 
 The verifier re-derives every step from the node's stored statement and
-side conditions using the rule arithmetic alone; it never searches.  Node
-checks are local, so a single corrupted field is caught at the node that
-uses it, and the error names the path from the root.
+side conditions using the rule arithmetic alone; it never searches.  It
+checks each node of the DAG once, children before parents, and works out
+each node's verdict from its kind and its children's verdicts; the root's
+verdict must be the certificate's.  Node checks are local, so a single
+corrupted field is caught at the node that uses it, and the error names
+that node's index in the certificate's node list.
 """
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from ..ffrank import check_prime, recompute_rank, row_count
-from ..formats import Statement, ambient_dim, target_dim
+from ..formats import Statement, ambient_dim, json_int, target_dim
 from . import certificate as cert
 from . import rules
 from .certificate import Certificate, CertNode
 
 
 class VerificationError(Exception):
-    """A certificate failed a check; `path` locates the offending node."""
+    """A certificate failed a check; `path` is the offending node's index
+    in the certificate's node list."""
 
-    def __init__(self, path: str, message: str):
+    def __init__(self, path: int, message: str):
         self.path = path
         self.reason = message
         super().__init__(f"certificate node {path}: {message}")
 
 
-def _fail(path: str, message: str):
+def _fail(path: int, message: str):
     raise VerificationError(path, message)
 
 
-def _need(condition: bool, path: str, message: str) -> None:
+def _need(condition: bool, path: int, message: str) -> None:
     if not condition:
         _fail(path, message)
 
 
-def _child_count(node: CertNode, path: str, want: int) -> None:
+def _child_count(node: CertNode, path: int, want: int) -> None:
     _need(len(node.children) == want, path,
           f"{node.kind} must have {want} children, found {len(node.children)}")
 
@@ -43,11 +47,9 @@ def _same_statement(a: Statement, b: Statement) -> bool:
     return a.canonical().key() == b.canonical().key()
 
 
-def _witness_checks(node: CertNode, path: str,
-                    rechecked: Optional[dict]) -> None:
-    """Check a True rank-witness leaf.  With `rechecked` (a memo shared by
-    one verify call) the rank is recomputed once per statement, prime and
-    seed instead of being taken from the witness."""
+def _witness_checks(node: CertNode, path: int, recheck: bool) -> None:
+    """Check a True rank-witness leaf; with `recheck` the rank is recomputed
+    from the witness's prime and seed instead of being taken on trust."""
     w = node.witness
     _need(w is not None, path, "missing rank witness")
     st = node.statement
@@ -67,24 +69,21 @@ def _witness_checks(node: CertNode, path: str,
         check_prime(w.prime)
     except ValueError as exc:
         _fail(path, f"witness modulus is not admissible: {exc}")
-    if rechecked is not None:
-        key = (st.canonical().key(), w.prime, w.seed)
-        if key not in rechecked:
-            rechecked[key] = recompute_rank(st, w.prime, w.seed).rank
-        _need(rechecked[key] == w.rank, path,
-              f"oracle re-run gives rank {rechecked[key]}, witness says {w.rank}")
+    if recheck:
+        rank = recompute_rank(st, w.prime, w.seed).rank
+        _need(rank == w.rank, path,
+              f"oracle re-run gives rank {rank}, witness says {w.rank}")
 
 
-def _check_split(node: CertNode, path: str) -> None:
+def _check_split(node: CertNode, path: int) -> None:
     _child_count(node, path, 2)
     try:
-        choice = rules.SplitChoice.parse(node.side_conditions)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        _fail(path, f"malformed split side conditions: {exc}")
-    try:
-        mode, c1, c2 = rules.split_mode(node.statement, choice)
+        mode, c1, c2 = rules.split_mode(
+            node.statement, rules.SplitChoice.parse(node.side_conditions))
     except rules.RuleError as exc:
         _fail(path, str(exc))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        _fail(path, f"malformed split side conditions: {exc}")
     for got, want, idx in ((node.children[0].statement, c1, 0),
                           (node.children[1].statement, c2, 1)):
         if not _same_statement(got, want):
@@ -96,18 +95,17 @@ def _check_split(node: CertNode, path: str) -> None:
 def _rebuilt_child(node: CertNode, verdict: bool) -> Statement:
     st, sc = node.statement, node.side_conditions
     if node.kind == cert.DROP_ZERO_FACTOR:
-        return rules.drop_zero_factor(st, int(sc["slot"]))
+        return rules.drop_zero_factor(st, json_int(sc["slot"]))
     if node.kind == cert.DROP_CONDITIONS:
         # False passes through only where the drop is an equivalence
-        return rules.drop_conditions(st, int(sc["slot"]),
+        return rules.drop_conditions(st, json_int(sc["slot"]),
                                      require_subabundant=verdict is False)
     return rules.monotone_source(node.kind, st, sc)
 
 
-def _check_one_child(node: CertNode, path: str, verdict: bool) -> None:
+def _check_one_child(node: CertNode, path: int, verdict: bool) -> None:
     """A drop or monotone node: rebuild its child from the side conditions
     through the rule and compare it with the stored child."""
-    _child_count(node, path, 1)
     try:
         want = _rebuilt_child(node, verdict)
     except rules.RuleError as exc:
@@ -119,20 +117,7 @@ def _check_one_child(node: CertNode, path: str, verdict: bool) -> None:
         _fail(path, f"child is {got}, side conditions give {want}")
 
 
-def _check_append_zero_factor(node: CertNode, path: str) -> None:
-    _child_count(node, path, 1)
-    try:
-        extra = int(node.side_conditions["extra"])
-        grown = rules.append_zero_factor(node.children[0].statement, extra)
-    except (KeyError, TypeError, ValueError) as exc:
-        _fail(path, f"bad append count: {exc}")
-    except rules.RuleError as exc:
-        _fail(path, str(exc))
-    _need(_same_statement(node.statement, grown), path,
-          "statement does not match the child with a point factor appended")
-
-
-def _check_falsity_leaf(node: CertNode, path: str) -> None:
+def _check_falsity_leaf(node: CertNode, path: int) -> None:
     reason = rules.known_false(node.statement)
     _need(reason is not None, path,
           f"{node.statement} is not in any falsity catalog")
@@ -143,52 +128,38 @@ def _check_falsity_leaf(node: CertNode, path: str) -> None:
               f"table id {node.table_id!r} does not match {reason.table_id!r}")
 
 
-def _check_table_true(node: CertNode, path: str,
-                      rechecked: Optional[dict]) -> None:
-    st = node.statement
-    _need(st.format.k == 3 and max(st.format.dims) <= 2, path,
-          "table_true leaf outside the three-factor base domain")
-    _witness_checks(node, path, rechecked)
-
-
-def _check_trivial(node: CertNode, path: str) -> None:
+def _check_trivial(node: CertNode, path: int) -> None:
     why = rules.trivial_truth(node.statement)
     _need(why is not None, path, f"{node.statement} is not trivially true")
     _need(node.reason == why, path,
           f"trivial reason {node.reason!r} should be {why!r}")
 
 
-def _check_node(node: CertNode, verdict: bool, path: str,
-                rechecked: Optional[dict]) -> None:
-    if node.kind not in cert.ALL_KINDS:
-        _fail(path, f"unknown kind {node.kind!r}")
-    if node.kind in cert.FALSE_KINDS:
-        _need(verdict is False, path, f"{node.kind} cannot conclude True")
-    elif node.kind not in cert.PASS_THROUGH_KINDS:
-        _need(verdict is True, path, f"{node.kind} cannot conclude False")
-
-    if node.kind in (cert.SUB_SPLIT, cert.SUPER_SPLIT, cert.EQUI_SPLIT):
+def _check_node(node: CertNode, path: int, below: list, recheck: bool) -> bool:
+    """Check one node whose children concluded `below`; return its verdict."""
+    kind = node.kind
+    _need(kind in cert.ALL_KINDS, path, f"unknown kind {kind!r}")
+    if kind in cert.SPLIT_KINDS:
         _check_split(node, path)
-    elif node.kind in (cert.DROP_CONDITIONS, cert.DROP_ZERO_FACTOR,
-                       cert.MONOTONE_FORMAT, cert.MONOTONE_SA):
+        _need(all(below), path, f"{kind} needs both children True")
+        return True
+    if kind in (cert.DROP_CONDITIONS, cert.DROP_ZERO_FACTOR,
+                cert.MONOTONE_FORMAT, cert.MONOTONE_SA):
+        _child_count(node, path, 1)
+        verdict = below[0]
+        if kind in (cert.MONOTONE_FORMAT, cert.MONOTONE_SA):
+            _need(verdict, path, f"{kind} needs a True child")
         _check_one_child(node, path, verdict)
-    elif node.kind == cert.APPEND_ZERO_FACTOR:
-        _check_append_zero_factor(node, path)
-    elif node.kind == cert.ORACLE:
-        _child_count(node, path, 0)
-        _witness_checks(node, path, rechecked)
-    elif node.kind == cert.TABLE_TRUE:
-        _child_count(node, path, 0)
-        _check_table_true(node, path, rechecked)
-    elif node.kind in cert.FALSE_KINDS:
-        _child_count(node, path, 0)
+        return verdict
+    _child_count(node, path, 0)
+    if kind == cert.ORACLE:
+        _witness_checks(node, path, recheck)
+        return True
+    if kind in cert.FALSE_KINDS:
         _check_falsity_leaf(node, path)
-    else:
-        _child_count(node, path, 0)
-        _check_trivial(node, path)
-
-    for idx, child in enumerate(node.children):
-        _check_node(child, verdict, f"{path}.{idx}", rechecked)
+        return False
+    _check_trivial(node, path)
+    return True
 
 
 def verify(certificate: Union[Certificate, dict, str],
@@ -197,19 +168,25 @@ def verify(certificate: Union[Certificate, dict, str],
 
     Raises VerificationError naming the first failing node.  Rank
     witnesses are recomputed from their recorded (prime, seed), once per
-    distinct (statement, prime, seed).  recheck_oracle=False is the
-    structural-only mode: it takes each witness's rank at face value.
+    witness node.  recheck_oracle=False is the structural-only mode: it
+    takes each witness's rank at face value.
     """
     if isinstance(certificate, str):
         certificate = Certificate.loads(certificate)
     elif isinstance(certificate, dict):
         certificate = Certificate.from_json(certificate)
     root = certificate.root
-    _need(_same_statement(certificate.statement, root.statement), "root",
+    _need(_same_statement(certificate.statement, root.statement),
+          len(certificate.nodes) - 1,
           f"root node proves {root.statement}, certificate claims "
           f"{certificate.statement}")
-    _check_node(root, certificate.verdict, "root",
-                {} if recheck_oracle else None)
+    verdicts: dict[str, bool] = {}
+    for path, node in enumerate(certificate.nodes):
+        below = [verdicts[c.digest] for c in node.children]
+        verdicts[node.digest] = _check_node(node, path, below, recheck_oracle)
+    _need(verdicts[root.digest] == certificate.verdict, path,
+          f"root concludes {verdicts[root.digest]}, certificate claims "
+          f"{certificate.verdict}")
     return True
 
 

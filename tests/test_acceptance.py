@@ -24,8 +24,7 @@ from segredim.ffrank import DEFAULT_PRIME, FALLBACK_PRIME, FieldConfig, \
 from segredim.formats import Statement, abundance, ambient_dim, is_balanced, \
     is_unbalanced, parameter_count, target_dim, unbalanced_defective_range, \
     unbalanced_span_dim
-from segredim.induction import CertificateFormatError, ProofEngine, \
-    VerificationError, prove, verify
+from segredim.induction import ProofEngine, VerificationError, prove, verify
 from segredim.induction.rules import SMALL_FORMAT_FALSE
 
 
@@ -234,23 +233,21 @@ def test_reference_certificates():
 
 
 def _mutated_docs(doc: dict):
-    """Yield copies of a certificate document with one split side condition
-    edited; every such edit breaks a bookkeeping sum."""
+    """Yield (node index, copy) pairs of a certificate document with one
+    split side condition edited; every such edit breaks a bookkeeping sum."""
+    nodes = doc["nodes"]
 
-    def walk(node, path):
-        if "split" in node.get("kind", ""):
-            yield path
-        for i, child in enumerate(node.get("children", [])):
-            yield from walk(child, path + [i])
+    def walk(i):
+        if "split" in nodes[i]["kind"]:
+            yield i
+        for child in nodes[i].get("children", []):
+            yield from walk(child)
 
-    for path in walk(doc["node"], []):
+    for i in walk(len(nodes) - 1):
         for field in ("s_parts", "n_parts"):
             clone = copy.deepcopy(doc)
-            node = clone["node"]
-            for i in path:
-                node = node["children"][i]
-            node["side_conditions"][field][0] += 1
-            yield clone
+            clone["nodes"][i]["side_conditions"][field][0] += 1
+            yield i, clone
         break  # one node per certificate keeps the sweep quick
 
 
@@ -301,7 +298,7 @@ def test_randomized_soundness():
                 assert all(att.rank < att.target for att in result.attempts), st
             if verdict.certificate and len(split_docs) < 10:
                 doc = json.loads(verdict.certificate.dumps())
-                if any("split" in n.kind for n in verdict.certificate.walk()):
+                if any("split" in n.kind for n in verdict.certificate.nodes):
                     split_docs.append(doc)
         assert decided >= 400, (decided, undetermined)
 
@@ -310,9 +307,10 @@ def test_randomized_soundness():
         mutations = 0
         for doc in split_docs:
             assert verify(doc) is True
-            for bad in _mutated_docs(doc):
-                with pytest.raises((VerificationError, CertificateFormatError)):
+            for at, bad in _mutated_docs(doc):
+                with pytest.raises(VerificationError) as info:
                     verify(bad)
+                assert info.value.path == at
                 mutations += 1
         assert mutations >= 12
 

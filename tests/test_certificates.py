@@ -23,14 +23,41 @@ from segredim.induction import certificate as cert_mod
 verify_mod = importlib.import_module("segredim.induction.verify")
 
 
-def find_witness_node(node: dict) -> dict:
-    if node.get("witness"):
-        return node
-    for child in node.get("children", []):
-        found = find_witness_node(child)
-        if found:
-            return found
-    return {}
+def root_index(doc: dict) -> int:
+    return len(doc["nodes"]) - 1
+
+
+def witness_index(doc: dict) -> int:
+    """The first witness node; list order visits leaves left to right."""
+    return next(i for i, n in enumerate(doc["nodes"]) if "witness" in n)
+
+
+def parent_index(doc: dict, child: int) -> int:
+    return next(i for i, n in enumerate(doc["nodes"])
+                if child in n.get("children", []))
+
+
+def prune(doc: dict) -> dict:
+    """Drop the nodes the root no longer reaches and renumber the rest."""
+    nodes = doc["nodes"]
+    keep, stack = set(), [len(nodes) - 1]
+    while stack:
+        i = stack.pop()
+        if i not in keep:
+            keep.add(i)
+            stack.extend(nodes[i].get("children", []))
+    new = {old: pos for pos, old in enumerate(sorted(keep))}
+    out = []
+    for old in sorted(keep):
+        node = copy.deepcopy(nodes[old])
+        if "children" in node:
+            node["children"] = [new[c] for c in node["children"]]
+        out.append(node)
+    return {**doc, "nodes": out}
+
+
+def node_record(node: CertNode) -> dict:
+    return node.record([])
 
 
 @pytest.fixture(scope="module")
@@ -47,21 +74,40 @@ def false_cert_doc():
     return json.loads(v.certificate.dumps())
 
 
+@pytest.fixture(scope="module")
+def drop_cert_doc():
+    # drop_zero_factor and drop_conditions nodes over super_split nodes
+    v = prove("T(0,3,3;4;2,0,0)")
+    assert v.status is True
+    return json.loads(v.certificate.dumps())
+
+
 class TestSerialization:
     def test_round_trip_preserves_tree(self, true_cert_doc):
         cert = Certificate.from_json(true_cert_doc)
         again = json.loads(cert.dumps())
         assert again == true_cert_doc
+        assert Certificate.from_json(again).root.digest == cert.root.digest
 
     def test_version_field(self, true_cert_doc):
-        assert true_cert_doc["version"] == "cert-v1"
+        assert true_cert_doc["version"] == "cert-v2"
         doc = copy.deepcopy(true_cert_doc)
-        doc["version"] = "cert-v2"
-        with pytest.raises(CertificateFormatError):
+        doc["version"] = "cert-v1"
+        with pytest.raises(CertificateFormatError,
+                           match="unsupported certificate version"):
             Certificate.from_json(doc)
 
+    def test_cert_v1_tree_rejected(self):
+        doc = {"version": "cert-v1", "statement": "T(3,3,2;5)", "verdict": False,
+               "node": {"kind": "table_false", "statement": "T(3,3,2;5)",
+                        "side_conditions": {"actual_affine_dim": 44},
+                        "table_id": "family:2,3,3"}}
+        with pytest.raises(CertificateFormatError,
+                           match="unsupported certificate version 'cert-v1'"):
+            verify(doc)
+
     def test_missing_fields_rejected(self, true_cert_doc):
-        for field in ("statement", "verdict", "node"):
+        for field in ("statement", "verdict", "nodes"):
             doc = copy.deepcopy(true_cert_doc)
             del doc[field]
             with pytest.raises(CertificateFormatError):
@@ -75,8 +121,8 @@ class TestSerialization:
 
     def test_unknown_kind_rejected(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
-        doc["node"]["kind"] = "majority_vote"
-        with pytest.raises(CertificateFormatError):
+        doc["nodes"][-1]["kind"] = "majority_vote"
+        with pytest.raises(CertificateFormatError, match="node 5: unknown"):
             Certificate.from_json(doc)
 
     def test_leaf_counts_and_max_cols(self, true_cert_doc):
@@ -88,34 +134,151 @@ class TestSerialization:
 
     def test_every_node_carries_its_statement(self, true_cert_doc):
         cert = Certificate.from_json(true_cert_doc)
-        for node in cert.walk():
+        for node in cert.nodes:
             assert node.statement is not None
+
+    def test_each_node_once_children_first(self, true_cert_doc):
+        nodes = true_cert_doc["nodes"]
+        statements = [n["statement"] for n in nodes]
+        assert len(statements) == len(set(statements))
+        for pos, node in enumerate(nodes):
+            assert all(c < pos for c in node.get("children", []))
+        # the expanded tree has more leaves than the DAG has nodes
+        cert = Certificate.from_json(true_cert_doc)
+        assert sum(cert.leaf_counts().values()) > len(nodes)
+
+    def test_digest_is_a_merkle_hash(self, true_cert_doc):
+        cert = Certificate.from_json(true_cert_doc)
+        doc = copy.deepcopy(true_cert_doc)
+        doc["nodes"][witness_index(doc)]["witness"]["seed"] += 1
+        edited = Certificate.from_json(doc)
+        assert edited.root.digest != cert.root.digest
+        # the witness's parent and the root change, the sibling leaf not
+        assert edited.nodes[2].digest == cert.nodes[2].digest
+
+    def test_digest_ignores_node_order(self, drop_cert_doc):
+        # nodes 0 and 1 are both leaves; swapping them is another valid order
+        doc = copy.deepcopy(drop_cert_doc)
+        nodes = doc["nodes"]
+        assert "children" not in nodes[0] and "children" not in nodes[1]
+        nodes[0], nodes[1] = nodes[1], nodes[0]
+        swap = {0: 1, 1: 0}
+        for node in nodes:
+            if "children" in node:
+                node["children"] = [swap.get(c, c) for c in node["children"]]
+        cert = Certificate.from_json(doc)
+        assert verify(cert)
+        assert cert.root.digest == Certificate.from_json(drop_cert_doc).root.digest
+        # errors name the node by its index in this file, not in dumps()
+        assert nodes[0]["reason"] == "one_factor"
+        nodes[0]["reason"] = "empty"
+        with pytest.raises(VerificationError) as info:
+            verify(doc)
+        assert info.value.path == 0
+
+
+class TestNodeListRejection:
+    """The loader accepts only lists whose children point back, where every
+    node but the root is used, and where no node repeats."""
+
+    def check_format_error(self, doc, match):
+        with pytest.raises(CertificateFormatError, match=match):
+            Certificate.from_json(doc)
+        assert not is_valid(doc)
+
+    @pytest.mark.parametrize("refs", [[5, 5], [4, 6], [4, 99], [4, -1],
+                                      [4, True], [4, 4.0], [4, "4"]])
+    def test_root_child_index_must_be_earlier(self, true_cert_doc, refs):
+        # 5 is the root itself, 6 and 99 are out of range, -1 would index
+        # from the end
+        doc = copy.deepcopy(true_cert_doc)
+        doc["nodes"][-1]["children"] = refs
+        self.check_format_error(doc, "node 5: children")
+
+    def test_cycle_rejected(self, true_cert_doc):
+        # node 1 points forward at node 3, which points back at it
+        doc = copy.deepcopy(true_cert_doc)
+        assert doc["nodes"][3]["children"] == [2, 0]
+        doc["nodes"][1]["children"] = [3, 0]
+        doc["nodes"][3]["children"] = [2, 1]
+        self.check_format_error(doc, "node 1: children")
+
+    def test_children_must_be_a_list(self, true_cert_doc):
+        doc = copy.deepcopy(true_cert_doc)
+        doc["nodes"][-1]["children"] = {"0": 4}
+        self.check_format_error(doc, "node 5: children")
+
+    def test_unreachable_node(self, true_cert_doc):
+        doc = copy.deepcopy(true_cert_doc)
+        stray = node_record(CertNode(cert_mod.TRIVIAL,
+                                     parse_statement("T(7;40)"), reason="one_factor"))
+        doc["nodes"].insert(0, stray)
+        for node in doc["nodes"][1:]:
+            if "children" in node:
+                node["children"] = [c + 1 for c in node["children"]]
+        assert verify(prune(doc))
+        self.check_format_error(doc, "node 0 is not a child of any later node")
+
+    def test_duplicated_node(self, true_cert_doc):
+        # a second copy of node 0, used by node 1 in place of the first
+        doc = copy.deepcopy(true_cert_doc)
+        doc["nodes"].insert(1, copy.deepcopy(doc["nodes"][0]))
+        for node in doc["nodes"][2:]:
+            if "children" in node:
+                node["children"] = [c + 1 if c > 0 else c
+                                    for c in node["children"]]
+        assert doc["nodes"][2]["children"] == [0, 0]
+        doc["nodes"][2]["children"] = [0, 1]
+        self.check_format_error(doc, "node 1 duplicates node 0")
+
+    @pytest.mark.parametrize("nodes", [[], {}, None])
+    def test_empty_or_non_list_nodes(self, true_cert_doc, nodes):
+        doc = copy.deepcopy(true_cert_doc)
+        doc["nodes"] = nodes
+        self.check_format_error(doc, "nodes must be a non-empty list")
+
+    def test_stored_digests_are_not_read(self, true_cert_doc):
+        # a stray digest field changes nothing: digests come from content
+        doc = copy.deepcopy(true_cert_doc)
+        doc["nodes"][0]["digest"] = "0" * 64
+        assert (Certificate.from_json(doc).root.digest
+                == Certificate.from_json(true_cert_doc).root.digest)
 
 
 class TestTamperRejection:
-    def check_rejected(self, doc):
-        with pytest.raises((VerificationError, CertificateFormatError)):
+    def check_rejected(self, doc, at=None):
+        """Rejected; with `at`, by the verifier at node index `at`."""
+        if at is None:
+            with pytest.raises((VerificationError, CertificateFormatError)):
+                verify(doc)
+            return
+        with pytest.raises(VerificationError) as info:
             verify(doc)
+        assert info.value.path == at, info.value
 
-    def test_honest_certs_verify(self, true_cert_doc, false_cert_doc):
+    def test_honest_certs_verify(self, true_cert_doc, false_cert_doc,
+                                 drop_cert_doc):
         assert verify(true_cert_doc) is True
         assert verify(false_cert_doc) is True
+        assert verify(drop_cert_doc) is True
 
     def test_flipped_verdict(self, true_cert_doc, false_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
         doc["verdict"] = False
-        self.check_rejected(doc)
+        self.check_rejected(doc, at=5)
         doc = copy.deepcopy(false_cert_doc)
         doc["verdict"] = True
-        self.check_rejected(doc)
+        self.check_rejected(doc, at=0)
 
     def test_swapped_root_statement(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
         doc["statement"] = "T(3,3,3;9)"
-        self.check_rejected(doc)
+        with pytest.raises(VerificationError, match="certificate claims") as info:
+            verify(doc)
+        assert info.value.path == 5
 
     def test_each_split_side_condition_edit(self, true_cert_doc):
-        sc = true_cert_doc["node"]["side_conditions"]
+        sc = true_cert_doc["nodes"][-1]["side_conditions"]
         assert {"slot", "n_parts", "s_parts", "a_parts"} <= set(sc)
         # Rotating the slot is omitted: on a symmetric format the rebuilt
         # children are canonically identical, so the proof stays valid.
@@ -126,50 +289,77 @@ class TestTamperRejection:
         edits.append(lambda d: d["a_parts"][0].__setitem__(1, 9))
         for edit in edits:
             doc = copy.deepcopy(true_cert_doc)
-            edit(doc["node"]["side_conditions"])
-            self.check_rejected(doc)
+            edit(doc["nodes"][-1]["side_conditions"])
+            self.check_rejected(doc, at=5)
 
     def test_witness_field_edits(self, true_cert_doc):
+        at = witness_index(true_cert_doc)
         for field, delta in [("rank", 1), ("rank", -1), ("target", -1),
                              ("rows", 2), ("cols", 1), ("prime", 1)]:
             doc = copy.deepcopy(true_cert_doc)
-            w = find_witness_node(doc["node"])["witness"]
-            w[field] += delta
-            self.check_rejected(doc)
+            doc["nodes"][at]["witness"][field] += delta
+            self.check_rejected(doc, at=at)
 
     def test_leaf_statement_reroute(self, true_cert_doc):
+        # editing only the statement breaks the leaf's own witness, and the
+        # leaf is checked before its parent
         doc = copy.deepcopy(true_cert_doc)
-        find_witness_node(doc["node"])["statement"] = "T(1,1,1;2)"
-        self.check_rejected(doc)
+        at = witness_index(doc)
+        doc["nodes"][at]["statement"] = "T(1,1,1;2)"
+        self.check_rejected(doc, at=at)
+
+    def test_leaf_substitution_fails_at_the_parent(self, true_cert_doc):
+        # an honest proof of another statement in the leaf's place: the
+        # leaf checks out, its parent's split arithmetic does not
+        doc = copy.deepcopy(true_cert_doc)
+        at = witness_index(doc)
+        doc["nodes"][at] = node_record(oracle_leaf("T(1,1,1;2)"))
+        with pytest.raises(VerificationError, match="split arithmetic gives") as info:
+            verify(doc)
+        assert info.value.path == parent_index(doc, at)
 
     def test_false_leaf_on_true_statement(self, false_cert_doc):
         doc = copy.deepcopy(false_cert_doc)
         doc["statement"] = "T(3,3,3;6)"
-        doc["node"]["statement"] = "T(3,3,3;6)"
-        self.check_rejected(doc)
+        doc["nodes"][0]["statement"] = "T(3,3,3;6)"
+        self.check_rejected(doc, at=0)
 
     def test_wrong_table_id(self, false_cert_doc):
         doc = copy.deepcopy(false_cert_doc)
-        doc["node"]["table_id"] = "family:1,1,n,n"
-        self.check_rejected(doc)
+        doc["nodes"][0]["table_id"] = "family:1,1,n,n"
+        self.check_rejected(doc, at=0)
 
     def test_split_kind_relabel(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
-        assert doc["node"]["kind"] == "sub_split"
-        doc["node"]["kind"] = "super_split"
-        self.check_rejected(doc)
+        assert doc["nodes"][-1]["kind"] == "sub_split"
+        doc["nodes"][-1]["kind"] = "super_split"
+        self.check_rejected(doc, at=5)
 
     def test_child_removal(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
-        doc["node"]["children"] = doc["node"]["children"][:1]
-        self.check_rejected(doc)
+        root = doc["nodes"][-1]
+        assert root["children"] == [4, 4]
+        root["children"] = [4]
+        self.check_rejected(doc, at=5)
+        # removing a child used nowhere else strands it
+        doc = copy.deepcopy(true_cert_doc)
+        assert doc["nodes"][4]["children"] == [1, 3]
+        doc["nodes"][4]["children"] = [1]
+        with pytest.raises(CertificateFormatError, match="node 3 is not a child"):
+            verify(doc)
+        pruned = prune(doc)
+        with pytest.raises(VerificationError, match="must have 2 children") as info:
+            verify(pruned)
+        assert info.value.path == root_index(pruned) - 1
 
     def test_verify_error_names_a_node_path(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
-        find_witness_node(doc["node"])["witness"]["rank"] += 1
+        at = witness_index(doc)
+        doc["nodes"][at]["witness"]["rank"] += 1
         with pytest.raises(VerificationError) as info:
             verify(doc)
-        assert info.value.path.startswith("root")
+        assert info.value.path == at
+        assert str(info.value).startswith(f"certificate node {at}: ")
 
     def test_recheck_oracle_accepts_honest(self, true_cert_doc):
         assert verify(copy.deepcopy(true_cert_doc), recheck_oracle=True)
@@ -177,27 +367,31 @@ class TestTamperRejection:
     def test_forged_oracle_leaf_on_catalog_false_statement(self):
         # every witness field is consistent; only the catalog knows better
         doc = {
-            "version": "cert-v1", "statement": "T(3,3,2;5)", "verdict": True,
-            "node": {"kind": "oracle", "statement": "T(3,3,2;5)",
-                     "witness": {"prime": DEFAULT_PRIME, "seed": 0, "rows": 55,
-                                 "cols": 48, "rank": 45, "target": 45}},
+            "version": "cert-v2", "statement": "T(3,3,2;5)", "verdict": True,
+            "nodes": [{"kind": "oracle", "statement": "T(3,3,2;5)",
+                       "witness": {"prime": DEFAULT_PRIME, "seed": 0, "rows": 55,
+                                   "cols": 48, "rank": 45, "target": 45}}],
         }
         with pytest.raises(VerificationError, match="falsity catalog"):
             verify(doc)
 
     def test_witness_prime_beyond_exact_kernel(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
-        find_witness_node(doc["node"])["witness"]["prime"] = 4294967311
+        at = witness_index(doc)
+        doc["nodes"][at]["witness"]["prime"] = 4294967311
         assert 4294967311 > MAX_PRIME
-        with pytest.raises(VerificationError, match="too large"):
+        with pytest.raises(VerificationError, match="too large") as info:
             verify(doc)
+        assert info.value.path == at
 
     def test_witness_rank_above_matrix_size(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
-        w = find_witness_node(doc["node"])["witness"]
+        at = witness_index(doc)
+        w = doc["nodes"][at]["witness"]
         w["rank"] = min(w["rows"], w["cols"]) + 1
-        with pytest.raises(VerificationError, match="exceeds"):
+        with pytest.raises(VerificationError, match="exceeds") as info:
             verify(doc)
+        assert info.value.path == at
 
     def test_recheck_once_per_distinct_witness(self, true_cert_doc,
                                                monkeypatch):
@@ -210,11 +404,12 @@ class TestTamperRejection:
 
         monkeypatch.setattr(verify_mod, "recompute_rank", counting)
         cert = Certificate.from_json(true_cert_doc)
-        leaves = [(n.statement.canonical().key(), n.witness.prime, n.witness.seed)
-                  for n in cert.walk() if n.witness is not None]
-        assert len(leaves) > len(set(leaves))
+        witnesses = [(n.statement.canonical().key(), n.witness.prime, n.witness.seed)
+                     for n in cert.nodes if n.witness is not None]
+        assert len(witnesses) == len(set(witnesses))
+        assert cert.leaf_counts()["oracle"] > len(witnesses)
         assert verify(cert, recheck_oracle=True)
-        assert sorted(calls) == sorted(set(leaves))
+        assert sorted(calls) == sorted(witnesses)
 
     def test_equi_split_relabel(self):
         # every split of an equiabundant statement has equiabundant
@@ -224,18 +419,132 @@ class TestTamperRejection:
         assert verify(v.certificate)
         for label in ("sub_split", "super_split"):
             doc = json.loads(v.certificate.dumps())
-            doc["node"]["kind"] = label
-            with pytest.raises(VerificationError, match="gives equi_split"):
+            doc["nodes"][-1]["kind"] = label
+            with pytest.raises(VerificationError, match="gives equi_split") as info:
                 verify(doc)
+            assert info.value.path == root_index(doc)
+
+    def test_false_child_under_a_split(self):
+        # verdicts travel up: a split needs True children, whichever
+        # verdict the certificate claims
+        st = parse_statement("T(3,2,2;1;1,0,0)")
+        choice = rules.SplitChoice(1, (1, 0), (0, 1), ((0, 0, 0), (1, 0, 0)))
+        kind, c1, c2 = rules.split_mode(st, choice)
+        reason = rules.known_false(c2)
+        leaves = (CertNode(cert_mod.TRIVIAL, c1.canonical(),
+                           reason=rules.trivial_truth(c1)),
+                  CertNode(reason.kind, c2.canonical(),
+                           side_conditions=dict(reason.data)))
+        node = CertNode(kind, st, side_conditions=choice.describe(),
+                        children=leaves)
+        for verdict in (True, False):
+            doc = json.loads(Certificate(st, verdict, node).dumps())
+            assert doc["nodes"][1]["kind"] == "fibration_false"
+            with pytest.raises(VerificationError,
+                               match="needs both children True") as info:
+                verify(doc)
+            assert info.value.path == 2
+
+    def test_false_child_under_a_monotone_move(self):
+        st = parse_statement("T(2,2,2;5;0,0,0)")
+        source = parse_statement("T(2,2,2;4;0,0,0)")
+        reason = rules.known_false(source)
+        node = CertNode(cert_mod.MONOTONE_SA, st,
+                        side_conditions={"from_s": 4, "from_a": [0, 0, 0]},
+                        children=(CertNode(reason.kind, source,
+                                           table_id=reason.table_id),))
+        for verdict in (True, False):
+            doc = json.loads(Certificate(st, verdict, node).dumps())
+            with pytest.raises(VerificationError,
+                               match="monotone_sa needs a True child") as info:
+                verify(doc)
+            assert info.value.path == 1
+
+
+class TestIntegerFields:
+    """Counts must be JSON integers: int() would truncate 0.9 to 0 and read
+    true as 1, so such certificates used to verify."""
+
+    BAD = [0.9, 3.5, True, "3", None]
+
+    def test_split_side_conditions(self, true_cert_doc):
+        doc = copy.deepcopy(true_cert_doc)
+        sc = doc["nodes"][-1]["side_conditions"]
+        sc["slot"], sc["s_parts"] = 0.9, [3.5, 3.5]
+        with pytest.raises(VerificationError, match="malformed split") as info:
+            verify(doc)
+        assert info.value.path == 5
+        for field, where in [("slot", None), ("n_parts", 0), ("s_parts", 1)]:
+            for bad in self.BAD:
+                doc = copy.deepcopy(true_cert_doc)
+                sc = doc["nodes"][-1]["side_conditions"]
+                if where is None:
+                    sc[field] = bad
+                else:
+                    sc[field][where] = bad
+                with pytest.raises(VerificationError, match="malformed split"):
+                    verify(doc)
+        doc = copy.deepcopy(true_cert_doc)
+        doc["nodes"][-1]["side_conditions"]["a_parts"][0][0] = 0.0
+        with pytest.raises(VerificationError, match="malformed split"):
+            verify(doc)
+
+    def test_drop_slot(self, drop_cert_doc):
+        kinds = [n["kind"] for n in drop_cert_doc["nodes"]]
+        for kind in ("drop_zero_factor", "drop_conditions"):
+            at = kinds.index(kind)
+            slot = drop_cert_doc["nodes"][at]["side_conditions"]["slot"]
+            for bad in (slot + 0.0, slot + 0.4, True, str(slot)):
+                doc = copy.deepcopy(drop_cert_doc)
+                doc["nodes"][at]["side_conditions"]["slot"] = bad
+                with pytest.raises(VerificationError,
+                                   match=f"malformed {kind}") as info:
+                    verify(doc)
+                assert info.value.path == at
+
+    @pytest.mark.parametrize("kind,parent,sc,child", [
+        ("monotone_format", "T(3,3,3;4;0,0,0)", {"from_format": [3, 3, 2]},
+         "T(3,3,2;4)"),
+        ("monotone_sa", "T(3,3,3;8;0,0,0)", {"from_s": 7, "from_a": [0, 0, 0]},
+         "T(3,3,3;7)"),
+    ])
+    def test_monotone_side_conditions(self, kind, parent, sc, child):
+        doc = monotone_doc(kind, parent, sc, child)
+        assert verify(doc)
+        for key, value in sc.items():
+            edits = ([value + 0.0, float(value) + 0.5, True]
+                     if not isinstance(value, list) else
+                     [value[:-1] + [value[-1] + 0.0], value[:-1] + [True]])
+            for bad in edits:
+                tampered = copy.deepcopy(doc)
+                tampered["nodes"][-1]["side_conditions"][key] = bad
+                with pytest.raises(VerificationError,
+                                   match=f"malformed {kind}") as info:
+                    verify(tampered)
+                assert info.value.path == 1
+
+    def test_witness_numbers(self, true_cert_doc):
+        at = witness_index(true_cert_doc)
+        w = true_cert_doc["nodes"][at]["witness"]
+        for field in ("prime", "seed", "rows", "cols", "rank", "target"):
+            for bad in (w[field] + 0.0, w[field] + 0.7, str(w[field]), None):
+                doc = copy.deepcopy(true_cert_doc)
+                doc["nodes"][at]["witness"][field] = bad
+                with pytest.raises(CertificateFormatError,
+                                   match=f"node {at}: bad witness"):
+                    verify(doc)
+        doc = copy.deepcopy(true_cert_doc)
+        doc["nodes"][at]["witness"]["rank"] = 8.7
+        assert not is_valid(doc)
 
 
 # T(2,4,4;7) lies in the defective (2,n,n), n even, family but in no
 # falsity catalog; its true rank is 74 of 75.
 FORGED_RANK_75 = {
-    "version": "cert-v1", "statement": "T(4,4,2;7)", "verdict": True,
-    "node": {"kind": "oracle", "statement": "T(4,4,2;7)",
-             "witness": {"prime": DEFAULT_PRIME, "seed": 0, "rows": 91,
-                         "cols": 75, "rank": 75, "target": 75}},
+    "version": "cert-v2", "statement": "T(4,4,2;7)", "verdict": True,
+    "nodes": [{"kind": "oracle", "statement": "T(4,4,2;7)",
+               "witness": {"prime": DEFAULT_PRIME, "seed": 0, "rows": 91,
+                           "cols": 75, "rank": 75, "target": 75}}],
 }
 
 
@@ -248,6 +557,20 @@ class TestDefaultRecheck:
 
     def test_structural_only_mode_takes_the_rank_on_trust(self):
         assert verify(copy.deepcopy(FORGED_RANK_75), recheck_oracle=False)
+
+
+class TestLargeCertificate:
+    def test_flagship_certificate_is_its_dag(self):
+        # 27 373 nodes and 28.8 MB as an expanded tree
+        v = prove("T(15,15,15,15;1074)")
+        cert = v.certificate
+        assert len(cert.nodes) == 110
+        assert cert.leaf_counts() == {"oracle": 7278, "trivial": 18}
+        text = cert.dumps()
+        assert len(text) < 100_000
+        again = Certificate.loads(text)
+        assert again.root.digest == cert.root.digest
+        assert verify(again, recheck_oracle=True)
 
 
 def oracle_leaf(text: str) -> CertNode:
@@ -308,8 +631,9 @@ WRONG_DIRECTION = [
 class TestMonotoneCertificates:
     @pytest.mark.parametrize("kind,parent,sc,child", HONEST_MONOTONE)
     def test_honest_move_verifies_with_recheck(self, kind, parent, sc, child):
-        assert verify(monotone_doc(kind, parent, sc, child),
-                      recheck_oracle=True)
+        doc = monotone_doc(kind, parent, sc, child)
+        assert [n["kind"] for n in doc["nodes"]] == ["oracle", kind]
+        assert verify(doc, recheck_oracle=True)
 
     @pytest.mark.parametrize("kind,parent,sc,child", HONEST_MONOTONE)
     def test_each_side_condition_edit_rejected(self, kind, parent, sc, child):
@@ -319,14 +643,16 @@ class TestMonotoneCertificates:
             len(v) if isinstance(v, list) else 1 for v in sc.values())
         for edited in edits:
             tampered = copy.deepcopy(doc)
-            tampered["node"]["side_conditions"] = edited
-            with pytest.raises(VerificationError):
+            tampered["nodes"][-1]["side_conditions"] = edited
+            with pytest.raises(VerificationError) as info:
                 verify(tampered)
+            assert info.value.path == 1
 
     @pytest.mark.parametrize("kind,parent,sc,child", WRONG_DIRECTION)
     def test_wrong_direction_rejected(self, kind, parent, sc, child):
-        with pytest.raises(VerificationError, match="abundance"):
+        with pytest.raises(VerificationError, match="abundance") as info:
             verify(monotone_doc(kind, parent, sc, child))
+        assert info.value.path == 1
 
     def test_search_moves_rebuild_from_their_side_conditions(self):
         # the verifier rebuilds a monotone child with monotone_source; every

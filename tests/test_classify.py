@@ -1,5 +1,8 @@
 """Secant profiles, typical ranks, power-format windows, and the scanner."""
 
+import hashlib
+import json
+
 import pytest
 
 from segredim.cache import VerdictCache
@@ -152,6 +155,30 @@ class TestPerfect:
         again = perfect_check((2, 2, 4), engine=fresh,
                               cache=VerdictCache(cache.path))
         assert again == first
+
+
+    def test_cert_v1_era_record_is_not_served(self, tmp_path):
+        # Records written before cert-v2 name cert-v1 hashes.  Their config
+        # digest, the one below, did not cover the certificate format, so
+        # they miss and the row is proved again.
+        payload = {"prime": 1_000_003, "seed": 0, "retries": 3,
+                   "budget_nodes": 2_000, "budget_cols": 4_096,
+                   "max_cells": 200_000, "force": False}
+        old_digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
+        path = tmp_path / "verdicts.ldjson"
+        path.write_text(json.dumps({
+            "statement": "T(7,4,4;12;0,0,0)", "verdict": True,
+            "cert_sha256": "f" * 64, "tool_version": "0.1.0",
+            "timestamp": "2026-10-01T00:00:00+00:00",
+            "config_digest": old_digest}) + "\n")
+        cache = VerdictCache(path)
+        assert len(cache) == 1
+        row = resolve_secant((4, 4, 7), 12, cache=cache)
+        assert (row.status, row.source) == ("NonDefective", "induction")
+        proof = ProofEngine().prove("T(4,4,7;12)").certificate
+        assert row.cert_ref == proof.root.digest[:12]
+        assert len(VerdictCache(path)) == 2
 
 
 class TestScan:

@@ -112,30 +112,54 @@ class TestVerify:
     def test_forged_oracle_leaf_fails_without_recheck(self, capsys, tmp_path):
         cert = tmp_path / "c.json"
         cert.write_text(json.dumps({
-            "version": "cert-v1", "statement": "T(3,3,2;5)", "verdict": True,
-            "node": {"kind": "oracle", "statement": "T(3,3,2;5)",
-                     "witness": {"prime": 1000003, "seed": 0, "rows": 55,
-                                 "cols": 48, "rank": 45, "target": 45}},
+            "version": "cert-v2", "statement": "T(3,3,2;5)", "verdict": True,
+            "nodes": [{"kind": "oracle", "statement": "T(3,3,2;5)",
+                       "witness": {"prime": 1000003, "seed": 0, "rows": 55,
+                                   "cols": 48, "rank": 45, "target": 45}}],
         }))
         code, out, err = run(capsys, "verify", str(cert))
         assert code == 1
         assert "certificate OK" not in out
-        assert "falsity catalog" in err
+        assert "certificate node 0: oracle leaf contradicts the falsity " \
+            "catalog" in err
 
     def test_forged_witness_rank_fails_by_default(self, capsys, tmp_path):
         # T(2,4,4;7) is in no falsity catalog; its true rank is 74 of 75
         cert = tmp_path / "c.json"
         cert.write_text(json.dumps({
-            "version": "cert-v1", "statement": "T(4,4,2;7)", "verdict": True,
-            "node": {"kind": "oracle", "statement": "T(4,4,2;7)",
-                     "witness": {"prime": 1000003, "seed": 0, "rows": 91,
-                                 "cols": 75, "rank": 75, "target": 75}},
+            "version": "cert-v2", "statement": "T(4,4,2;7)", "verdict": True,
+            "nodes": [{"kind": "oracle", "statement": "T(4,4,2;7)",
+                       "witness": {"prime": 1000003, "seed": 0, "rows": 91,
+                                   "cols": 75, "rank": 75, "target": 75}}],
         }))
         for extra in ((), ("--recheck",)):
             code, out, err = run(capsys, "verify", str(cert), *extra)
             assert code == 1
             assert "certificate OK" not in out
             assert "oracle re-run gives rank 74" in err
+
+    def test_cert_v1_file_fails(self, capsys, tmp_path):
+        cert = tmp_path / "c.json"
+        cert.write_text(json.dumps({
+            "version": "cert-v1", "statement": "T(3,3,2;5)", "verdict": False,
+            "node": {"kind": "table_false", "statement": "T(3,3,2;5)",
+                     "side_conditions": {"actual_affine_dim": 44},
+                     "table_id": "family:2,3,3"},
+        }))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert code == 1
+        assert "certificate OK" not in out
+        assert "unsupported certificate version 'cert-v1'" in err
+
+    def test_non_integer_witness_fails(self, capsys, tmp_path):
+        cert = tmp_path / "c.json"
+        run(capsys, "prove", "T(3,3,3;6)", "--out", str(cert))
+        doc = json.loads(cert.read_text())
+        doc["nodes"][0]["witness"]["rank"] += 0.7
+        cert.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert code == 1
+        assert "malformed certificate: node 0: bad witness" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))

@@ -16,7 +16,6 @@ from segredim.formats import (
     unbalanced_typical_rank,
 )
 from segredim.induction import ProofEngine, prove
-from segredim.induction.rules import append_zero_factor
 
 
 small_dims = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple)
@@ -93,7 +92,7 @@ def test_append_zero_factor_preserves_oracle_rank():
         from segredim.formats import parse_statement
 
         stmt = parse_statement(text)
-        grown = append_zero_factor(stmt, 1)
+        grown = Statement.of(stmt.format.dims + (0,), stmt.s, stmt.a + (1,))
         assert ambient_dim(grown.format) == ambient_dim(stmt.format)
         assert prove(grown).status is True
 

@@ -16,7 +16,6 @@ from segredim.induction import rules
 from segredim.induction.rules import (
     RuleError,
     SplitChoice,
-    append_zero_factor,
     drop_conditions,
     drop_zero_factor,
     known_false,
@@ -114,14 +113,6 @@ class TestDrops:
         assert drop_conditions(st_, 0) == st_
         st_ = T("T(2,3;1;0,0)")
         assert drop_conditions(st_) == st_
-
-    def test_append_zero_factor(self):
-        st_ = T("T(2,3;2;1,0)")
-        out = append_zero_factor(st_, 3)
-        assert out.format.dims == (2, 3, 0)
-        assert out.a == (1, 0, 3) and out.s == 2
-        with pytest.raises(RuleError):
-            append_zero_factor(st_, -1)
 
 
 class TestMonotone:

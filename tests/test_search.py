@@ -36,7 +36,7 @@ class TestTrueProofs:
         v = prove("T(0,3,3;4)")
         assert v.status is True
         assert "drop_zero_factor" in v.certificate.leaf_counts() or any(
-            n.kind == "drop_zero_factor" for n in v.certificate.walk()
+            n.kind == "drop_zero_factor" for n in v.certificate.nodes
         )
 
     def test_super_split_route(self):
