@@ -9,6 +9,7 @@ skipped on load.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -16,6 +17,8 @@ from typing import Optional, Union
 
 from .config import TOOL_VERSION
 from .formats import Statement
+
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -32,10 +35,14 @@ class CacheRecord:
 
     @staticmethod
     def from_json(data: dict) -> "CacheRecord":
+        verdict, sha = data["verdict"], data["cert_sha256"]
+        # a loose type makes the line unreadable; it is never coerced
+        if type(verdict) is not bool or not _SHA256.fullmatch(str(sha)):
+            raise ValueError(f"bad verdict {verdict!r} or cert_sha256 {sha!r}")
         return CacheRecord(
             statement=str(data["statement"]),
-            verdict=bool(data["verdict"]),
-            cert_sha256=str(data["cert_sha256"]),
+            verdict=verdict,
+            cert_sha256=sha,
             tool_version=str(data.get("tool_version", "")),
             timestamp=str(data.get("timestamp", "")),
             config_digest=str(data["config_digest"]),
@@ -78,7 +85,7 @@ class VerdictCache:
         rec = CacheRecord(
             statement=text,
             verdict=bool(verdict),
-            cert_sha256=certificate.root.digest if certificate is not None else "",
+            cert_sha256=certificate.root.digest,
             tool_version=TOOL_VERSION,
             timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             config_digest=config_digest,

@@ -9,7 +9,7 @@ dimensions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Optional
 
@@ -28,7 +28,7 @@ from .formats import (
     unbalanced_span_dim,
     unbalanced_typical_rank,
 )
-from .induction import ProofEngine, SearchBudget
+from .induction import ProofEngine
 from .induction.rules import SMALL_FORMAT_DIMS, known_false
 
 NONDEFECTIVE = "NonDefective"
@@ -229,24 +229,22 @@ def _settle(st: Statement, cfg: RunConfig, engine: Optional[ProofEngine],
 
     Returns (verdict, cert_ref, oracle).  A cache hit or a certificate
     gives verdict and cert_ref; otherwise verdict is None and oracle is
-    the fallback's OracleResult, or the OracleBudgetError refusing it.
+    the engine's oracle outcome (an OracleResult or OracleBudgetError),
+    which the search's last leaf usually asked for already.
     cert_ref is the first 12 digits of the root's Merkle digest.  The
     cache digest covers the node budget the search runs with.
     """
-    digest = cfg.with_overrides(budget_nodes=nodes).digest()
+    digest = replace(cfg, budget_nodes=nodes).digest()
     hit = cache.get(st, digest) if cache is not None else None
     if hit is not None:
         return hit.verdict, hit.cert_sha256[:12], None
-    v = (engine or ProofEngine(cfg)).prove(
-        st, budget=SearchBudget(nodes, cfg.budget_cols))
+    engine = engine or ProofEngine(cfg)
+    v = engine.prove(st, nodes=nodes)
     if v.status is not None:
         if cache is not None:
             cache.put(st, v.status, v.certificate, digest)
         return v.status, v.certificate.root.digest[:12], None
-    try:
-        return None, None, terracini_oracle(st, cfg.field_config())
-    except OracleBudgetError as exc:
-        return None, None, exc
+    return None, None, engine.oracle(st)
 
 
 def _measure(fmt: Format, s: int, row: ProfileRow, cfg: RunConfig) -> ProfileRow:

@@ -15,13 +15,8 @@ from typing import Optional
 
 from . import classify as cls
 from .cache import VerdictCache
-from .config import (
-    DEFAULT_BUDGET_COLS,
-    DEFAULT_BUDGET_NODES,
-    RunConfig,
-    TOOL_VERSION,
-)
-from .ffrank import DEFAULT_MAX_CELLS, DEFAULT_PRIME, MAX_PRIME, check_prime
+from .config import DEFAULT_BUDGET_NODES, RunConfig, TOOL_VERSION
+from .ffrank import DEFAULT_PRIME, MAX_CELLS, MAX_PRIME, check_prime
 from .formats import (
     ParseError,
     ambient_dim,
@@ -50,24 +45,30 @@ def _prime(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive(text: str) -> int:
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prime", type=_prime, default=DEFAULT_PRIME,
                    help="modulus for rank computations, a prime in "
                         f"(2^16, {MAX_PRIME})")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; all point draws derive from it")
-    p.add_argument("--retries", type=int, default=3,
+    p.add_argument("--retries", type=_positive, default=3,
                    help="re-draws before an oracle attempt gives up")
-    p.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET_NODES,
+    p.add_argument("--budget-nodes", type=_positive,
+                   default=DEFAULT_BUDGET_NODES,
                    help="proof search node budget")
-    p.add_argument("--budget-cols", type=int, default=DEFAULT_BUDGET_COLS,
-                   help="largest ambient dimension an oracle leaf may use")
     p.add_argument("--cache", metavar="PATH", default=None,
                    help="verdict cache file (line-delimited JSON)")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output")
     p.add_argument("--force", action="store_true",
-                   help="run oracle matrices past the cell budget")
+                   help=f"run oracle matrices past the {MAX_CELLS}-cell cap")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
@@ -76,8 +77,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         retries=args.retries,
         budget_nodes=args.budget_nodes,
-        budget_cols=args.budget_cols,
-        max_cells=DEFAULT_MAX_CELLS,
         force=args.force,
     )
 

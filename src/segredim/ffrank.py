@@ -39,7 +39,7 @@ _SOLVE_BASE = 16
 
 DEFAULT_PRIME = 1_000_003
 FALLBACK_PRIME = 4_194_301
-DEFAULT_MAX_CELLS = 200_000
+MAX_CELLS = 200_000  # the oracle's one budget; FieldConfig.force overrides it
 
 INCONCLUSIVE_NOTE = (
     "rank deficit at random points over F_p is evidence of defectivity, not a proof; "
@@ -96,7 +96,6 @@ class FieldConfig:
     seed: int = 0
     retries: int = 3
     fallback_prime: int = FALLBACK_PRIME
-    max_cells: int = DEFAULT_MAX_CELLS
     force: bool = False
 
     def __post_init__(self) -> None:
@@ -378,12 +377,13 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
 def terracini_oracle(st: Statement, cfg: FieldConfig | None = None) -> OracleResult:
     """CertifiedTrue when some attempt reaches rank == target_dim; otherwise
     Inconclusive with the best witness. Retries reseed points only; after all
-    retries fall short, one extra attempt runs with the fallback prime."""
+    retries fall short, one extra attempt runs with the fallback prime.
+    Past MAX_CELLS cells it raises OracleBudgetError unless cfg.force."""
     cfg = cfg or FieldConfig()
     rows, cols = row_count(st), ambient_dim(st.format)
-    if rows * cols > cfg.max_cells and not cfg.force:
+    if rows * cols > MAX_CELLS and not cfg.force:
         raise OracleBudgetError(
-            f"matrix {rows}x{cols} exceeds {cfg.max_cells} cells; pass force to override"
+            f"matrix {rows}x{cols} exceeds {MAX_CELLS} cells; pass force to override"
         )
     goal = target_dim(st)
     plan = [(cfg.prime, attempt) for attempt in range(cfg.retries)]

@@ -8,7 +8,7 @@ from .certificate import (
     CertNode,
 )
 from .rules import FalsityReason, RuleError, SplitChoice, known_false, trivial_truth
-from .search import ProofEngine, SearchBudget, Verdict, prove
+from .search import ProofEngine, Verdict, prove
 from .verify import VerificationError, is_valid, verify
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "FalsityReason",
     "ProofEngine",
     "RuleError",
-    "SearchBudget",
     "SplitChoice",
     "Verdict",
     "VerificationError",

@@ -2,8 +2,7 @@
 
 Priority order per statement: falsity catalog, trivial truths, an oracle
 leaf for the small three-factor base formats, drop rules, splits, monotone
-moves, and finally a direct oracle leaf; both oracle leaves need the
-ambient dimension within the column budget.
+moves, and finally a direct oracle leaf; both go through ProofEngine.oracle.
 False only ever comes from the catalog (directly, or passed through an
 equivalence); an inconclusive oracle is never treated as False.
 """
@@ -13,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..config import DEFAULT_BUDGET_COLS, DEFAULT_BUDGET_NODES, RunConfig
+from ..config import RunConfig
 from ..ffrank import OracleBudgetError, OracleResult, terracini_oracle
 from ..formats import (
     Statement,
@@ -25,12 +24,6 @@ from ..formats import (
 from . import certificate as cert
 from . import rules
 from .certificate import CertNode, Certificate
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    nodes: int = DEFAULT_BUDGET_NODES
-    oracle_cols: int = DEFAULT_BUDGET_COLS
 
 
 @dataclass(frozen=True)
@@ -74,38 +67,39 @@ def _outward(lo: int, hi: int, center: int) -> Iterator[int]:
 class ProofEngine:
     """Proof search with a memo table shared across calls.
 
-    Field settings and the default budget come from one RunConfig.
+    Field settings and the default node budget come from one RunConfig.
     Verdicts are memoized by canonical statement, so permuted inputs reuse
     earlier work.  Failed (undetermined) subgoals are only remembered for
     the duration of one prove() call, letting later calls retry with a
-    fresh budget.
+    fresh budget.  Oracle outcomes are kept for the engine's lifetime.
     """
 
     def __init__(self, cfg: Optional[RunConfig] = None):
         cfg = cfg or RunConfig()
         self.field_config = cfg.field_config()
-        self.budget = SearchBudget(cfg.budget_nodes, cfg.budget_cols)
+        self.nodes = cfg.budget_nodes
         self._memo: dict = {}
+        self._oracles: dict[str, OracleResult | OracleBudgetError] = {}
         self._dead: set = set()
         self._nodes_used = 0
         self._memo_hits = 0
         self._evidence: Optional[OracleResult] = None
         self._root_key: Optional[str] = None
-        self._active_budget = self.budget
+        self._active_nodes = self.nodes
 
-    # -- public entry point ------------------------------------------------
+    # -- public entry points -----------------------------------------------
 
-    def prove(self, statement, budget: Optional[SearchBudget] = None) -> Verdict:
+    def prove(self, statement, nodes: Optional[int] = None) -> Verdict:
+        """Search at most `nodes` nodes (default: the config's)."""
         if isinstance(statement, str):
             statement = parse_statement(statement)
         st = statement.canonical()
-        active = budget or self.budget
         self._dead = set()
         self._nodes_used = 0
         self._memo_hits = 0
         self._evidence = None
         self._root_key = st.key()
-        self._active_budget = active
+        self._active_nodes = self.nodes if nodes is None else nodes
         started = time.perf_counter()
         exhausted = False
         try:
@@ -124,6 +118,19 @@ class ProofEngine:
         verdict, node = res
         return Verdict(verdict, Certificate(st, verdict, node), self._evidence, stats)
 
+    def oracle(self, st: Statement) -> OracleResult | OracleBudgetError:
+        """The one way to terracini_oracle: its OracleResult for `st`, or
+        the OracleBudgetError that refused it.  The outcome depends only on
+        the canonical statement and the field config, so each canonical
+        statement runs once per engine."""
+        key = st.key()
+        if key not in self._oracles:
+            try:
+                self._oracles[key] = terracini_oracle(st, self.field_config)
+            except OracleBudgetError as exc:  # kept without its frames
+                self._oracles[key] = exc.with_traceback(None)
+        return self._oracles[key]
+
     # -- search core -------------------------------------------------------
 
     def _search(self, st: Statement):
@@ -135,7 +142,7 @@ class ProofEngine:
         if key in self._dead:
             return None
         self._nodes_used += 1
-        if self._nodes_used > self._active_budget.nodes:
+        if self._nodes_used > self._active_nodes:
             raise _Exhausted
         res = self._resolve(st)
         if res is not None:
@@ -204,20 +211,14 @@ class ProofEngine:
     # -- leaves ------------------------------------------------------------
 
     def _try_oracle(self, st: Statement):
-        if ambient_dim(st.format) > self._active_budget.oracle_cols:
-            return None
-        try:
-            result = terracini_oracle(st, self.field_config)
-        except OracleBudgetError:
+        result = self.oracle(st)
+        if isinstance(result, OracleBudgetError):
             return None
         if result.certified:
             return True, CertNode(cert.ORACLE, st, witness=result.witness)
-        self._note_evidence(st, result)
-        return None
-
-    def _note_evidence(self, st: Statement, result: OracleResult) -> None:
         if st.key() == self._root_key or self._evidence is None:
             self._evidence = result
+        return None
 
     # -- splits ------------------------------------------------------------
 

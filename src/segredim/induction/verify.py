@@ -10,6 +10,7 @@ that node's index in the certificate's node list.
 """
 from __future__ import annotations
 
+import json
 from typing import Union
 
 from ..ffrank import check_prime, recompute_rank, row_count
@@ -97,9 +98,14 @@ def _rebuilt_child(node: CertNode, verdict: bool) -> Statement:
     if node.kind == cert.DROP_ZERO_FACTOR:
         return rules.drop_zero_factor(st, json_int(sc["slot"]))
     if node.kind == cert.DROP_CONDITIONS:
+        slot = json_int(sc["slot"])
         # False passes through only where the drop is an equivalence
-        return rules.drop_conditions(st, json_int(sc["slot"]),
-                                     require_subabundant=verdict is False)
+        child = rules.drop_conditions(st, slot,
+                                      require_subabundant=verdict is False)
+        if json_int(sc["dropped"]) != st.a[slot]:
+            raise rules.RuleError(f"dropped {sc['dropped']} conditions, "
+                                  f"slot {slot} carries {st.a[slot]}")
+        return child
     return rules.monotone_source(node.kind, st, sc)
 
 
@@ -121,11 +127,12 @@ def _check_falsity_leaf(node: CertNode, path: int) -> None:
     reason = rules.known_false(node.statement)
     _need(reason is not None, path,
           f"{node.statement} is not in any falsity catalog")
-    _need(reason.kind == node.kind, path,
-          f"falsity source is {reason.kind}, node claims {node.kind}")
-    if node.kind == cert.TABLE_FALSE:
-        _need(node.table_id == reason.table_id, path,
-              f"table id {node.table_id!r} does not match {reason.table_id!r}")
+    # compared as JSON, so that 44.0 or true does not pass for an int
+    got = json.dumps([node.kind, node.table_id, node.side_conditions],
+                     sort_keys=True)
+    want = json.dumps([reason.kind, reason.table_id, reason.data],
+                      sort_keys=True)
+    _need(got == want, path, f"falsity leaf {got}, catalog gives {want}")
 
 
 def _check_trivial(node: CertNode, path: int) -> None:

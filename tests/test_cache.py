@@ -1,0 +1,63 @@
+"""Verdict cache records: what a line must hold to be served."""
+
+import json
+
+import pytest
+
+from segredim import RunConfig
+from segredim.cache import CacheRecord, VerdictCache
+from segredim.classify import INDUCTION_NODE_BUDGET, resolve_secant
+
+# T(2,4,4;7) is in the defective (2,n,n), n even, family; no search proves
+# it, so a served record is the only way to a NonDefective row
+STATEMENT = "T(4,4,2;7;0,0,0)"
+DIGEST = RunConfig(budget_nodes=INDUCTION_NODE_BUDGET).digest()
+
+
+def record(**fields) -> dict:
+    out = {"statement": STATEMENT, "verdict": True, "cert_sha256": "a" * 64,
+           "tool_version": "0.1.0", "timestamp": "2026-10-01T00:00:00+00:00",
+           "config_digest": DIGEST}
+    out.update(fields)
+    return out
+
+
+def cache_with(tmp_path, *lines) -> VerdictCache:
+    path = tmp_path / "verdicts.ldjson"
+    path.write_text("".join(line + "\n" for line in lines))
+    return VerdictCache(path)
+
+
+def test_well_typed_record_is_served(tmp_path):
+    cache = cache_with(tmp_path, json.dumps(record()))
+    assert len(cache) == 1
+    row = resolve_secant((2, 4, 4), 7, cache=cache)
+    assert (row.status, row.source, row.cert_ref) == (
+        "NonDefective", "induction", "a" * 12)
+
+
+@pytest.mark.parametrize("verdict", [1, 0, "false", "true", None, 1.0, [True]])
+def test_verdict_must_be_a_json_boolean(tmp_path, verdict):
+    line = json.dumps(record(verdict=verdict, cert_sha256=""))
+    cache = cache_with(tmp_path, line, json.dumps(record(verdict=verdict)))
+    assert len(cache) == 0
+    row = resolve_secant((2, 4, 4), 7, cache=cache)
+    assert (row.status, row.source) == ("Evidence-Defective", "oracle")
+    with pytest.raises(ValueError):
+        CacheRecord.from_json(record(verdict=verdict))
+
+
+@pytest.mark.parametrize("sha", ["", "A" * 64, "a" * 63, "a" * 65, "g" * 64,
+                                 " " + "a" * 63, "a" * 64 + "\n", 7, None])
+def test_cert_sha256_must_be_a_hex_digest(tmp_path, sha):
+    cache = cache_with(tmp_path, json.dumps(record(cert_sha256=sha)))
+    assert len(cache) == 0
+    with pytest.raises(ValueError):
+        CacheRecord.from_json(record(cert_sha256=sha))
+
+
+def test_bad_lines_do_not_hide_good_ones(tmp_path):
+    cache = cache_with(tmp_path, json.dumps(record(verdict=1)), "[1, 2]",
+                       "not json", json.dumps(record()))
+    assert len(cache) == 1
+    assert cache.get(STATEMENT, DIGEST).verdict is True

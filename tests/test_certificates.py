@@ -329,6 +329,55 @@ class TestTamperRejection:
         doc["nodes"][0]["table_id"] = "family:1,1,n,n"
         self.check_rejected(doc, at=0)
 
+    @pytest.mark.parametrize("statement,field,bad", [
+        ("T(2,3,3;5)", "actual_affine_dim", 47),
+        ("T(2,3,3;5)", "actual_affine_dim", 44.0),
+        ("T(2,2,0;2;0,0,0)", "expected", 10),
+        ("T(2,1,0;0;1,1,1)", "lhs", 4),
+        ("T(2,1,0;0;1,1,1)", "roles", [2, 1, 0]),
+    ])
+    def test_falsity_side_condition_edit(self, statement, field, bad):
+        # every number a falsity leaf carries is the catalog's
+        doc = json.loads(prove(statement).certificate.dumps())
+        assert verify(doc)
+        sc = doc["nodes"][0]["side_conditions"]
+        assert json.dumps(sc[field]) != json.dumps(bad)
+        honest = sc[field]
+        sc[field] = bad
+        with pytest.raises(VerificationError,
+                           match="catalog gives") as info:
+            verify(doc)
+        assert info.value.path == 0
+        del sc[field]
+        self.check_rejected(doc, at=0)
+        sc[field] = honest
+        sc["extra"] = 1
+        self.check_rejected(doc, at=0)
+
+    def test_dropped_count_edit(self, drop_cert_doc):
+        # a drop_conditions node's count must be the fibers its slot carries
+        false_doc = json.loads(prove("T(2,1,0;0;1,1,1)").certificate.dumps())
+        for honest in (drop_cert_doc, false_doc):
+            drops = [i for i, n in enumerate(honest["nodes"])
+                     if n["kind"] == "drop_conditions"]
+            assert drops
+            for at in drops:
+                sc = honest["nodes"][at]["side_conditions"]
+                for bad in (99, sc["dropped"] + 1, sc["dropped"] - 1):
+                    doc = copy.deepcopy(honest)
+                    doc["nodes"][at]["side_conditions"]["dropped"] = bad
+                    with pytest.raises(VerificationError,
+                                       match="conditions, slot") as info:
+                        verify(doc)
+                    assert info.value.path == at
+                for bad in (float(sc["dropped"]), None, str(sc["dropped"])):
+                    doc = copy.deepcopy(honest)
+                    doc["nodes"][at]["side_conditions"]["dropped"] = bad
+                    self.check_rejected(doc, at=at)
+                doc = copy.deepcopy(honest)
+                del doc["nodes"][at]["side_conditions"]["dropped"]
+                self.check_rejected(doc, at=at)
+
     def test_split_kind_relabel(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
         assert doc["nodes"][-1]["kind"] == "sub_split"

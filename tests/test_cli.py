@@ -1,10 +1,11 @@
 """Command line behavior: output, exit codes, cache files, JSON mode."""
 
+import argparse
 import json
 
 import pytest
 
-from segredim.cli import main
+from segredim.cli import _add_common_flags, main
 
 
 def run(capsys, *argv):
@@ -239,3 +240,39 @@ class TestGlobalFlags:
         _, out_a, _ = run(capsys, "dim", "3,3,3", "6", "--seed", "5")
         _, out_b, _ = run(capsys, "dim", "3,3,3", "6", "--seed", "11")
         assert ("NonDefective" in out_a) and ("NonDefective" in out_b)
+
+    def test_common_flags(self):
+        parser = argparse.ArgumentParser(add_help=False)
+        _add_common_flags(parser)
+        flags = {opt for action in parser._actions
+                 for opt in action.option_strings}
+        assert flags == {"--prime", "--seed", "--retries", "--budget-nodes",
+                         "--cache", "--json", "--force"}
+
+    @pytest.mark.parametrize("flag", ["--retries", "--budget-nodes"])
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_counts_below_one_are_usage_errors(self, capsys, tmp_path,
+                                               flag, value):
+        # --retries 0 used to end in a ValueError traceback with exit 1,
+        # --budget-nodes 0 in UNDETERMINED with exit 3
+        out_file = tmp_path / "c.json"
+        code, out, err = run(capsys, "prove", "T(3,3,3;7)", flag, value,
+                             "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}" in err
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("flag", ["--retries", "--budget-nodes"])
+    def test_count_of_one_is_accepted(self, capsys, tmp_path, flag):
+        code, out, _ = run(capsys, "prove", "T(2,2,2;3)", flag, "1",
+                           "--out", str(tmp_path / "c.json"))
+        # one node and one attempt suffice for a base-format oracle leaf
+        assert code == 0
+        assert out.startswith("TRUE T(2,2,2;3;0,0,0) oracle=1")
+
+    def test_budget_cols_is_gone(self, capsys):
+        # the oracle's one budget is its cell cap; --force overrides it
+        code, _, err = run(capsys, "dim", "3,3,3", "6", "--budget-cols", "4096")
+        assert code == 2
+        assert "--budget-cols" in err

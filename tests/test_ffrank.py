@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from segredim.ffrank import (
     DEFAULT_PRIME,
     FALLBACK_PRIME,
+    MAX_CELLS,
     MAX_PRIME,
     _LEAF_COLS,
     _PANEL,
@@ -232,12 +233,15 @@ class TestOracle:
         assert a.witness.rank == b.witness.rank
 
     def test_budget_error_and_force(self):
-        big = Statement.of((9, 9, 9), 50)  # 50*28=1400 rows x 1000 cols
-        cfg = FieldConfig(max_cells=10_000)
+        big = Statement.of((9, 9, 9), 50)  # 50*30=1500 rows x 1000 cols
+        assert 1500 * 1000 > MAX_CELLS
         with pytest.raises(OracleBudgetError):
-            terracini_oracle(big, cfg)
+            terracini_oracle(big, FieldConfig())
+        res = terracini_oracle(big, FieldConfig(force=True))
+        assert (res.witness.rows, res.witness.cols) == (1500, 1000)
+        assert res.certified and res.witness.rank == 1000
         small = Statement.of((2, 2, 2), 4)
-        cfg = FieldConfig(max_cells=10, force=True)
+        cfg = FieldConfig(force=True)
         assert terracini_oracle(small, cfg).witness.rank == 26
 
     def test_recompute_matches_witness(self):

@@ -1,10 +1,15 @@
 """Proof search: verdicts, certificates, budgets, and memo behavior."""
 
+import importlib
+from collections import Counter
+
 import pytest
 
 from segredim import RunConfig
+from segredim.classify import ScanReport, defective_scan, resolve_secant
+from segredim.ffrank import OracleBudgetError
 from segredim.formats import Statement, parse_statement
-from segredim.induction import ProofEngine, SearchBudget, prove, verify
+from segredim.induction import ProofEngine, prove, verify
 
 # Statements that must come back True with small certificates: no oracle
 # or base-table leaf wider than 64 columns.
@@ -92,7 +97,7 @@ class TestUndetermined:
 
     def test_budget_exhaustion(self):
         engine = ProofEngine(RunConfig())
-        v = engine.prove("T(3,3,3;6)", budget=SearchBudget(nodes=2, oracle_cols=4096))
+        v = engine.prove("T(3,3,3;6)", nodes=2)
         assert v.status is None
         assert v.stats["exhausted"]
 
@@ -131,3 +136,66 @@ class TestEngineState:
     def test_certificate_statement_matches_input_canonical(self):
         v = prove("T(4,7,4;12)")
         assert v.certificate.statement == parse_statement("T(4,7,4;12)").canonical()
+
+
+def count_oracle_calls(monkeypatch) -> Counter:
+    """Count terracini_oracle calls per canonical statement, through both
+    names the engine and the classifier call it by."""
+    calls: Counter = Counter()
+    for name in ("segredim.induction.search", "segredim.classify"):
+        module = importlib.import_module(name)
+        real = module.terracini_oracle
+
+        def counting(st, cfg=None, real=real):
+            calls[st.key()] += 1
+            return real(st, cfg)
+
+        monkeypatch.setattr(module, "terracini_oracle", counting)
+    return calls
+
+
+class TestOracleDoor:
+    """ProofEngine.oracle runs each canonical statement at most once."""
+
+    def test_outcome_is_remembered_for_the_engine(self, monkeypatch):
+        calls = count_oracle_calls(monkeypatch)
+        engine = ProofEngine()
+        first = engine.oracle(parse_statement("T(2,2,3;4)"))
+        assert first.certified
+        assert engine.oracle(parse_statement("T(3,2,2;4)")) is first
+        assert engine.prove("T(2,3,2;4)").status is True
+        assert calls[first.witness.statement.key()] == 1
+        assert set(calls.values()) == {1}
+
+    def test_refusal_is_remembered(self, monkeypatch):
+        calls = count_oracle_calls(monkeypatch)
+        engine = ProofEngine()
+        refused = engine.oracle(parse_statement("T(10,10,10;43)"))
+        assert isinstance(refused, OracleBudgetError)
+        assert "matrix 1419x1331 exceeds 200000 cells" in str(refused)
+        assert engine.oracle(parse_statement("T(10,10,10;43)")) is refused
+        assert engine.prove("T(10,10,10;43)").status is None
+        assert calls[parse_statement("T(10,10,10;43)").key()] == 1
+        assert set(calls.values()) == {1}
+
+    def test_base_format_statement_runs_once(self, monkeypatch):
+        # the base-format step and the last leaf ask about the same
+        # inconclusive statement; the second ask is answered from the memo
+        calls = count_oracle_calls(monkeypatch)
+        v = prove("T(1,1,2;0;0,2,3)")
+        assert v.status is None and not v.evidence.certified
+        assert sum(calls.values()) == len(calls) == 4
+
+    def test_settle_reuses_the_search_outcome(self, monkeypatch):
+        calls = count_oracle_calls(monkeypatch)
+        row = resolve_secant((2, 4, 4), 7)
+        assert (row.status, row.lower, row.source) == (
+            "Evidence-Defective", 74, "oracle")
+        assert calls[parse_statement("T(2,4,4;7)").key()] == 1
+        assert set(calls.values()) == {1}
+
+    def test_scan_asks_each_statement_once(self, monkeypatch):
+        calls = count_oracle_calls(monkeypatch)
+        report = defective_scan(3, 5, 30)
+        assert isinstance(report, ScanReport) and report.hits
+        assert sum(calls.values()) == len(calls) > 0
