@@ -16,7 +16,7 @@ from typing import Optional
 from . import classify as cls
 from .cache import VerdictCache
 from .config import DEFAULT_BUDGET_NODES, RunConfig, TOOL_VERSION
-from .ffrank import DEFAULT_PRIME, MAX_CELLS, MAX_PRIME, check_prime
+from .ffrank import DEFAULT_PRIME, DEFAULT_RETRIES, MAX_CELLS, MAX_PRIME, check_prime
 from .formats import (
     ParseError,
     ambient_dim,
@@ -58,8 +58,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                         f"(2^16, {MAX_PRIME})")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; all point draws derive from it")
-    p.add_argument("--retries", type=_positive, default=3,
-                   help="re-draws before an oracle attempt gives up")
+    p.add_argument("--retries", type=_positive, default=DEFAULT_RETRIES,
+                   help="attempts at --prime before the one attempt at the "
+                        f"fallback prime (default {DEFAULT_RETRIES})")
     p.add_argument("--budget-nodes", type=_positive,
                    default=DEFAULT_BUDGET_NODES,
                    help="proof search node budget")
@@ -309,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--recheck", action="store_true",
                    help="recompute every rank witness from its prime/seed "
                         "(the default; accepted for compatibility)")
-    _add_common_flags(p)
+    p.add_argument("--json", action="store_true",
+                   help="machine-readable output")
     p.set_defaults(func=cmd_verify)
 
     return parser

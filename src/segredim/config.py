@@ -6,11 +6,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .ffrank import DEFAULT_PRIME, MAX_CELLS, FieldConfig
+from .ffrank import DEFAULT_PRIME, DEFAULT_RETRIES, MAX_CELLS, FieldConfig
 
 DEFAULT_BUDGET_NODES = 50_000
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 
 CERT_VERSION = "cert-v2"
 
@@ -19,7 +19,7 @@ CERT_VERSION = "cert-v2"
 class RunConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0
-    retries: int = 3
+    retries: int = DEFAULT_RETRIES
     budget_nodes: int = DEFAULT_BUDGET_NODES
     force: bool = False
 
@@ -29,9 +29,11 @@ class RunConfig:
 
     def digest(self) -> str:
         """Hash of every setting that can change a verdict, the oracle's
-        cell cap included, and of the certificate format that cert_refs
-        depend on; cache records carry it."""
+        cell cap included, of the certificate format that cert_refs depend
+        on, and of the tool version, since a new rule changes cert_refs
+        without changing any setting; cache records carry it."""
         payload = {
+            "tool_version": TOOL_VERSION,
             "cert_version": CERT_VERSION,
             "prime": self.prime,
             "seed": self.seed,

@@ -39,6 +39,14 @@ _SOLVE_BASE = 16
 
 DEFAULT_PRIME = 1_000_003
 FALLBACK_PRIME = 4_194_301
+# Attempts at the configured prime before the one fallback attempt.  Each
+# entry of the Terracini matrix is a product of k-1 point coordinates, so an
+# r x r minor has degree at most r(k-1) in them, and by Schwartz-Zippel a
+# statement of full rank r reads deficient at one random attempt with
+# probability at most r(k-1)/p: under 0.3 % even for T(10,10,10;43) at
+# DEFAULT_PRIME.  A miss loses a certificate and never forges one, so one
+# attempt plus the fallback prime is the default plan.
+DEFAULT_RETRIES = 1
 MAX_CELLS = 200_000  # the oracle's one budget; FieldConfig.force overrides it
 
 INCONCLUSIVE_NOTE = (
@@ -94,7 +102,7 @@ class OracleBudgetError(RuntimeError):
 class FieldConfig:
     prime: int = DEFAULT_PRIME
     seed: int = 0
-    retries: int = 3
+    retries: int = DEFAULT_RETRIES
     fallback_prime: int = FALLBACK_PRIME
     force: bool = False
 
@@ -158,7 +166,15 @@ class OracleResult:
 
     @property
     def note(self) -> str | None:
-        return None if self.certified else INCONCLUSIVE_NOTE
+        """None when certified; otherwise INCONCLUSIVE_NOTE plus the chance
+        r(k-1)/p that the best witness's attempt misses a full rank r."""
+        if self.certified:
+            return None
+        w = self.witness
+        miss = w.target * (w.statement.format.k - 1)
+        return (f"{INCONCLUSIVE_NOTE}; a full-rank statement reads deficient "
+                f"at one attempt with probability <= r(k-1)/p = "
+                f"{miss}/{w.prime} ({100 * miss / w.prime:.2g}%)")
 
 
 def derive_seed(statement_key: str, prime: int, seed: int, attempt: int) -> int:
@@ -376,8 +392,9 @@ def rank_mod_p(matrix: np.ndarray, p: int) -> int:
 
 def terracini_oracle(st: Statement, cfg: FieldConfig | None = None) -> OracleResult:
     """CertifiedTrue when some attempt reaches rank == target_dim; otherwise
-    Inconclusive with the best witness. Retries reseed points only; after all
-    retries fall short, one extra attempt runs with the fallback prime.
+    Inconclusive with the best witness. cfg.retries attempts (DEFAULT_RETRIES
+    by default) reseed points only; after all fall short, one extra attempt
+    runs with the fallback prime.
     Past MAX_CELLS cells it raises OracleBudgetError unless cfg.force."""
     cfg = cfg or FieldConfig()
     rows, cols = row_count(st), ambient_dim(st.format)

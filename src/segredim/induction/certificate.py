@@ -35,15 +35,17 @@ TABLE_FALSE = "table_false"
 UNBALANCED_FALSE = "unbalanced_false"
 FIBRATION_FALSE = "fibration_false"
 TRIVIAL = "trivial"
+TWO_FACTOR = "two_factor"
 
 SPLIT_KINDS = frozenset({SUB_SPLIT, SUPER_SPLIT, EQUI_SPLIT})
 ALL_KINDS = SPLIT_KINDS | frozenset({
     DROP_CONDITIONS, DROP_ZERO_FACTOR, MONOTONE_FORMAT, MONOTONE_SA, ORACLE,
-    TABLE_FALSE, UNBALANCED_FALSE, FIBRATION_FALSE, TRIVIAL,
+    TABLE_FALSE, UNBALANCED_FALSE, FIBRATION_FALSE, TRIVIAL, TWO_FACTOR,
 })
 
 # kinds that always conclude False; the drop rules pass their child's
-# verdict through, and every other kind concludes True
+# verdict through, a two_factor leaf concludes whether its exact dimension
+# reaches the target, and every other kind concludes True
 FALSE_KINDS = frozenset({TABLE_FALSE, UNBALANCED_FALSE, FIBRATION_FALSE})
 
 

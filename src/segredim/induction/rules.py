@@ -294,30 +294,69 @@ def _decrement(values: tuple, j: int) -> tuple:
 # trivially true statements
 
 TRIVIAL_EMPTY = "empty"
-TRIVIAL_ONE_FACTOR = "one_factor"
 TRIVIAL_ONE_TANGENT = "one_tangent"
 TRIVIAL_ONE_FIBER_FACTOR = "one_fiber_factor"
 
 
 def trivial_truth(st: Statement) -> Optional[str]:
-    """Reason string when st is true for elementary reasons, else None.
+    """Reason string when st, with three or more positive factors, is true
+    for elementary reasons, else None.  two_factor_dim decides every
+    statement with fewer positive factors.
 
     empty: no points at all, the empty span has dimension 0.
-    one_factor: a single factor is a projective space; tangent spaces and
-      fiber spans are coordinate subspaces of the whole space.
     one_tangent: one tangent space always has the full expected dimension.
     one_fiber_factor: generic fiber spans of a single factor behave like
       generic points of a matrix space; their span is always expected.
     """
+    if two_factor_dim(st) is not None:
+        return None
     if st.s == 0 and not any(st.a):
         return TRIVIAL_EMPTY
-    if st.format.k == 1:
-        return TRIVIAL_ONE_FACTOR
     if st.s == 1 and not any(st.a):
         return TRIVIAL_ONE_TANGENT
     if st.s == 0 and sum(1 for x in st.a if x > 0) == 1:
         return TRIVIAL_ONE_FIBER_FACTOR
     return None
+
+
+# ---------------------------------------------------------------------------
+# two positive factors
+
+def two_factor_dim(st: Statement) -> Optional[int]:
+    """Exact affine dimension of the span of st when it has at most two
+    positive factors P^m x P^n (any number of P^0 slots), else None.
+
+    Terracini's lemma for two factors: the tangent space at x(x)y is
+    x(x)V + U(x)y, a fiber on the P^m slot adds U(x)y' and one on the P^n
+    slot adds x'(x)V.  The span is A(x)V + U(x)B with A generic of
+    dimension alpha = min(s + a_n, m+1) and B generic of dimension
+    beta = min(s + a_m, n+1), so it has dimension
+    alpha(n+1) + (m+1)beta - alpha*beta.  A fiber on a P^0 slot is a
+    generic point of the Segre variety, which spans the ambient, so each
+    of those adds 1 until the ambient (m+1)(n+1) is filled.  A statement
+    with one positive factor is the case n = 0.
+    """
+    c = st.canonical()
+    # dims descend; empty P^0 slots pad a single factor to three slots
+    dims, a = c.format.dims + (0, 0), c.a + (0, 0)
+    if dims[2] > 0:
+        return None
+    m, n = dims[0], dims[1]
+    alpha = min(c.s + a[1], m + 1)
+    beta = min(c.s + a[0], n + 1)
+    span = alpha * (n + 1) + (m + 1) * beta - alpha * beta
+    return min(span + sum(a[2:]), (m + 1) * (n + 1))
+
+
+def two_factor_leaf(st: Statement) -> Optional[tuple[bool, dict]]:
+    """(verdict, side conditions) of st's two_factor leaf, or None when st
+    has three or more positive factors.  True iff the exact dimension
+    reaches the target; the search builds the leaf and the verifier
+    compares against it."""
+    dim = two_factor_dim(st)
+    if dim is None:
+        return None
+    return dim == target_dim(st), {"actual_affine_dim": dim}
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +429,8 @@ def _family_false(c: Statement) -> Optional[FalsityReason]:
 
 
 def _unbalanced_false(c: Statement) -> Optional[FalsityReason]:
-    if any(c.a) or c.format.k < 2 or min(c.format.dims) < 1:
+    # two factors are two_factor_dim's
+    if any(c.a) or c.format.k < 3 or min(c.format.dims) < 1:
         return None
     if not is_unbalanced(c.format):
         return None
@@ -408,8 +448,8 @@ def _fibration_false(c: Statement) -> Optional[FalsityReason]:
     # The configuration sits inside a product fibration whose base is too
     # small; its members are forced to meet, so the span falls short of
     # the parameter count.  That only falsifies statements at or below
-    # the ambient dimension.
-    if c.format.k != 3 or not is_subabundant(c):
+    # the ambient dimension.  With a P^0 slot two_factor_dim decides.
+    if c.format.k != 3 or min(c.format.dims) < 1 or not is_subabundant(c):
         return None
     n, a, s = c.format.dims, c.a, c.s
     for i in range(3):

@@ -1,9 +1,11 @@
 """Memoized proof search over the reduction rules.
 
-Priority order per statement: falsity catalog, trivial truths, an oracle
-leaf for the small three-factor base formats, drop rules, splits, monotone
-moves, and finally a direct oracle leaf; both go through ProofEngine.oracle.
-False only ever comes from the catalog (directly, or passed through an
+Priority order per statement: the exact two_factor leaf for statements
+with at most two positive factors, falsity catalog, trivial truths, an
+oracle leaf for the small three-factor base formats, drop rules, splits,
+monotone moves, and finally a direct oracle leaf; both oracle leaves go
+through ProofEngine.oracle.  False only ever comes from the two_factor
+leaf's closed form or the falsity catalog (directly, or passed through an
 equivalence); an inconclusive oracle is never treated as False.
 """
 from __future__ import annotations
@@ -31,7 +33,8 @@ class Verdict:
     """Outcome of a proof attempt.
 
     status True/False comes with a certificate; None means undetermined,
-    with the best oracle evidence seen (if any) and search statistics.
+    with the root statement's own oracle evidence (if its oracle ran and
+    fell short) and search statistics.
     """
 
     status: Optional[bool]
@@ -152,6 +155,11 @@ class ProofEngine:
         return res
 
     def _resolve(self, st: Statement):
+        leaf = rules.two_factor_leaf(st)
+        if leaf is not None:
+            verdict, conds = leaf
+            return verdict, CertNode(cert.TWO_FACTOR, st, side_conditions=conds)
+
         reason = rules.known_false(st)
         if reason is not None:
             return False, CertNode(reason.kind, st,
@@ -169,7 +177,7 @@ class ProofEngine:
                 return res
 
         slot = rules.find_zero_factor_slot(st, with_conditions=False)
-        if slot is not None and st.format.k >= 2:
+        if slot is not None:
             child = rules.drop_zero_factor(st, slot).canonical()
             res = self._search(child)
             if res is None:
@@ -216,7 +224,7 @@ class ProofEngine:
             return None
         if result.certified:
             return True, CertNode(cert.ORACLE, st, witness=result.witness)
-        if st.key() == self._root_key or self._evidence is None:
+        if st.key() == self._root_key:
             self._evidence = result
         return None
 

@@ -56,6 +56,8 @@ def _witness_checks(node: CertNode, path: int, recheck: bool) -> None:
     st = node.statement
     _need(rules.known_false(st) is None, path,
           f"{node.kind} leaf contradicts the falsity catalog")
+    _need(rules.two_factor_dim(st) in (None, target_dim(st)), path,
+          f"{node.kind} leaf contradicts the two-factor closed form")
     _need(w.rank <= min(w.rows, w.cols), path,
           f"witness rank {w.rank} exceeds the {w.rows}x{w.cols} matrix")
     _need(w.rows == row_count(st), path,
@@ -135,6 +137,18 @@ def _check_falsity_leaf(node: CertNode, path: int) -> None:
     _need(got == want, path, f"falsity leaf {got}, catalog gives {want}")
 
 
+def _check_two_factor(node: CertNode, path: int) -> bool:
+    leaf = rules.two_factor_leaf(node.statement)
+    _need(leaf is not None, path,
+          f"{node.statement} has more than two positive factors")
+    verdict, conds = leaf
+    # compared as JSON, like the falsity leaves
+    got = json.dumps(node.side_conditions, sort_keys=True)
+    want = json.dumps(conds, sort_keys=True)
+    _need(got == want, path, f"two_factor leaf {got}, closed form gives {want}")
+    return verdict
+
+
 def _check_trivial(node: CertNode, path: int) -> None:
     why = rules.trivial_truth(node.statement)
     _need(why is not None, path, f"{node.statement} is not trivially true")
@@ -165,6 +179,8 @@ def _check_node(node: CertNode, path: int, below: list, recheck: bool) -> bool:
     if kind in cert.FALSE_KINDS:
         _check_falsity_leaf(node, path)
         return False
+    if kind == cert.TWO_FACTOR:
+        return _check_two_factor(node, path)
     _check_trivial(node, path)
     return True
 

@@ -7,6 +7,7 @@ import pytest
 from segredim import RunConfig
 from segredim.cache import CacheRecord, VerdictCache
 from segredim.classify import INDUCTION_NODE_BUDGET, resolve_secant
+from segredim.cli import main
 
 # T(2,4,4;7) is in the defective (2,n,n), n even, family; no search proves
 # it, so a served record is the only way to a NonDefective row
@@ -61,3 +62,16 @@ def test_bad_lines_do_not_hide_good_ones(tmp_path):
                        "not json", json.dumps(record()))
     assert len(cache) == 1
     assert cache.get(STATEMENT, DIGEST).verdict is True
+
+
+def test_record_from_an_older_tool_version_misses(tmp_path, capsys):
+    # RunConfig(budget_nodes=INDUCTION_NODE_BUDGET, retries=3).digest() as
+    # version 0.1.0 computed it, before the digest covered the tool version.
+    # Same settings, but the two_factor leaf changed cert_refs since.
+    old = "e68af1522a226f62"
+    path = tmp_path / "verdicts.ldjson"
+    path.write_text(json.dumps(record(config_digest=old)) + "\n")
+    assert VerdictCache(path).get(STATEMENT, old) is not None
+    assert RunConfig(budget_nodes=INDUCTION_NODE_BUDGET, retries=3).digest() != old
+    assert main(["dim", "2,4,4", "7", "--retries", "3", "--cache", str(path)]) == 0
+    assert "status: Evidence-Defective [oracle]" in capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Certificate serialization, schema validation, and tamper rejection."""
 
 import copy
+import dataclasses
 import importlib
 import json
 
@@ -76,8 +77,9 @@ def false_cert_doc():
 
 @pytest.fixture(scope="module")
 def drop_cert_doc():
-    # drop_zero_factor and drop_conditions nodes over super_split nodes
-    v = prove("T(0,3,3;4;2,0,0)")
+    # drop_zero_factor and drop_conditions nodes over split nodes, with
+    # three positive factors so that the two_factor leaf does not settle it
+    v = prove("T(0,2,3,3;5;4,0,0,0)")
     assert v.status is True
     return json.loads(v.certificate.dumps())
 
@@ -170,8 +172,8 @@ class TestSerialization:
         assert verify(cert)
         assert cert.root.digest == Certificate.from_json(drop_cert_doc).root.digest
         # errors name the node by its index in this file, not in dumps()
-        assert nodes[0]["reason"] == "one_factor"
-        nodes[0]["reason"] = "empty"
+        assert nodes[0]["kind"] == "oracle"
+        nodes[0]["witness"]["rank"] -= 1
         with pytest.raises(VerificationError) as info:
             verify(doc)
         assert info.value.path == 0
@@ -332,9 +334,9 @@ class TestTamperRejection:
     @pytest.mark.parametrize("statement,field,bad", [
         ("T(2,3,3;5)", "actual_affine_dim", 47),
         ("T(2,3,3;5)", "actual_affine_dim", 44.0),
-        ("T(2,2,0;2;0,0,0)", "expected", 10),
-        ("T(2,1,0;0;1,1,1)", "lhs", 4),
-        ("T(2,1,0;0;1,1,1)", "roles", [2, 1, 0]),
+        ("T(1,1,9,0;3;0,0,0,0)", "expected", 10),
+        ("T(1,1,3,0;1;0,0,2,1)", "lhs", 5),
+        ("T(1,1,3,0;1;0,0,2,1)", "roles", [2, 1, 0]),
     ])
     def test_falsity_side_condition_edit(self, statement, field, bad):
         # every number a falsity leaf carries is the catalog's
@@ -356,7 +358,7 @@ class TestTamperRejection:
 
     def test_dropped_count_edit(self, drop_cert_doc):
         # a drop_conditions node's count must be the fibers its slot carries
-        false_doc = json.loads(prove("T(2,1,0;0;1,1,1)").certificate.dumps())
+        false_doc = json.loads(prove("T(0,2,3,3;5;2,0,0,0)").certificate.dumps())
         for honest in (drop_cert_doc, false_doc):
             drops = [i for i, n in enumerate(honest["nodes"])
                      if n["kind"] == "drop_conditions"]
@@ -476,12 +478,14 @@ class TestTamperRejection:
     def test_false_child_under_a_split(self):
         # verdicts travel up: a split needs True children, whichever
         # verdict the certificate claims
-        st = parse_statement("T(3,2,2;1;1,0,0)")
-        choice = rules.SplitChoice(1, (1, 0), (0, 1), ((0, 0, 0), (1, 0, 0)))
+        st = parse_statement("T(3,2,1;1;2,0,0)")
+        choice = rules.SplitChoice(1, (0, 1), (0, 1), ((0, 0, 0), (2, 0, 0)))
         kind, c1, c2 = rules.split_mode(st, choice)
         reason = rules.known_false(c2)
-        leaves = (CertNode(cert_mod.TRIVIAL, c1.canonical(),
-                           reason=rules.trivial_truth(c1)),
+        verdict, conds = rules.two_factor_leaf(c1)
+        assert verdict is True
+        leaves = (CertNode(cert_mod.TWO_FACTOR, c1.canonical(),
+                           side_conditions=conds),
                   CertNode(reason.kind, c2.canonical(),
                            side_conditions=dict(reason.data)))
         node = CertNode(kind, st, side_conditions=choice.describe(),
@@ -508,6 +512,61 @@ class TestTamperRejection:
                                match="monotone_sa needs a True child") as info:
                 verify(doc)
             assert info.value.path == 1
+
+
+class TestTwoFactorLeaf:
+    """The leaf's one number is the closed form's, exactly as JSON, and the
+    leaf exists only for statements with at most two positive factors."""
+
+    @pytest.mark.parametrize("text,honest,verdict", [
+        ("T(0,3,3;4;2,0,0)", 16, True),
+        ("T(3,3;0;2,2)", 12, False),
+    ])
+    def test_forged_dimension(self, text, honest, verdict):
+        doc = json.loads(prove(text).certificate.dumps())
+        assert doc["verdict"] is verdict and verify(doc)
+        assert doc["nodes"] == [{"kind": "two_factor", "statement": doc["statement"],
+                                 "side_conditions": {"actual_affine_dim": honest}}]
+        for bad in (honest + 1, honest - 1, float(honest), True, str(honest)):
+            forged = copy.deepcopy(doc)
+            forged["nodes"][0]["side_conditions"]["actual_affine_dim"] = bad
+            with pytest.raises(VerificationError,
+                               match="closed form gives") as info:
+                verify(forged)
+            assert info.value.path == 0
+        for conds in ({}, {"actual_affine_dim": honest, "extra": 1}):
+            forged = copy.deepcopy(doc)
+            forged["nodes"][0]["side_conditions"] = conds
+            with pytest.raises(VerificationError,
+                               match="closed form gives") as info:
+                verify(forged)
+            assert info.value.path == 0
+        # the verdict is the closed form's, not the certificate's claim
+        forged = copy.deepcopy(doc)
+        forged["verdict"] = not verdict
+        with pytest.raises(VerificationError, match="root concludes"):
+            verify(forged)
+
+    def test_three_factor_statement(self):
+        st = parse_statement("T(3,3,3;6)")
+        node = CertNode(cert_mod.TWO_FACTOR, st,
+                        side_conditions={"actual_affine_dim": 42})
+        for verdict in (True, False):
+            with pytest.raises(VerificationError,
+                               match="more than two positive factors") as info:
+                verify(Certificate(st, verdict, node))
+            assert info.value.path == 0
+
+    def test_witness_against_the_closed_form(self):
+        # a structural-only check still catches an oracle leaf on a
+        # two-factor statement that the closed form says is false
+        st = parse_statement("T(3,3;0;2,2)")
+        w = terracini_oracle(st).witness
+        forged = dataclasses.replace(w, rank=w.target)
+        node = CertNode(cert_mod.ORACLE, st, witness=forged)
+        with pytest.raises(VerificationError,
+                           match="contradicts the two-factor closed form"):
+            verify(Certificate(st, True, node), recheck_oracle=False)
 
 
 class TestIntegerFields:

@@ -79,6 +79,33 @@ class TestProve:
         assert "--prime" in err
         assert not out_file.exists()
 
+    def test_evidence_is_the_roots_own(self, capsys, tmp_path):
+        # at 20 nodes the search sees its child T(4,2,1;2;0,4,1) fall short
+        # (rank 28 of target 30) before the root's own oracle runs; that
+        # child's evidence was once printed as the root's
+        out_file = str(tmp_path / "c.json")
+        code, out, err = run(capsys, "prove", "T(4,4,1;4;2,0,1)",
+                             "--budget-nodes", "20", "--out", out_file)
+        assert code == 3
+        assert out.startswith("UNDETERMINED")
+        assert "best oracle evidence" not in err
+        code, out, err = run(capsys, "prove", "T(4,4,1;4;2,0,1)",
+                             "--budget-nodes", "50", "--out", out_file)
+        assert code == 3
+        assert err == "best oracle evidence: rank 48 of target 50 (not a proof)\n"
+
+    def test_false_two_factor_statement(self, capsys, tmp_path):
+        # T(3,3;0;2,2): the two_factor leaf gives 12 of target 16; before
+        # that leaf no rule could conclude False here and prove said
+        # UNDETERMINED
+        cert = tmp_path / "c.json"
+        code, out, _ = run(capsys, "prove", "T(3,3;0;2,2)", "--out", str(cert))
+        assert code == 1
+        assert out == "FALSE T(3,3;0;2,2) two_factor=1\n"
+        code, out, _ = run(capsys, "verify", str(cert))
+        assert code == 0
+        assert "certificate OK: FALSE" in out
+
     def test_summary_lists_leaf_kinds(self, capsys, tmp_path):
         code, out, _ = run(capsys, "prove", "T(3,3,3;6)",
                            "--out", str(tmp_path / "c.json"))
@@ -171,6 +198,21 @@ class TestVerify:
         run(capsys, "prove", "T(3,3,3;7)", "--out", str(cert))
         code, out, _ = run(capsys, "verify", str(cert), "--recheck")
         assert code == 0
+
+    def test_only_its_own_flags(self, capsys, tmp_path):
+        # verify reads a certificate and nothing else: the search and
+        # cache flags it once accepted and ignored are usage errors now
+        cert = tmp_path / "c.json"
+        run(capsys, "prove", "T(3,3,3;7)", "--out", str(cert))
+        for extra in (["--prime", "1000033"], ["--cache", str(tmp_path / "x")],
+                      ["--budget-nodes", "1"], ["--force"]):
+            code, out, err = run(capsys, "verify", str(cert), *extra)
+            assert code == 2, extra
+            assert out == "" and extra[0] in err
+        assert not (tmp_path / "x").exists()
+        code, out, _ = run(capsys, "verify", str(cert), "--recheck", "--json")
+        assert code == 0
+        assert json.loads(out)["verified"] is True
 
 
 class TestClassify:

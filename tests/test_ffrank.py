@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from segredim.ffrank import (
     DEFAULT_PRIME,
+    DEFAULT_RETRIES,
     FALLBACK_PRIME,
     MAX_CELLS,
     MAX_PRIME,
     _LEAF_COLS,
     _PANEL,
+    INCONCLUSIVE_NOTE,
     FieldConfig,
     OracleBudgetError,
     RankWitness,
@@ -212,13 +214,29 @@ class TestOracle:
         assert res.witness.rank == 26 and res.witness.target == 27
 
     def test_deficit_retries_both_primes(self):
-        res = terracini_oracle(Statement.of((1, 1, 1, 1), 3))
+        res = terracini_oracle(Statement.of((1, 1, 1, 1), 3),
+                               FieldConfig(retries=3))
         assert not res.certified
         assert res.witness.rank == 14  # ambient 16, expected 15
         primes = {w.prime for w in res.attempts}
         assert primes == {DEFAULT_PRIME, FALLBACK_PRIME}
         assert len(res.attempts) == 4  # retries on the main prime + fallback
         assert all(w.rank < w.target for w in res.attempts)
+
+    def test_default_plan_is_one_attempt_per_prime(self):
+        assert DEFAULT_RETRIES == FieldConfig().retries == 1
+        res = terracini_oracle(Statement.of((1, 1, 1, 1), 3))
+        assert [w.prime for w in res.attempts] == [DEFAULT_PRIME, FALLBACK_PRIME]
+        assert all(w.rank == 14 for w in res.attempts)
+
+    def test_inconclusive_note_states_the_bound(self):
+        # T(1,1,1,1;3): target 15, k = 4, so r(k-1)/p = 45/1000003
+        res = terracini_oracle(Statement.of((1, 1, 1, 1), 3))
+        assert res.note.startswith(INCONCLUSIVE_NOTE)
+        assert res.note.endswith(
+            "probability <= r(k-1)/p = 45/1000003 (0.0045%)")
+        certified = terracini_oracle(Statement.of((2, 2, 2), 3))
+        assert certified.certified and certified.note is None
 
     def test_fiber_statement_true_where_plain_intuition_fails(self):
         # the three-fiber configuration on the cube format spans everything

@@ -1,9 +1,12 @@
 """Reduction rule bookkeeping: splits, drops, monotone moves, trivial
 truths, and the falsity catalog."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from segredim.ffrank import FieldConfig, terracini_oracle
 from segredim.formats import (
     Statement,
     ambient_dim,
@@ -11,6 +14,7 @@ from segredim.formats import (
     is_superabundant,
     parameter_count,
     parse_statement,
+    target_dim,
 )
 from segredim.induction import rules
 from segredim.induction.rules import (
@@ -23,6 +27,8 @@ from segredim.induction.rules import (
     monotone_sa,
     split_children,
     trivial_truth,
+    two_factor_dim,
+    two_factor_leaf,
 )
 
 
@@ -153,13 +159,61 @@ class TestMonotone:
 
 class TestTrivial:
     def test_reasons(self):
-        assert trivial_truth(T("T(2,3;0;0,0)")) == "empty"
-        assert trivial_truth(T("T(5;2;1)")) == "one_factor"
+        assert trivial_truth(T("T(2,3,4;0;0,0,0)")) == "empty"
         assert trivial_truth(T("T(2,3,4;1;0,0,0)")) == "one_tangent"
         assert trivial_truth(T("T(2,3,4;0;0,5,0)")) == "one_fiber_factor"
         assert trivial_truth(T("T(2,3,4;2;0,0,0)")) is None
         assert trivial_truth(T("T(2,3,4;0;1,5,0)")) is None
         assert trivial_truth(T("T(2,3,4;1;0,1,0)")) is None
+        # below three positive factors the two_factor leaf decides instead
+        for text in ("T(2,3;0;0,0)", "T(5;2;1)", "T(2,3,0;1;0,0,0)",
+                     "T(2,3,0;0;0,5,0)"):
+            assert trivial_truth(T(text)) is None
+            assert two_factor_leaf(T(text)) == (
+                True, {"actual_affine_dim": target_dim(T(text))})
+
+
+class TestTwoFactor:
+    def test_closed_form_matches_the_oracle(self):
+        # at most two positive factors, up to two P^0 slots, fibers anywhere;
+        # every oracle outcome must equal the closed form, certified or not
+        rng = random.Random(2006)
+        cfg = FieldConfig(retries=3)
+        seen = {"false": 0, "one_positive": 0, "point_fibers": 0}
+        mismatches = []
+        for _ in range(600):
+            positive = [rng.randint(1, 6) for _ in range(rng.choice((1, 2, 2)))]
+            dims = positive + [0] * rng.randint(0, 2)
+            a = [rng.randint(0, 4) for _ in dims]
+            st_ = Statement.of(dims, rng.randint(0, 5), a)
+            dim = two_factor_dim(st_)
+            rank = max(w.rank for w in terracini_oracle(st_, cfg).attempts)
+            if rank != dim:
+                mismatches.append((str(st_), dim, rank))
+            seen["false"] += dim != target_dim(st_)
+            seen["one_positive"] += len(positive) == 1
+            seen["point_fibers"] += any(a[len(positive):])
+        assert mismatches == []
+        assert min(seen.values()) >= 50, seen
+
+    def test_leaf_verdict_and_domain(self):
+        assert two_factor_leaf(T("T(3,3;0;2,2)")) == (
+            False, {"actual_affine_dim": 12})
+        assert two_factor_leaf(T("T(0,3,3;4;2,0,0)")) == (
+            True, {"actual_affine_dim": 16})
+        # the matrix case: rank-s matrices of a 3x3 space span 9 - 1 at s=2
+        assert two_factor_dim(T("T(2,2;2)")) == 8
+        assert two_factor_dim(T("T(0,0;1;0,0)")) == 1
+        for text in ("T(1,1,1;1)", "T(2,3,1,0;2;0,0,0,1)"):
+            assert two_factor_dim(T(text)) is None
+            assert two_factor_leaf(T(text)) is None
+
+    def test_catalog_leaves_two_factors_to_the_leaf(self):
+        # once unbalanced_false (k = 2) and fibration_false (a P^0 slot)
+        for text in ("T(2,2;2)", "T(2,2,0;2;0,0,0)", "T(2,1,0;0;1,1,0)",
+                     "T(3,2,0;1;1,0,0)"):
+            assert known_false(T(text)) is None, text
+            assert two_factor_leaf(T(text))[0] is False, text
 
 
 class TestFalsityCatalog:

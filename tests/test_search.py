@@ -32,13 +32,20 @@ class TestTrueProofs:
         assert v.certificate.max_oracle_cols() <= 64
 
     def test_trivial_statements(self):
-        for text in ["T(3,3,3;0)", "T(7;40)", "T(2,5;1)", "T(1,4;0;0,2)"]:
+        for text, why in [("T(3,3,3;0)", "empty"), ("T(2,3,4;1)", "one_tangent"),
+                          ("T(1,4,2;0;0,2,0)", "one_fiber_factor")]:
             v = prove(text)
             assert v.status is True, text
             assert v.certificate.root.kind == "trivial"
+            assert v.certificate.root.reason == why
+        # below three positive factors the exact two_factor leaf decides
+        for text in ["T(7;40)", "T(2,5;1)", "T(1,4;0;0,2)"]:
+            v = prove(text)
+            assert v.status is True, text
+            assert v.certificate.root.kind == "two_factor"
 
     def test_drop_zero_factor_route(self):
-        v = prove("T(0,3,3;4)")
+        v = prove("T(0,3,3,3;7)")
         assert v.status is True
         assert "drop_zero_factor" in v.certificate.leaf_counts() or any(
             n.kind == "drop_zero_factor" for n in v.certificate.nodes
@@ -184,7 +191,9 @@ class TestOracleDoor:
         calls = count_oracle_calls(monkeypatch)
         v = prove("T(1,1,2;0;0,2,3)")
         assert v.status is None and not v.evidence.certified
-        assert sum(calls.values()) == len(calls) == 4
+        # the root is the only oracle call: its splits' children have two
+        # positive factors, which the two_factor leaf settles
+        assert calls == Counter({parse_statement("T(1,1,2;0;0,2,3)").key(): 1})
 
     def test_settle_reuses_the_search_outcome(self, monkeypatch):
         calls = count_oracle_calls(monkeypatch)
