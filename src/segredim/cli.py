@@ -29,8 +29,8 @@ from .induction import (
     Certificate,
     ProofEngine,
     VerificationError,
-    verify,
 )
+from .induction.verify import verify
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -102,7 +102,10 @@ def cmd_dim(args: argparse.Namespace) -> int:
     row = cls.resolve_secant(fmt, args.s, cfg, cache=_cache(args))
     positive = sum(1 for n in fmt.dims if n > 0)
     if args.json:
-        print(json.dumps(row.record(fmt), sort_keys=True))
+        rec = row.record(fmt)
+        if row.note:
+            rec["note"] = row.note
+        print(json.dumps(rec, sort_keys=True))
     else:
         exp_aff, exp_proj = expected_secant_dim(fmt, args.s)
         print(f"format ({fmt})  s={args.s}  ambient affine {ambient_dim(fmt)}")
@@ -148,11 +151,15 @@ def cmd_prove(args: argparse.Namespace) -> int:
         word = "UNDETERMINED"
         summary = f"{word} {st.canonical()} -"
         if args.json:
-            print(json.dumps({
+            rec = {
                 "verdict": None,
                 "statement": str(st.canonical()),
                 "stats": v.stats,
-            }, sort_keys=True))
+            }
+            if v.evidence is not None:
+                w = v.evidence.witness
+                rec["evidence"] = {"rank": w.rank, "target": w.target}
+            print(json.dumps(rec, sort_keys=True))
         else:
             print(summary)
             if v.evidence is not None:

@@ -9,7 +9,7 @@ from .certificate import (
 )
 from .rules import FalsityReason, RuleError, SplitChoice, known_false, trivial_truth
 from .search import ProofEngine, Verdict, prove
-from .verify import VerificationError, is_valid, verify
+from .verify import VerificationError, is_valid
 
 __all__ = [
     "CERT_VERSION",
@@ -27,5 +27,4 @@ __all__ = [
     "prove",
     "rules",
     "trivial_truth",
-    "verify",
 ]

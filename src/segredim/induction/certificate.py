@@ -28,8 +28,6 @@ SUPER_SPLIT = "super_split"
 EQUI_SPLIT = "equi_split"
 DROP_CONDITIONS = "drop_conditions"
 DROP_ZERO_FACTOR = "drop_zero_factor"
-MONOTONE_FORMAT = "monotone_format"
-MONOTONE_SA = "monotone_sa"
 ORACLE = "oracle"
 TABLE_FALSE = "table_false"
 UNBALANCED_FALSE = "unbalanced_false"
@@ -39,8 +37,8 @@ TWO_FACTOR = "two_factor"
 
 SPLIT_KINDS = frozenset({SUB_SPLIT, SUPER_SPLIT, EQUI_SPLIT})
 ALL_KINDS = SPLIT_KINDS | frozenset({
-    DROP_CONDITIONS, DROP_ZERO_FACTOR, MONOTONE_FORMAT, MONOTONE_SA, ORACLE,
-    TABLE_FALSE, UNBALANCED_FALSE, FIBRATION_FALSE, TRIVIAL, TWO_FACTOR,
+    DROP_CONDITIONS, DROP_ZERO_FACTOR, ORACLE, TABLE_FALSE, UNBALANCED_FALSE,
+    FIBRATION_FALSE, TRIVIAL, TWO_FACTOR,
 })
 
 # kinds that always conclude False; the drop rules pass their child's

@@ -8,14 +8,12 @@ falsity catalog (the known-defective configurations) also lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..formats import (
-    Format,
     Statement,
     ambient_dim,
     is_subabundant,
-    is_superabundant,
     parameter_count,
     target_dim,
     unbalanced_defective_range,
@@ -175,119 +173,6 @@ def drop_zero_factor(st: Statement, slot: Optional[int] = None) -> Statement:
     dims = st.format.dims[:slot] + st.format.dims[slot + 1:]
     a = st.a[:slot] + st.a[slot + 1:]
     return Statement.of(dims, st.s, a)
-
-
-# ---------------------------------------------------------------------------
-# monotone rules
-
-def monotone_format(st: Statement, target) -> Statement:
-    """Transport a true statement to another format, slotwise.
-
-    Subabundant truth lifts to componentwise-larger formats; superabundant
-    truth descends to componentwise-smaller ones (same s and a).  Growing
-    a slot of a subabundant statement keeps it subabundant, and shrinking
-    a superabundant one keeps it superabundant, so no extra abundance
-    checks are needed on the result.
-    """
-    target = Format.of(target)
-    if target.k != st.format.k:
-        raise RuleError("format change must preserve the number of factors "
-                        "(pad with zero factors first)")
-    diffs = [t - n for t, n in zip(target.dims, st.format.dims)]
-    if all(d >= 0 for d in diffs) and is_subabundant(st):
-        pass
-    elif all(d <= 0 for d in diffs) and is_superabundant(st):
-        pass
-    else:
-        raise RuleError(f"format move {st.format} -> {target} disagrees "
-                        f"with the abundance of {st}")
-    return Statement.of(target, st.s, st.a)
-
-
-def monotone_sa(st: Statement, s_new: int, a_new) -> Statement:
-    """Transport a true statement to new point counts on the same format.
-
-    Subabundant truth propagates downward in (s, a), superabundant truth
-    upward; equiabundant statements may move either way (one direction at
-    a time).
-    """
-    a_new = tuple(int(x) for x in a_new)
-    if len(a_new) != st.format.k:
-        raise RuleError("condition vector length mismatch")
-    if s_new < 0 or any(x < 0 for x in a_new):
-        raise RuleError("point counts must be non-negative")
-    down = s_new <= st.s and all(x <= y for x, y in zip(a_new, st.a))
-    up = s_new >= st.s and all(x >= y for x, y in zip(a_new, st.a))
-    if down and is_subabundant(st):
-        pass
-    elif up and is_superabundant(st):
-        pass
-    else:
-        raise RuleError(f"point-count move of {st} disagrees with abundance")
-    return Statement.of(st.format, s_new, a_new)
-
-
-def monotone_source(kind: str, st: Statement, side_conditions: dict) -> Statement:
-    """Rebuild the source of a monotone move onto st from its side
-    conditions, and check the move through monotone_format/monotone_sa.
-
-    MONOTONE_FORMAT reads `from_format`, MONOTONE_SA reads `from_s` and
-    `from_a`; the source keeps st's slot order.  Raises RuleError when the
-    move disagrees with the source's abundance, and KeyError, TypeError or
-    ValueError when the side conditions are malformed.
-    """
-    sc = side_conditions
-    if kind == cert.MONOTONE_FORMAT:
-        source = Statement.of(tuple(json_int(n) for n in sc["from_format"]),
-                              st.s, st.a)
-        monotone_format(source, st.format)
-    elif kind == cert.MONOTONE_SA:
-        source = Statement.of(st.format, json_int(sc["from_s"]),
-                              tuple(json_int(x) for x in sc["from_a"]))
-        monotone_sa(source, st.s, st.a)
-    else:
-        raise RuleError(f"{kind} is not a monotone move")
-    return source
-
-
-def monotone_moves(st: Statement) -> Iterator[tuple[str, dict, Statement]]:
-    """Admissible monotone moves onto st, as (kind, side conditions, source).
-
-    A superabundant st may come from one tangent or fiber point fewer, a
-    subabundant one from a format with one factor a dimension smaller.
-    Every source is built and checked by monotone_source, as in the
-    verifier.
-    """
-    dims, a, s = st.format.dims, st.a, st.s
-    moves = []
-    if is_superabundant(st):
-        if s >= 1:
-            moves.append((cert.MONOTONE_SA, {"from_s": s - 1, "from_a": list(a)}))
-        moves += [(cert.MONOTONE_SA,
-                   {"from_s": s, "from_a": list(_decrement(a, j))})
-                  for j in _distinct_slots(st) if a[j] > 0]
-    if is_subabundant(st):
-        moves += [(cert.MONOTONE_FORMAT,
-                   {"from_format": list(_decrement(dims, j))})
-                  for j in _distinct_slots(st) if dims[j] > 0]
-    for kind, sc in moves:
-        try:
-            source = monotone_source(kind, st, sc)
-        except RuleError:
-            continue
-        yield kind, sc, source
-
-
-def _distinct_slots(st: Statement) -> list:
-    # slots with equal (n, a) give equal moves: keep the first of each
-    first: dict = {}
-    for j, sig in enumerate(zip(st.format.dims, st.a)):
-        first.setdefault(sig, j)
-    return list(first.values())
-
-
-def _decrement(values: tuple, j: int) -> tuple:
-    return values[:j] + (values[j] - 1,) + values[j + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Priority order per statement: the exact two_factor leaf for statements
 with at most two positive factors, falsity catalog, trivial truths, an
 oracle leaf for the small three-factor base formats, drop rules, splits,
-monotone moves, and finally a direct oracle leaf; both oracle leaves go
-through ProofEngine.oracle.  False only ever comes from the two_factor
+and finally a direct oracle leaf; both oracle leaves go through
+ProofEngine.oracle.  False only ever comes from the two_factor
 leaf's closed form or the falsity catalog (directly, or passed through an
 equivalence); an inconclusive oracle is never treated as False.
 """
@@ -210,10 +210,6 @@ class ProofEngine:
         if node is not None:
             return True, node
 
-        node = self._try_monotone(st)
-        if node is not None:
-            return True, node
-
         return self._try_oracle(st)
 
     # -- leaves ------------------------------------------------------------
@@ -318,16 +314,6 @@ class ProofEngine:
                     yield (x,) + rest
 
         yield from rec(0, 0)
-
-    # -- monotone moves ----------------------------------------------------
-
-    def _try_monotone(self, st: Statement) -> Optional[CertNode]:
-        for kind, conds, source in rules.monotone_moves(st):
-            res = self._search(source.canonical())
-            if res is not None and res[0]:
-                return CertNode(kind, st, side_conditions=conds,
-                                children=(res[1],))
-        return None
 
 
 def prove(statement, run_config: Optional[RunConfig] = None,

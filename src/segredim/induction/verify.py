@@ -95,27 +95,21 @@ def _check_split(node: CertNode, path: int) -> None:
         _fail(path, f"split arithmetic gives {mode}, node claims {node.kind}")
 
 
-def _rebuilt_child(node: CertNode, verdict: bool) -> Statement:
+def _check_drop(node: CertNode, path: int, verdict: bool) -> None:
+    """A drop node: rebuild its child from the side conditions through the
+    rule and compare it with the stored child."""
     st, sc = node.statement, node.side_conditions
-    if node.kind == cert.DROP_ZERO_FACTOR:
-        return rules.drop_zero_factor(st, json_int(sc["slot"]))
-    if node.kind == cert.DROP_CONDITIONS:
-        slot = json_int(sc["slot"])
-        # False passes through only where the drop is an equivalence
-        child = rules.drop_conditions(st, slot,
-                                      require_subabundant=verdict is False)
-        if json_int(sc["dropped"]) != st.a[slot]:
-            raise rules.RuleError(f"dropped {sc['dropped']} conditions, "
-                                  f"slot {slot} carries {st.a[slot]}")
-        return child
-    return rules.monotone_source(node.kind, st, sc)
-
-
-def _check_one_child(node: CertNode, path: int, verdict: bool) -> None:
-    """A drop or monotone node: rebuild its child from the side conditions
-    through the rule and compare it with the stored child."""
     try:
-        want = _rebuilt_child(node, verdict)
+        slot = json_int(sc["slot"])
+        if node.kind == cert.DROP_ZERO_FACTOR:
+            want = rules.drop_zero_factor(st, slot)
+        else:
+            # False passes through only where the drop is an equivalence
+            want = rules.drop_conditions(st, slot,
+                                         require_subabundant=verdict is False)
+            if json_int(sc["dropped"]) != st.a[slot]:
+                raise rules.RuleError(f"dropped {sc['dropped']} conditions, "
+                                      f"slot {slot} carries {st.a[slot]}")
     except rules.RuleError as exc:
         _fail(path, str(exc))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -164,14 +158,10 @@ def _check_node(node: CertNode, path: int, below: list, recheck: bool) -> bool:
         _check_split(node, path)
         _need(all(below), path, f"{kind} needs both children True")
         return True
-    if kind in (cert.DROP_CONDITIONS, cert.DROP_ZERO_FACTOR,
-                cert.MONOTONE_FORMAT, cert.MONOTONE_SA):
+    if kind in (cert.DROP_CONDITIONS, cert.DROP_ZERO_FACTOR):
         _child_count(node, path, 1)
-        verdict = below[0]
-        if kind in (cert.MONOTONE_FORMAT, cert.MONOTONE_SA):
-            _need(verdict, path, f"{kind} needs a True child")
-        _check_one_child(node, path, verdict)
-        return verdict
+        _check_drop(node, path, below[0])
+        return below[0]
     _child_count(node, path, 0)
     if kind == cert.ORACLE:
         _witness_checks(node, path, recheck)

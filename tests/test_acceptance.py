@@ -24,7 +24,8 @@ from segredim.ffrank import DEFAULT_PRIME, FALLBACK_PRIME, FieldConfig, \
 from segredim.formats import Statement, abundance, ambient_dim, is_balanced, \
     is_unbalanced, parameter_count, target_dim, unbalanced_defective_range, \
     unbalanced_span_dim
-from segredim.induction import ProofEngine, VerificationError, prove, verify
+from segredim.induction import ProofEngine, VerificationError, prove
+from segredim.induction.verify import verify
 from segredim.induction.rules import SMALL_FORMAT_FALSE
 
 

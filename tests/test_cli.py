@@ -39,6 +39,14 @@ class TestDim:
         rec = json.loads(out)
         assert rec["status"] == "Defective"
         assert rec["lower"] == 44
+        assert "note" not in rec
+
+    def test_json_mode_keeps_the_note(self, capsys):
+        code, out, _ = run(capsys, "dim", "2,4,4", "7", "--json")
+        assert code == 0
+        rec = json.loads(out)
+        assert rec["status"] == "Evidence-Defective"
+        assert "r(k-1)/p = 150/1000003" in rec["note"]
 
     def test_bad_format_usage_error(self, capsys):
         code, _, err = run(capsys, "dim", "2;3", "4")
@@ -66,6 +74,20 @@ class TestProve:
                              "--out", str(tmp_path / "c.json"))
         assert code == 3
         assert "UNDETERMINED" in out
+        assert "rank 22 of target 24" in err
+
+    def test_undetermined_json_keeps_the_evidence(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "prove", "T(1,2,3;3;0,0,1)", "--json",
+                           "--out", str(tmp_path / "c.json"))
+        assert code == 3
+        rec = json.loads(out)
+        assert rec["verdict"] is None
+        assert rec["evidence"] == {"rank": 22, "target": 24}
+        # a statement the oracle refuses has no evidence to report
+        code, out, _ = run(capsys, "prove", "T(10,10,10;43)", "--json",
+                           "--out", str(tmp_path / "c.json"))
+        assert code == 3
+        assert "evidence" not in json.loads(out)
 
     @pytest.mark.parametrize("prime", ["4294967311", "65521", "1000004", "x"])
     def test_inadmissible_prime_is_a_usage_error(self, capsys, tmp_path, prime):

@@ -1,5 +1,5 @@
-"""Reduction rule bookkeeping: splits, drops, monotone moves, trivial
-truths, and the falsity catalog."""
+"""Reduction rule bookkeeping: splits, drops, trivial truths, the
+two-factor closed form and the falsity catalog."""
 
 import random
 
@@ -23,8 +23,6 @@ from segredim.induction.rules import (
     drop_conditions,
     drop_zero_factor,
     known_false,
-    monotone_format,
-    monotone_sa,
     split_children,
     trivial_truth,
     two_factor_dim,
@@ -119,42 +117,6 @@ class TestDrops:
         assert drop_conditions(st_, 0) == st_
         st_ = T("T(2,3;1;0,0)")
         assert drop_conditions(st_) == st_
-
-
-class TestMonotone:
-    def test_format_lift_from_subabundant(self):
-        small = T("T(2,3,3;6)")  # 54 <= 48? no: 6*9=54 > 48 -> super
-        assert is_superabundant(small)
-        small = T("T(2,3,3;4)")  # 36 <= 48 sub
-        grown = monotone_format(small, (3, 3, 3))
-        assert grown.format.dims == (3, 3, 3) and grown.s == 4
-
-    def test_format_descend_from_superabundant(self):
-        big = T("T(3,3,3;7)")  # 70 >= 64 super
-        shrunk = monotone_format(big, (3, 3, 2))
-        assert shrunk.format.dims == (3, 3, 2)
-
-    def test_format_move_direction_checked(self):
-        with pytest.raises(RuleError):
-            monotone_format(T("T(2,3,3;4)"), (1, 3, 3))  # sub must not shrink
-        with pytest.raises(RuleError):
-            monotone_format(T("T(3,3,3;7)"), (4, 3, 3))  # super must not grow
-        with pytest.raises(RuleError):
-            monotone_format(T("T(2,3,3;4)"), (3, 3))  # factor count change
-
-    def test_sa_moves(self):
-        # a subabundant truth implies every componentwise-smaller statement
-        sub = T("T(3,3,3;5)")
-        down = monotone_sa(sub, 4, (0, 0, 0))
-        assert down.s == 4 and is_subabundant(down)
-        with pytest.raises(RuleError):
-            monotone_sa(sub, 6, (0, 0, 0))  # growing needs a super source
-        # a superabundant truth implies every componentwise-larger statement
-        sup = T("T(3,3,3;8)")
-        up = monotone_sa(sup, 9, (0, 1, 0))
-        assert up.s == 9 and is_superabundant(up)
-        with pytest.raises(RuleError):
-            monotone_sa(sup, 7, (0, 0, 0))  # shrinking needs a sub source
 
 
 class TestTrivial:

@@ -9,7 +9,9 @@ from segredim import RunConfig
 from segredim.classify import ScanReport, defective_scan, resolve_secant
 from segredim.ffrank import OracleBudgetError
 from segredim.formats import Statement, parse_statement
-from segredim.induction import ProofEngine, prove, verify
+from segredim.induction import ProofEngine, prove
+from segredim.induction import certificate as cert
+from segredim.induction.verify import verify
 
 # Statements that must come back True with small certificates: no oracle
 # or base-table leaf wider than 64 columns.
@@ -208,3 +210,37 @@ class TestOracleDoor:
         report = defective_scan(3, 5, 30)
         assert isinstance(report, ScanReport) and report.hits
         assert sum(calls.values()) == len(calls) > 0
+
+
+# one statement per node kind; together their certificates use them all
+EVERY_KIND = {
+    "T(1,1,4;3)": {"unbalanced_false"},
+    "T(2,2,1;1;3,0,1)": {"table_false"},
+    "T(4,2,1,0;1;3,0,0,3)": {"fibration_false", "drop_conditions",
+                             "drop_zero_factor"},
+    "T(4,3,3,0;1;0,3,2,2)": {"drop_conditions", "drop_zero_factor",
+                             "oracle", "sub_split", "trivial"},
+    "T(3,3,3;7)": {"equi_split", "oracle", "super_split"},
+    "T(0,3,3;4;2,0,0)": {"two_factor"},
+}
+
+
+def test_search_emits_every_kind():
+    # a kind the search can no longer reach is dead weight in the format
+    # and the verifier; this fails until it is deleted
+    emitted = set()
+    for text, kinds in EVERY_KIND.items():
+        v = prove(text)
+        assert verify(v.certificate)
+        found = {n.kind for n in v.certificate.nodes}
+        assert kinds <= found, text
+        emitted |= found
+    assert emitted == cert.ALL_KINDS
+
+
+def test_verify_submodule_is_the_module():
+    import segredim
+    import segredim.induction.verify as V
+    assert callable(V.recompute_rank)
+    assert V.verify is segredim.verify
+
