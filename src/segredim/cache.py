@@ -51,7 +51,7 @@ class CacheRecord:
 
 def _key_text(statement: Union[Statement, str]) -> str:
     if isinstance(statement, Statement):
-        return str(statement.canonical())
+        return statement.key()
     return statement
 
 

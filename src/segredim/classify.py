@@ -9,9 +9,9 @@ dimensions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement
-from typing import Optional
+from typing import Optional, Union
 
 from .config import RunConfig
 from .ffrank import OracleBudgetError, terracini_oracle
@@ -28,7 +28,7 @@ from .formats import (
     unbalanced_span_dim,
     unbalanced_typical_rank,
 )
-from .induction import ProofEngine
+from .induction import CertNode, ProofEngine
 from .induction.rules import SMALL_FORMAT_DIMS, known_false
 
 NONDEFECTIVE = "NonDefective"
@@ -55,7 +55,9 @@ class ProfileRow:
     expected/lower/upper are affine cone dimensions.  lower is certified
     (catalog rule, proof certificate, or modular rank, which only ever
     underestimates); upper is a proven upper bound.  defect is set when the
-    dimension is known exactly.
+    dimension is known exactly.  proof is the root node of the row's
+    certificate, or the root digest a cache record holds; cert_ref hashes
+    it only when read.
     """
 
     s: int
@@ -65,11 +67,16 @@ class ProfileRow:
     status: str
     defect: Optional[int] = None
     source: str = ""
-    cert_ref: Optional[str] = None
+    proof: Union[CertNode, str, None] = field(default=None, repr=False,
+                                               compare=False)
     note: Optional[str] = None
 
+    @property
+    def cert_ref(self) -> Optional[str]:
+        return _cert_ref(self.proof)
+
     def record(self, fmt: Format) -> dict:
-        return {
+        out = {
             "format": str(fmt),
             "s": self.s,
             "expected": self.expected,
@@ -78,6 +85,17 @@ class ProfileRow:
             "status": self.status,
             "cert_ref": self.cert_ref,
         }
+        if self.note:
+            out["note"] = self.note
+        return out
+
+
+def _cert_ref(proof: Union[CertNode, str, None]) -> Optional[str]:
+    """First 12 hex digits of a proof's root digest (a Merkle hash of the
+    whole certificate); `proof` is the root node or that digest."""
+    if proof is None:
+        return None
+    return (proof if isinstance(proof, str) else proof.digest)[:12]
 
 
 @dataclass(frozen=True)
@@ -227,23 +245,23 @@ def _settle(st: Statement, cfg: RunConfig, engine: Optional[ProofEngine],
     """Settle a canonical statement the catalog leaves open: the cache,
     then a proof search of at most `nodes` nodes, then the oracle.
 
-    Returns (verdict, cert_ref, oracle).  A cache hit or a certificate
-    gives verdict and cert_ref; otherwise verdict is None and oracle is
-    the engine's oracle outcome (an OracleResult or OracleBudgetError),
-    which the search's last leaf usually asked for already.
-    cert_ref is the first 12 digits of the root's Merkle digest.  The
-    cache digest covers the node budget the search runs with.
+    Returns (verdict, proof, oracle).  A cache hit gives verdict and the
+    record's root digest as proof, a certificate gives verdict and its
+    root node, unhashed; otherwise verdict is None and oracle is the
+    engine's oracle outcome (an OracleResult or OracleBudgetError), which
+    the search's last leaf usually asked for already.  The cache digest
+    covers the node budget the search runs with.
     """
     digest = replace(cfg, budget_nodes=nodes).digest()
     hit = cache.get(st, digest) if cache is not None else None
     if hit is not None:
-        return hit.verdict, hit.cert_sha256[:12], None
+        return hit.verdict, hit.cert_sha256, None
     engine = engine or ProofEngine(cfg)
     v = engine.prove(st, nodes=nodes)
     if v.status is not None:
         if cache is not None:
             cache.put(st, v.status, v.certificate, digest)
-        return v.status, v.certificate.root.digest[:12], None
+        return v.status, v.certificate.root, None
     return None, None, engine.oracle(st)
 
 
@@ -257,7 +275,7 @@ def _measure(fmt: Format, s: int, row: ProfileRow, cfg: RunConfig) -> ProfileRow
     best = max(w.rank for w in res.attempts)
     defect = row.expected - best if best == row.upper else None
     return ProfileRow(row.s, row.expected, best, row.upper, DEFECTIVE, defect,
-                      row.source, row.cert_ref, row.note)
+                      row.source, row.proof, row.note)
 
 
 def resolve_secant(fmt: FormatLike, s: int, cfg: Optional[RunConfig] = None,
@@ -275,14 +293,14 @@ def resolve_secant(fmt: FormatLike, s: int, cfg: Optional[RunConfig] = None,
         return row
 
     st = Statement.of(f, s, (0,) * f.k).canonical()
-    verdict, ref, oracle = _settle(st, cfg, engine, cache,
-                                   min(cfg.budget_nodes, INDUCTION_NODE_BUDGET))
+    verdict, proof, oracle = _settle(st, cfg, engine, cache,
+                                     min(cfg.budget_nodes, INDUCTION_NODE_BUDGET))
     if verdict is True:
         return ProfileRow(s, affine, affine, affine, NONDEFECTIVE, 0,
-                          "induction", ref)
+                          "induction", proof)
     if verdict is False:
         row = ProfileRow(s, affine, None, affine - 1, DEFECTIVE, None,
-                         "induction", ref)
+                         "induction", proof)
         return _measure(f, s, row, cfg)
     if isinstance(oracle, OracleBudgetError):
         return ProfileRow(s, affine, None, affine, UNKNOWN, None, "oracle",
@@ -474,10 +492,10 @@ def perfect_check(fmt: FormatLike, cfg: Optional[RunConfig] = None,
     if k >= 3 and _odd_power_family(pos):
         return PerfectCheck(PERFECT, s_star, st, "catalog:odd-power-family")
 
-    verdict, ref, oracle = _settle(st, cfg, engine, cache, cfg.budget_nodes)
+    verdict, proof, oracle = _settle(st, cfg, engine, cache, cfg.budget_nodes)
     if verdict is not None:
         return PerfectCheck(PERFECT if verdict else NOT_PERFECT, s_star, st,
-                            "induction", ref)
+                            "induction", _cert_ref(proof))
     if isinstance(oracle, OracleBudgetError):
         return PerfectCheck(UNKNOWN, s_star, st, "oracle", note=str(oracle))
     if oracle.certified:

@@ -102,10 +102,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
     row = cls.resolve_secant(fmt, args.s, cfg, cache=_cache(args))
     positive = sum(1 for n in fmt.dims if n > 0)
     if args.json:
-        rec = row.record(fmt)
-        if row.note:
-            rec["note"] = row.note
-        print(json.dumps(rec, sort_keys=True))
+        print(json.dumps(row.record(fmt), sort_keys=True))
     else:
         exp_aff, exp_proj = expected_secant_dim(fmt, args.s)
         print(f"format ({fmt})  s={args.s}  ambient affine {ambient_dim(fmt)}")

@@ -196,7 +196,7 @@ def sample_points(st: Statement, prime: int, seed: int) -> PointSet:
     agree up to factor permutation get the same points, permuted to match."""
     order = st.canonical_order()  # canonical slot j -> original factor order[j]
     canon = st.canonical()
-    rng = np.random.default_rng(np.random.PCG64(derive_seed(str(canon), prime, seed, 0)))
+    rng = np.random.default_rng(np.random.PCG64(derive_seed(st.key(), prime, seed, 0)))
     k = st.format.k
 
     def draw_point() -> tuple[np.ndarray, ...]:
@@ -407,7 +407,7 @@ def terracini_oracle(st: Statement, cfg: FieldConfig | None = None) -> OracleRes
     plan.append((cfg.fallback_prime, 0))
     attempts: list[RankWitness] = []
     best: RankWitness | None = None
-    key = str(st.canonical())
+    key = st.key()
     for prime, attempt in plan:
         seed = derive_seed(key, prime, cfg.seed, attempt)
         pts = sample_points(st, prime, seed)

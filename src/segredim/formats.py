@@ -5,6 +5,7 @@ defective-range formulas, and the text grammar for both."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence, Union
@@ -38,7 +39,8 @@ class Format:
             return dims
         if isinstance(dims, str):
             return parse_format(dims)
-        return cls(tuple(int(n) for n in dims))
+        # operator.index raises TypeError on a float instead of truncating it
+        return cls(tuple(operator.index(n) for n in dims))
 
     @property
     def k(self) -> int:
@@ -60,11 +62,19 @@ FormatLike = Union[Format, Sequence[int], str]
 @dataclass(frozen=True)
 class Statement:
     """Claim that s generic tangent spaces plus a_i generic fiber spans per
-    factor together span a subspace of the expected dimension target_dim."""
+    factor together span a subspace of the expected dimension target_dim.
+
+    canonical() and key() are worked out once per instance and kept as
+    instance attributes that are not dataclass fields, so they take no
+    part in ==, hash, repr or dataclasses.replace."""
 
     format: Format
     s: int
     a: tuple[int, ...]
+
+    # not fields (no annotation): None until canonical() or key() sets them
+    _canonical = None
+    _key = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.s, int) or self.s < 0:
@@ -79,8 +89,8 @@ class Statement:
     @classmethod
     def of(cls, fmt: FormatLike, s: int, a: Iterable[int] | None = None) -> "Statement":
         f = Format.of(fmt)
-        av = tuple(int(x) for x in a) if a is not None else (0,) * f.k
-        return cls(f, int(s), av)
+        av = tuple(operator.index(x) for x in a) if a is not None else (0,) * f.k
+        return cls(f, operator.index(s), av)
 
     def canonical_order(self) -> tuple[int, ...]:
         # stable joint sort of (n_i, a_i) pairs, descending
@@ -88,18 +98,34 @@ class Statement:
         return tuple(sorted(range(len(d)), key=lambda i: (-d[i], -a[i], i)))
 
     def canonical(self) -> "Statement":
-        order = self.canonical_order()
-        return Statement(
-            Format(tuple(self.format.dims[i] for i in order)),
-            self.s,
-            tuple(self.a[i] for i in order),
-        )
+        """The statement with its slots in canonical order; `self` when
+        they already are."""
+        c = self._canonical
+        if c is None:
+            order = self.canonical_order()
+            if order == tuple(range(self.format.k)):
+                # True stands for self, so that no instance refers to itself
+                c = True
+            else:
+                c = Statement(
+                    Format(tuple(self.format.dims[i] for i in order)),
+                    self.s,
+                    tuple(self.a[i] for i in order),
+                )
+                object.__setattr__(c, "_canonical", True)
+            object.__setattr__(self, "_canonical", c)
+        return self if c is True else c
 
     def is_canonical(self) -> bool:
-        return self.canonical_order() == tuple(range(self.format.k))
+        return self.canonical() is self
 
     def key(self) -> str:
-        return str(self.canonical())
+        k = self._key
+        if k is None:
+            c = self.canonical()
+            k = str(c) if c is self else c.key()
+            object.__setattr__(self, "_key", k)
+        return k
 
     def __str__(self) -> str:
         return f"T({self.format};{self.s};{','.join(str(x) for x in self.a)})"
@@ -124,6 +150,7 @@ def target_dim(st: Statement) -> int:
 
 def expected_secant_dim(fmt: FormatLike, s: int) -> tuple[int, int]:
     """(affine, projective) expected dimension of the s-th secant variety."""
+    s = operator.index(s)
     if s < 1:
         raise ValueError(f"secant index must be >= 1: {s}")
     f = Format.of(fmt)

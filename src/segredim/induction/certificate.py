@@ -68,7 +68,7 @@ class CertNode:
         witness = self.witness and {key: value for key, value in
                                     self.witness.to_json().items()
                                     if key != "statement"}
-        out = {"kind": self.kind, "statement": str(self.statement.canonical()),
+        out = {"kind": self.kind, "statement": self.statement.key(),
                "side_conditions": dict(self.side_conditions),
                "children": children, "witness": witness,
                "table_id": self.table_id, "reason": self.reason}

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..formats import (
+    Format,
     Statement,
     ambient_dim,
     is_subabundant,
@@ -26,6 +27,11 @@ from . import certificate as cert
 
 class RuleError(ValueError):
     """A rule's side conditions are not satisfied."""
+
+
+def _check_slot(st: Statement, slot: int) -> None:
+    if not 0 <= slot < st.format.k:
+        raise RuleError(f"slot {slot} out of range for {st}")
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +79,7 @@ def split_children(st: Statement, choice: SplitChoice):
     """Construct the two children of a split; validates bookkeeping only."""
     k = st.format.k
     i = choice.slot
-    if not 0 <= i < k:
-        raise RuleError(f"slot {i} out of range for {st}")
+    _check_slot(st, i)
     n_i = st.format.dims[i]
     n1, n2 = choice.n_parts
     if n1 < 0 or n2 < 0 or n1 + n2 + 1 != n_i:
@@ -97,7 +102,7 @@ def split_children(st: Statement, choice: SplitChoice):
     dims2 = st.format.dims[:i] + (n2,) + st.format.dims[i + 1:]
     fa1 = a1[:i] + (st.a[i] + s2,) + a1[i + 1:]
     fa2 = a2[:i] + (st.a[i] + s1,) + a2[i + 1:]
-    return Statement.of(dims1, s1, fa1), Statement.of(dims2, s2, fa2)
+    return Statement(Format(dims1), s1, fa1), Statement(Format(dims2), s2, fa2)
 
 
 def split_mode(st: Statement, choice: SplitChoice):
@@ -150,13 +155,14 @@ def drop_conditions(st: Statement, slot: Optional[int] = None,
         slot = find_zero_factor_slot(st, with_conditions=True)
         if slot is None:
             return st
+    _check_slot(st, slot)
     if st.format.dims[slot] != 0:
         raise RuleError(f"slot {slot} of {st} is not a point factor")
     if st.a[slot] == 0:
         return st
     if require_subabundant and not is_subabundant(st):
         raise RuleError(f"{st} is superabundant; dropping conditions is one-way")
-    return Statement.of(st.format, st.s, st.a[:slot] + (0,) + st.a[slot + 1:])
+    return Statement(st.format, st.s, st.a[:slot] + (0,) + st.a[slot + 1:])
 
 
 def drop_zero_factor(st: Statement, slot: Optional[int] = None) -> Statement:
@@ -166,13 +172,14 @@ def drop_zero_factor(st: Statement, slot: Optional[int] = None) -> Statement:
         slot = find_zero_factor_slot(st, with_conditions=False)
         if slot is None:
             raise RuleError(f"{st} has no droppable zero factor")
+    _check_slot(st, slot)
     if st.format.dims[slot] != 0 or st.a[slot] != 0:
         raise RuleError(f"slot {slot} of {st} is not an empty zero factor")
     if st.format.k < 2:
         raise RuleError("cannot drop the only factor")
     dims = st.format.dims[:slot] + st.format.dims[slot + 1:]
     a = st.a[:slot] + st.a[slot + 1:]
-    return Statement.of(dims, st.s, a)
+    return Statement(Format(dims), st.s, a)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +365,10 @@ def _fibration_false(c: Statement) -> Optional[FalsityReason]:
 def known_false(st: Statement) -> Optional[FalsityReason]:
     """Match st against every falsity source; these are the only ways the
     engine ever concludes False."""
-    c = st.canonical()
-    table_id = _SMALL_FALSE_KEYS.get(c.key())
+    table_id = _SMALL_FALSE_KEYS.get(st.key())
     if table_id is not None:
         return FalsityReason(cert.TABLE_FALSE, table_id)
+    c = st.canonical()
     for check in (_family_false, _unbalanced_false, _fibration_false):
         reason = check(c)
         if reason is not None:

@@ -594,6 +594,25 @@ class TestIntegerFields:
                     verify(doc)
                 assert info.value.path == at
 
+    def test_drop_slot_out_of_range(self, drop_cert_doc):
+        # a negative slot indexes from the end, so -2 in a five-slot root
+        # names the same slot as 3; it must still be rejected
+        doc = json.loads(prove("T(3,3,3,0,0;4)").certificate.dumps())
+        at = root_index(doc)
+        assert doc["nodes"][at]["kind"] == "drop_zero_factor"
+        assert doc["nodes"][at]["side_conditions"] == {"slot": 3}
+        cases = [(doc, at, bad) for bad in (-2, -1, 5)]
+        at = [n["kind"] for n in drop_cert_doc["nodes"]].index("drop_conditions")
+        slot = drop_cert_doc["nodes"][at]["side_conditions"]["slot"]
+        cases += [(drop_cert_doc, at, bad) for bad in (slot - 4, 4)]
+        for honest, at, bad in cases:
+            edited = copy.deepcopy(honest)
+            edited["nodes"][at]["side_conditions"]["slot"] = bad
+            with pytest.raises(VerificationError,
+                               match=f"slot {bad} out of range") as info:
+                verify(edited)
+            assert info.value.path == at
+
     def test_witness_numbers(self, true_cert_doc):
         at = witness_index(true_cert_doc)
         w = true_cert_doc["nodes"][at]["witness"]

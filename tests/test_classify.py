@@ -7,6 +7,7 @@ import pytest
 
 from segredim.cache import VerdictCache
 from segredim.classify import (
+    INDUCTION_NODE_BUDGET,
     defective_scan,
     perfect_check,
     resolve_secant,
@@ -14,8 +15,9 @@ from segredim.classify import (
     tensor_power_bounds,
     typical_rank,
 )
+from segredim.config import RunConfig
 from segredim.formats import Format, expected_secant_dim
-from segredim.induction import ProofEngine
+from segredim.induction import CertNode, ProofEngine
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,60 @@ class TestPerfect:
         proof = ProofEngine().prove("T(4,4,7;12)").certificate
         assert row.cert_ref == proof.root.digest[:12]
         assert len(VerdictCache(path)) == 2
+
+
+class TestCertRef:
+    """A row's cert_ref is the first 12 hex digits of its certificate's
+    root digest, worked out only when something reads it."""
+
+    @staticmethod
+    def count_digests(monkeypatch) -> list:
+        hashed = []
+        real = CertNode.digest.func
+
+        def counted(node):
+            hashed.append(node)
+            return real(node)
+
+        monkeypatch.setattr(CertNode, "digest", property(counted))
+        return hashed
+
+    def test_cacheless_scan_hashes_no_node(self, monkeypatch):
+        hashed = self.count_digests(monkeypatch)
+        engine = ProofEngine()
+        report = defective_scan(3, 5, 30, engine=engine)
+        assert report.hits and engine._memo
+        assert hashed == []
+        # reading a settled row's cert_ref is what hashes its proof
+        row = resolve_secant((2, 4, 4), 5, engine=engine)
+        assert row.source == "induction" and hashed == []
+        assert row.cert_ref == "69bf1f58cd8b"
+        assert hashed
+
+    def test_refs_and_records_keep_their_strings(self, tmp_path):
+        cache = VerdictCache(tmp_path / "verdicts.ldjson")
+        refs = {s: resolve_secant((2, 4, 4), s, cache=cache).cert_ref
+                for s in (5, 6, 8)}
+        assert refs == {5: "69bf1f58cd8b", 6: "577bc91a342d",
+                        8: "433e28956267"}
+        record = cache.get("T(4,4,2;5;0,0,0)",
+                           RunConfig(budget_nodes=INDUCTION_NODE_BUDGET).digest())
+        assert record.cert_sha256 == (
+            "69bf1f58cd8b3e0d3495dd2975bda013347d306e76c3afc112d40a8238a14ca1")
+        # a warm cache serves the same refs without a search
+        again = VerdictCache(tmp_path / "verdicts.ldjson")
+        assert {s: resolve_secant((2, 4, 4), s, cache=again).cert_ref
+                for s in (5, 6, 8)} == refs
+        assert perfect_check((1, 2, 2)).cert_ref == "a6b5f02a0a79"
+        assert perfect_check((1, 1, 5)).cert_ref == "2fd0430b4da2"
+
+    def test_non_integer_arguments_rejected(self):
+        # int() used to read (2.9, 3, 3) as (2, 3, 3), a Defective row,
+        # and the catalog answered s = 5.5 as a NonDefective row
+        with pytest.raises(TypeError):
+            resolve_secant((2.9, 3, 3), 5)
+        with pytest.raises(TypeError):
+            resolve_secant((2, 3, 3), 5.5)
 
 
 class TestScan:

@@ -211,6 +211,19 @@ class TestVerify:
         assert code == 1
         assert "malformed certificate: node 0: bad witness" in err
 
+    def test_negative_drop_slot_fails(self, capsys, tmp_path):
+        cert = tmp_path / "c.json"
+        run(capsys, "prove", "T(3,3,3,0,0;4)", "--out", str(cert))
+        doc = json.loads(cert.read_text())
+        assert doc["nodes"][-1]["side_conditions"] == {"slot": 3}
+        doc["nodes"][-1]["side_conditions"]["slot"] = -2
+        cert.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert code == 1
+        assert "certificate OK" not in out
+        assert f"certificate node {len(doc['nodes']) - 1}: slot -2 out of " \
+            "range" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
@@ -252,6 +265,14 @@ class TestClassify:
         assert any(rec["s"] == 5 and rec["status"] == "Defective" for rec in rows)
         summary = lines[-1]
         assert summary.get("typical_rank") == 6
+
+    def test_json_rows_keep_their_notes(self, capsys):
+        code, out, _ = run(capsys, "classify", "2,4,4", "--json")
+        rows = [json.loads(line) for line in out.splitlines()][:-1]
+        noted = {rec["s"]: rec["note"] for rec in rows if "note" in rec}
+        assert list(noted) == [7]
+        assert "r(k-1)/p = 150/1000003" in noted[7]
+        assert rows[6]["status"] == "Evidence-Defective"
 
     def test_max_s_flag(self, capsys):
         code, out, _ = run(capsys, "classify", "2,2,2", "--max-s", "2", "--json")

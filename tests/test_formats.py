@@ -1,7 +1,10 @@
 """Format and statement arithmetic, canonical forms, and the text grammar."""
 
+import dataclasses
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -167,6 +170,60 @@ class TestCanonical:
         assert parameter_count(permuted) == parameter_count(s)
         assert target_dim(permuted) == target_dim(s)
         assert abundance(permuted) == abundance(s)
+
+
+class TestStoredForms:
+    """canonical() and key() are kept on the instance after the first call;
+    what is kept never shows in the statement's value."""
+
+    def test_canonical_statement_is_its_own_canonical_form(self):
+        c = Statement.of((3, 2, 1), 2, (0, 1, 5))
+        assert c.canonical() is c
+        assert c.is_canonical()
+        assert not Statement.of((1, 3, 2), 2, (5, 0, 1)).is_canonical()
+
+    def test_repeated_calls_return_the_same_object(self):
+        s = Statement.of((1, 3, 2), 2, (5, 0, 1))
+        c = s.canonical()
+        assert s.canonical() is c and c.canonical() is c
+        assert s.key() is s.key()
+        assert s.key() is c.key()
+        assert s.key() == str(c) == "T(3,2,1;2;0,1,5)"
+
+    @given(statement_strategy())
+    def test_filled_statement_behaves_like_a_fresh_one(self, s):
+        fresh = Statement(s.format, s.s, s.a)
+        filled = Statement(s.format, s.s, s.a)
+        filled.canonical()
+        filled.key()
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh) and str(filled) == str(fresh)
+        assert dataclasses.replace(filled) == fresh
+        bumped = dataclasses.replace(filled, s=filled.s + 1)
+        assert bumped == dataclasses.replace(fresh, s=fresh.s + 1)
+        assert bumped.key() == Statement(s.format, s.s + 1, s.a).key()
+        assert pickle.loads(pickle.dumps(filled)).key() == fresh.key()
+
+
+class TestIntegerArguments:
+    """Format.of and Statement.of take integers only: int() used to
+    truncate 2.9 to 2 and answer for a format nobody asked about."""
+
+    def test_floats_are_rejected(self):
+        for bad in [lambda: Format.of((2.9, 3, 3)),
+                    lambda: Statement.of((2.9, 3, 3), 5, (0, 0, 0)),
+                    lambda: Statement.of((2, 3, 3), 5.5),
+                    lambda: Statement.of((2, 3, 3), 5, (0.7, 0, 0)),
+                    lambda: Statement.of((2.9, 3, 3), 5.5, (0.7, 0, 0))]:
+            with pytest.raises(TypeError):
+                bad()
+
+    def test_python_and_numpy_integers_pass(self):
+        dims = np.array([2, 3, 3], dtype=np.int64)
+        st_ = Statement.of(dims, np.int32(5), [np.int64(1), 0, 0])
+        assert st_ == Statement.of((2, 3, 3), 5, (1, 0, 0))
+        assert all(type(x) is int for x in st_.format.dims + st_.a + (st_.s,))
+        assert Format.of(dims) == Format((2, 3, 3))
 
 
 class TestGrammar:

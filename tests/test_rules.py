@@ -112,6 +112,14 @@ class TestDrops:
         out = drop_conditions(st_, 0)
         assert out.a == (0, 0, 0)
 
+    def test_slots_out_of_range_rejected(self):
+        # a negative slot used to index from the end and pass
+        for slot in (-3, -1, 3, 7):
+            with pytest.raises(RuleError, match="out of range"):
+                drop_zero_factor(T("T(0,2,3;4;0,1,0)"), slot)
+            with pytest.raises(RuleError, match="out of range"):
+                drop_conditions(T("T(0,3,3;1;2,0,0)"), slot)
+
     def test_drop_conditions_identity_when_nothing_to_drop(self):
         st_ = T("T(0,2,3;4;0,1,0)")
         assert drop_conditions(st_, 0) == st_
