@@ -4,7 +4,9 @@ Priority order per statement: the exact two_factor leaf for statements
 with at most two positive factors, falsity catalog, trivial truths, an
 oracle leaf for the small three-factor base formats, drop rules, splits,
 and finally a direct oracle leaf; both oracle leaves go through
-ProofEngine.oracle.  False only ever comes from the two_factor
+ProofEngine.oracle.  A search whose subgoal oracle calls cost more cells
+than the root's own call gives up its tree and takes the root's oracle
+leaf instead.  False only ever comes from the two_factor
 leaf's closed form or the falsity catalog (directly, or passed through an
 equivalence); an inconclusive oracle is never treated as False.
 """
@@ -15,7 +17,13 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from ..config import RunConfig
-from ..ffrank import OracleBudgetError, OracleResult, terracini_oracle
+from ..ffrank import (
+    MAX_CELLS,
+    OracleBudgetError,
+    OracleResult,
+    row_count,
+    terracini_oracle,
+)
 from ..formats import (
     Statement,
     ambient_dim,
@@ -47,6 +55,10 @@ class _Exhausted(Exception):
     pass
 
 
+class _OverBudget(Exception):
+    pass
+
+
 def _outward(lo: int, hi: int, center: int) -> Iterator[int]:
     # center first, then alternating +1/-1, clipped to [lo, hi]
     if lo > hi:
@@ -75,6 +87,13 @@ class ProofEngine:
     earlier work.  Failed (undetermined) subgoals are only remembered for
     the duration of one prove() call, letting later calls retry with a
     fresh budget.  Oracle outcomes are kept for the engine's lifetime.
+
+    Each prove() call also has a cell budget when its root is admissible
+    to the oracle: what the root's own call costs when inconclusive,
+    rows x cols x (retries + 1).  Every subgoal oracle outcome the search
+    consults spends rows x cols x attempts, once per canonical statement,
+    remembered outcomes included and refusals free.  Once the spend passes
+    the budget the search unwinds and the root's own oracle leaf decides.
     """
 
     def __init__(self, cfg: Optional[RunConfig] = None):
@@ -89,6 +108,9 @@ class ProofEngine:
         self._evidence: Optional[OracleResult] = None
         self._root_key: Optional[str] = None
         self._active_nodes = self.nodes
+        self._cell_budget: Optional[int] = None
+        self._cells_spent = 0
+        self._charged: set = set()
 
     # -- public entry points -----------------------------------------------
 
@@ -103,6 +125,9 @@ class ProofEngine:
         self._evidence = None
         self._root_key = st.key()
         self._active_nodes = self.nodes if nodes is None else nodes
+        self._cell_budget = self.cell_budget(st)
+        self._cells_spent = 0
+        self._charged = set()
         started = time.perf_counter()
         exhausted = False
         try:
@@ -110,6 +135,10 @@ class ProofEngine:
         except _Exhausted:
             res = None
             exhausted = True
+        except _OverBudget:
+            res = self._try_oracle(st)
+            if res is not None:
+                self._memo[self._root_key] = res
         stats = {
             "nodes": self._nodes_used,
             "memo_hits": self._memo_hits,
@@ -133,6 +162,15 @@ class ProofEngine:
             except OracleBudgetError as exc:  # kept without its frames
                 self._oracles[key] = exc.with_traceback(None)
         return self._oracles[key]
+
+    def cell_budget(self, st: Statement) -> Optional[int]:
+        """The subgoal oracle cells a search rooted at `st` may spend: what
+        the root's own oracle call costs when inconclusive.  None when the
+        oracle refuses the root, whose search then has no cell budget."""
+        cells = row_count(st) * ambient_dim(st.format)
+        if cells > MAX_CELLS and not self.field_config.force:
+            return None
+        return cells * (self.field_config.retries + 1)
 
     # -- search core -------------------------------------------------------
 
@@ -218,11 +256,25 @@ class ProofEngine:
         result = self.oracle(st)
         if isinstance(result, OracleBudgetError):
             return None
+        key = st.key()
+        if key != self._root_key:
+            self._charge(key, result)
         if result.certified:
             return True, CertNode(cert.ORACLE, st, witness=result.witness)
-        if st.key() == self._root_key:
+        if key == self._root_key:
             self._evidence = result
         return None
+
+    # -- cell budget -------------------------------------------------------
+
+    def _charge(self, key: str, result: OracleResult) -> None:
+        if self._cell_budget is None or key in self._charged:
+            return
+        self._charged.add(key)
+        w = result.witness
+        self._cells_spent += w.rows * w.cols * len(result.attempts)
+        if self._cells_spent > self._cell_budget:
+            raise _OverBudget
 
     # -- splits ------------------------------------------------------------
 

@@ -75,3 +75,18 @@ def test_record_from_an_older_tool_version_misses(tmp_path, capsys):
     assert RunConfig(budget_nodes=INDUCTION_NODE_BUDGET, retries=3).digest() != old
     assert main(["dim", "2,4,4", "7", "--retries", "3", "--cache", str(path)]) == 0
     assert "status: Evidence-Defective [oracle]" in capsys.readouterr().out
+
+
+def test_record_from_version_0_2_0_misses(tmp_path, capsys):
+    # RunConfig(budget_nodes=INDUCTION_NODE_BUDGET).digest() as version
+    # 0.2.0 computed it.  Same settings, but the search's cell budget
+    # changed cert_refs since: (3,4,10) s=12 now proves by the root's own
+    # oracle leaf.
+    old = "8a27eb81ee85c3d5"
+    path = tmp_path / "verdicts.ldjson"
+    path.write_text(json.dumps(record(config_digest=old,
+                                      tool_version="0.2.0")) + "\n")
+    assert VerdictCache(path).get(STATEMENT, old) is not None
+    assert DIGEST != old
+    assert main(["dim", "2,4,4", "7", "--cache", str(path)]) == 0
+    assert "status: Evidence-Defective [oracle]" in capsys.readouterr().out

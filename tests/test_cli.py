@@ -1,11 +1,13 @@
 """Command line behavior: output, exit codes, cache files, JSON mode."""
 
 import argparse
+import importlib
 import json
 
 import pytest
 
 from segredim.cli import _add_common_flags, main
+from segredim.formats import parse_statement
 
 
 def run(capsys, *argv):
@@ -101,20 +103,35 @@ class TestProve:
         assert "--prime" in err
         assert not out_file.exists()
 
-    def test_evidence_is_the_roots_own(self, capsys, tmp_path):
-        # at 20 nodes the search sees its child T(4,2,1;2;0,4,1) fall short
-        # (rank 28 of target 30) before the root's own oracle runs; that
-        # child's evidence was once printed as the root's
+    def test_evidence_is_the_roots_own(self, capsys, tmp_path, monkeypatch):
+        # at 15 nodes the search sees its child T(4,2,1;2;0,4,1) fall short
+        # (rank 28 of target 30) and runs out of nodes before the root's own
+        # oracle runs; that child's evidence was once printed as the root's
+        search = importlib.import_module("segredim.induction.search")
+        asked = []
+
+        def recording(st, cfg=None, real=search.terracini_oracle):
+            asked.append(st.key())
+            return real(st, cfg)
+
+        monkeypatch.setattr(search, "terracini_oracle", recording)
+        root = parse_statement("T(4,4,1;4;2,0,1)")
         out_file = str(tmp_path / "c.json")
-        code, out, err = run(capsys, "prove", "T(4,4,1;4;2,0,1)",
-                             "--budget-nodes", "20", "--out", out_file)
+        code, out, err = run(capsys, "prove", str(root),
+                             "--budget-nodes", "15", "--out", out_file)
         assert code == 3
         assert out.startswith("UNDETERMINED")
         assert "best oracle evidence" not in err
-        code, out, err = run(capsys, "prove", "T(4,4,1;4;2,0,1)",
-                             "--budget-nodes", "50", "--out", out_file)
-        assert code == 3
-        assert err == "best oracle evidence: rank 48 of target 50 (not a proof)\n"
+        assert parse_statement("T(4,2,1;2;0,4,1)").key() in asked
+        assert root.key() not in asked
+        # at 20 nodes the subgoals' oracle cells pass the root's own, so
+        # the search stops there and the root's leaf gives its evidence
+        for nodes in ("20", "50"):
+            code, out, err = run(capsys, "prove", str(root),
+                                 "--budget-nodes", nodes, "--out", out_file)
+            assert code == 3
+            assert err == ("best oracle evidence: rank 48 of target 50 "
+                           "(not a proof)\n")
 
     def test_false_two_factor_statement(self, capsys, tmp_path):
         # T(3,3;0;2,2): the two_factor leaf gives 12 of target 16; before

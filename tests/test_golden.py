@@ -90,6 +90,20 @@ def test_prove_output_and_certificate(name, tmp_path, monkeypatch):
     assert (tmp_path / cert_name).read_text() == want.read_text()
 
 
+BENCH_SCAN = (Path(__file__).parent.parent / "perfbench" / "reference"
+              / "scan_k3_n10_r60.txt")
+
+
+def test_bench_scan_listing():
+    # the benchmark's scan grid, checked here too so that a changed row
+    # fails the test suite and not only a benchmark run; the reference
+    # belongs to the benchmark and is only read, never regenerated here
+    want = BENCH_SCAN.read_text()
+    code, out = _run(["scan", "--k", "3", "--max-n", "10", "--max-r", "60"])
+    assert out == want
+    assert code == (3 if "Unknown" in want else 0)
+
+
 def _capture() -> None:
     """Rewrite every golden file from the current code."""
     GOLDEN.mkdir(exist_ok=True)

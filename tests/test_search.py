@@ -1,5 +1,6 @@
 """Proof search: verdicts, certificates, budgets, and memo behavior."""
 
+import hashlib
 import importlib
 from collections import Counter
 
@@ -210,6 +211,116 @@ class TestOracleDoor:
         report = defective_scan(3, 5, 30)
         assert isinstance(report, ScanReport) and report.hits
         assert sum(calls.values()) == len(calls) > 0
+
+
+def record_oracle_cells(monkeypatch) -> dict:
+    """Record, per canonical statement, the cells terracini_oracle spent on
+    it: rows x cols x attempts.  Refusals record nothing."""
+    cells: dict = {}
+    search = importlib.import_module("segredim.induction.search")
+
+    def recording(st, cfg=None, real=search.terracini_oracle):
+        result = real(st, cfg)
+        w = result.witness
+        cells[st.key()] = w.rows * w.cols * len(result.attempts)
+        return result
+
+    monkeypatch.setattr(search, "terracini_oracle", recording)
+    return cells
+
+
+class TestCellBudget:
+    """A search spends on its subgoals' oracle calls about what the root's
+    own call costs; past that the root's oracle leaf decides."""
+
+    def test_defective_family_stops_at_the_roots_leaf(self, monkeypatch):
+        # (2,n,n) with n even: every split child is rank-deficient too, and
+        # the search once made 60 oracle calls for the root's own evidence
+        calls = count_oracle_calls(monkeypatch)
+        cells = record_oracle_cells(monkeypatch)
+        root = parse_statement("T(10,10,2;16)")
+        engine = ProofEngine()
+        v = engine.prove(root)
+        assert v.status is None and not v.stats["exhausted"]
+        w = v.evidence.witness
+        assert (w.statement, w.rank, w.target) == (root.canonical(), 362, 363)
+        assert calls[root.key()] == 1
+        assert sum(calls.values()) < 60
+        # the budget is what the root's inconclusive call costs
+        assert cells[root.key()] == engine.cell_budget(root) == 400 * 363 * 2
+
+    def test_certified_root_leaf_is_the_certificate(self):
+        engine = ProofEngine()
+        v = engine.prove("T(10,4,3;12)")
+        assert v.status is True
+        assert len(v.certificate.nodes) == 1
+        assert v.certificate.root.kind == cert.ORACLE
+        assert verify(v.certificate, recheck_oracle=True) is True
+        # remembered like any proof the search finds
+        again = engine.prove("T(3,4,10;12)")
+        assert again.stats["nodes"] == 0
+        assert again.certificate.root is v.certificate.root
+
+    @pytest.mark.parametrize("text", ["T(10,10,2;16)", "T(10,4,3;12)",
+                                      "T(5,3,1;5;2,0,0)",
+                                      "T(8,3,1,0;6;0,0,0,3)"])
+    def test_spend_stays_within_one_call_of_the_budget(self, text, monkeypatch):
+        cells = record_oracle_cells(monkeypatch)
+        engine = ProofEngine()
+        root = parse_statement(text).canonical()
+        budget = engine.cell_budget(root)
+        engine.prove(root)
+        spent = [c for key, c in cells.items() if key != root.key()]
+        assert sum(spent) > budget          # the budget is what stopped it
+        assert sum(spent) <= budget + max(spent)
+
+    def test_a_statement_consulted_twice_is_charged_once(self):
+        # small base-format subgoals are asked at the base-format step and
+        # again as the last leaf; charged twice, the spend would pass the
+        # budget after 31 nodes instead of 50
+        engine = ProofEngine()
+        asked = Counter()
+        real = engine.oracle
+
+        def counting(st):
+            asked[st.key()] += 1
+            return real(st)
+
+        engine.oracle = counting
+        root = parse_statement("T(5,3,1;5;2,0,0)")
+        v = engine.prove(root)
+        assert max(c for key, c in asked.items() if key != root.key()) == 2
+        assert v.status is None and v.evidence.witness.rank == 47
+        assert v.stats["nodes"] == 50
+
+    def test_remembered_outcomes_are_charged_too(self, monkeypatch):
+        # the second search finds its subgoals' outcomes remembered; they
+        # still spend its budget, so it stops where the first one did
+        # instead of searching past it and running new statements
+        calls = count_oracle_calls(monkeypatch)
+        engine = ProofEngine()
+        first = engine.prove("T(10,10,2;16)")
+        n = sum(calls.values())
+        again = engine.prove("T(10,10,2;16)")
+        assert sum(calls.values()) == n
+        assert again.stats["nodes"] <= first.stats["nodes"]
+        assert again.evidence is first.evidence
+
+    def test_refused_root_has_no_budget(self):
+        root = parse_statement("T(10,10,10;43)")
+        assert ProofEngine().cell_budget(root) is None
+        forced = ProofEngine(RunConfig(force=True))
+        assert forced.cell_budget(root) == 1419 * 1331 * 2
+        assert ProofEngine(RunConfig(retries=3)).cell_budget(
+            parse_statement("T(10,10,2;16)")) == 400 * 363 * 4
+
+    def test_flagship_certificate_bytes_are_unchanged(self):
+        # its root is refused, so its search has no cell budget
+        root = parse_statement("T(15,15,15,15;1074)")
+        assert ProofEngine().cell_budget(root) is None
+        text = prove(root).certificate.dumps()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f54505d90cc21c8888e24c1387ca2340d4ea08c968519bc29f7e02e7d86aae08")
 
 
 # one statement per node kind; together their certificates use them all
