@@ -152,6 +152,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
                 "verdict": None,
                 "statement": str(st.canonical()),
                 "stats": v.stats,
+                "reason": v.reason,
             }
             if v.evidence is not None:
                 w = v.evidence.witness
@@ -159,6 +160,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
             print(json.dumps(rec, sort_keys=True))
         else:
             print(summary)
+            print(f"undetermined: {v.reason}", file=sys.stderr)
             if v.evidence is not None:
                 w = v.evidence.witness
                 print(f"best oracle evidence: rank {w.rank} of target "
@@ -296,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="secant profile of one format")
     p.add_argument("format")
-    p.add_argument("--max-s", type=int, default=None,
+    p.add_argument("--max-s", type=_positive, default=None,
                    help="cap the secant sweep")
     _add_common_flags(p)
     p.set_defaults(func=cmd_classify)

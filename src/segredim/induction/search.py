@@ -12,6 +12,7 @@ equivalence); an inconclusive oracle is never treated as False.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -43,12 +44,22 @@ class Verdict:
     status True/False comes with a certificate; None means undetermined,
     with the root statement's own oracle evidence (if its oracle ran and
     fell short) and search statistics.
+
+    reason is set only when status is None, to the first that holds of:
+    node_budget (the search ran out of nodes), cell_budget (its subgoals'
+    oracle cells passed the root's own and the root's leaf did not
+    certify), oracle_refused (the root's oracle was consulted and refused
+    its matrix by size), oracle_deficit (the root's oracle ran and fell
+    short of the target) and no_rule (the search ended without consulting
+    the root's oracle, as below a zero-factor drop whose child is
+    undetermined).
     """
 
     status: Optional[bool]
     certificate: Optional[Certificate]
     evidence: Optional[OracleResult]
     stats: dict = field(default_factory=dict)
+    reason: Optional[str] = None
 
 
 class _Exhausted(Exception):
@@ -57,6 +68,10 @@ class _Exhausted(Exception):
 
 class _OverBudget(Exception):
     pass
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
 
 
 def _outward(lo: int, hi: int, center: int) -> Iterator[int]:
@@ -105,7 +120,7 @@ class ProofEngine:
         self._dead: set = set()
         self._nodes_used = 0
         self._memo_hits = 0
-        self._evidence: Optional[OracleResult] = None
+        self._root_oracle: OracleResult | OracleBudgetError | None = None
         self._root_key: Optional[str] = None
         self._active_nodes = self.nodes
         self._cell_budget: Optional[int] = None
@@ -122,33 +137,45 @@ class ProofEngine:
         self._dead = set()
         self._nodes_used = 0
         self._memo_hits = 0
-        self._evidence = None
+        self._root_oracle = None
         self._root_key = st.key()
         self._active_nodes = self.nodes if nodes is None else nodes
         self._cell_budget = self.cell_budget(st)
         self._cells_spent = 0
         self._charged = set()
         started = time.perf_counter()
-        exhausted = False
+        stop = None
         try:
             res = self._search(st)
         except _Exhausted:
-            res = None
-            exhausted = True
+            res, stop = None, "node_budget"
         except _OverBudget:
+            stop = "cell_budget"
             res = self._try_oracle(st)
             if res is not None:
                 self._memo[self._root_key] = res
         stats = {
             "nodes": self._nodes_used,
             "memo_hits": self._memo_hits,
-            "exhausted": exhausted,
+            "exhausted": stop == "node_budget",
             "elapsed_s": round(time.perf_counter() - started, 4),
         }
+        root = self._root_oracle
+        evidence = None
+        if isinstance(root, OracleResult) and not root.certified:
+            evidence = root
         if res is None:
-            return Verdict(None, None, self._evidence, stats)
+            if stop is not None:
+                reason = stop
+            elif isinstance(root, OracleBudgetError):
+                reason = "oracle_refused"
+            elif root is not None:
+                reason = "oracle_deficit"
+            else:
+                reason = "no_rule"
+            return Verdict(None, None, evidence, stats, reason)
         verdict, node = res
-        return Verdict(verdict, Certificate(st, verdict, node), self._evidence, stats)
+        return Verdict(verdict, Certificate(st, verdict, node), evidence, stats)
 
     def oracle(self, st: Statement) -> OracleResult | OracleBudgetError:
         """The one way to terracini_oracle: its OracleResult for `st`, or
@@ -254,15 +281,15 @@ class ProofEngine:
 
     def _try_oracle(self, st: Statement):
         result = self.oracle(st)
+        key = st.key()
+        if key == self._root_key:
+            self._root_oracle = result
         if isinstance(result, OracleBudgetError):
             return None
-        key = st.key()
         if key != self._root_key:
             self._charge(key, result)
         if result.certified:
             return True, CertNode(cert.ORACLE, st, witness=result.witness)
-        if key == self._root_key:
-            self._evidence = result
         return None
 
     # -- cell budget -------------------------------------------------------
@@ -329,12 +356,21 @@ class ProofEngine:
                 if lo > hi:
                     continue
                 ratio = (n1 + 1) / (n_i + 1)
-                w_t = 1 + (N - n_i) + n1    # tangent row weight in child 1
-                for s1 in _outward(0, s, round(s * ratio)):
-                    fixed = s1 * w_t + (a[i] + s - s1) * (n1 + 1)
+                # child 1's rows before fibers: s1 tangent rows of weight
+                # 1 + (N - n_i) + n1 and a[i] + s - s1 rows of weight n1 + 1,
+                # so they grow by d per s1; the fibers add 0..cap on top
+                d = N - n_i
+                base = (a[i] + s) * (n1 + 1)
+                if d:
+                    s1_lo = max(0, _ceil_div(lo - cap - base, d))
+                    s1_hi = min(s, (hi - base) // d)
+                elif lo - cap <= base <= hi:
+                    s1_lo, s1_hi = 0, s
+                else:
+                    continue
+                for s1 in _outward(s1_lo, s1_hi, round(s * ratio)):
+                    fixed = base + s1 * d
                     c_lo, c_hi = lo - fixed, hi - fixed
-                    if c_hi < 0 or c_lo > cap:
-                        continue
                     for xs in self._fiber_splits(counts, weights, c_lo, c_hi, ratio):
                         a1 = [0] * k
                         a2 = [0] * k
@@ -346,23 +382,34 @@ class ProofEngine:
 
     @staticmethod
     def _fiber_splits(counts, weights, c_lo, c_hi, ratio) -> Iterator[tuple]:
-        """Assignments x_j in [0, counts[j]] with c_lo <= sum x_j w_j <= c_hi,
-        enumerated outward from the proportional target per slot."""
+        """Assignments x_j in [0, counts[j]] with c_lo <= sum x_j w_j <= c_hi.
+
+        Slot t walks _outward(0, counts[t], round(counts[t] * ratio)), the
+        proportional target first, restricted to the interval of x_t that
+        keeps the window reachable: the sum so far may not pass c_hi, and
+        with every later slot at full count it must still reach c_lo.  Each
+        value left out would have yielded nothing, so the assignments and
+        their order are those of the unrestricted walk.  Every sum is a
+        multiple of gcd(weights), so the window is first narrowed to such
+        multiples; an empty window yields nothing.
+        """
+        g = math.gcd(*weights) or 1     # gcd() of no weights is 0
+        c_lo, c_hi = _ceil_div(c_lo, g) * g, c_hi // g * g
         suffix = [0] * (len(counts) + 1)
         for t in range(len(counts) - 1, -1, -1):
             suffix[t] = suffix[t + 1] + counts[t] * weights[t]
+        if c_lo > c_hi or c_hi < 0 or c_lo > suffix[0]:
+            return
 
         def rec(t: int, acc: int) -> Iterator[tuple]:
-            if acc > c_hi:
-                return
             if t == len(counts):
-                if acc >= c_lo:
-                    yield ()
+                yield ()
                 return
-            if acc + suffix[t] < c_lo:
-                return
-            for x in _outward(0, counts[t], round(counts[t] * ratio)):
-                for rest in rec(t + 1, acc + x * weights[t]):
+            w = weights[t]
+            lo = max(0, _ceil_div(c_lo - acc - suffix[t + 1], w))
+            hi = min(counts[t], (c_hi - acc) // w)
+            for x in _outward(lo, hi, round(counts[t] * ratio)):
+                for rest in rec(t + 1, acc + x * w):
                     yield (x,) + rest
 
         yield from rec(0, 0)

@@ -76,7 +76,9 @@ class TestProve:
                              "--out", str(tmp_path / "c.json"))
         assert code == 3
         assert "UNDETERMINED" in out
-        assert "rank 22 of target 24" in err
+        assert err == ("undetermined: oracle_deficit\n"
+                       "best oracle evidence: rank 22 of target 24 "
+                       "(not a proof)\n")
 
     def test_undetermined_json_keeps_the_evidence(self, capsys, tmp_path):
         code, out, _ = run(capsys, "prove", "T(1,2,3;3;0,0,1)", "--json",
@@ -85,11 +87,19 @@ class TestProve:
         rec = json.loads(out)
         assert rec["verdict"] is None
         assert rec["evidence"] == {"rank": 22, "target": 24}
+        assert rec["reason"] == "oracle_deficit"
         # a statement the oracle refuses has no evidence to report
         code, out, _ = run(capsys, "prove", "T(10,10,10;43)", "--json",
                            "--out", str(tmp_path / "c.json"))
         assert code == 3
-        assert "evidence" not in json.loads(out)
+        rec = json.loads(out)
+        assert "evidence" not in rec
+        assert rec["reason"] == "oracle_refused"
+        # a settled verdict has no reason to give
+        code, out, _ = run(capsys, "prove", "T(3,3,3;7)", "--json",
+                           "--out", str(tmp_path / "c.json"))
+        assert code == 0
+        assert "reason" not in json.loads(out)
 
     @pytest.mark.parametrize("prime", ["4294967311", "65521", "1000004", "x"])
     def test_inadmissible_prime_is_a_usage_error(self, capsys, tmp_path, prime):
@@ -121,7 +131,7 @@ class TestProve:
                              "--budget-nodes", "15", "--out", out_file)
         assert code == 3
         assert out.startswith("UNDETERMINED")
-        assert "best oracle evidence" not in err
+        assert err == "undetermined: node_budget\n"
         assert parse_statement("T(4,2,1;2;0,4,1)").key() in asked
         assert root.key() not in asked
         # at 20 nodes the subgoals' oracle cells pass the root's own, so
@@ -130,7 +140,8 @@ class TestProve:
             code, out, err = run(capsys, "prove", str(root),
                                  "--budget-nodes", nodes, "--out", out_file)
             assert code == 3
-            assert err == ("best oracle evidence: rank 48 of target 50 "
+            assert err == ("undetermined: cell_budget\n"
+                           "best oracle evidence: rank 48 of target 50 "
                            "(not a proof)\n")
 
     def test_false_two_factor_statement(self, capsys, tmp_path):
@@ -295,6 +306,22 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "2,2,2", "--max-s", "2", "--json")
         rows = [json.loads(line) for line in out.splitlines() if line.strip()]
         assert max(rec["s"] for rec in rows if "s" in rec) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_s_below_one_is_a_usage_error(self, capsys, value):
+        # these once printed an empty profile and "typical rank: unknown
+        # within sweep cap", exit 3
+        code, out, err = run(capsys, "classify", "3,3,3", "--max-s", value)
+        assert code == 2
+        assert out == ""
+        assert "argument --max-s" in err
+
+    def test_max_s_of_one_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "classify", "3,3,3", "--max-s", "1",
+                           "--json")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [rec["s"] for rec in rows if "s" in rec] == [1]
+        assert code == 3   # the typical rank lies past the sweep
 
 
 class TestScan:

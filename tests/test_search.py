@@ -112,6 +112,24 @@ class TestUndetermined:
         assert v.stats["exhausted"]
 
 
+    @pytest.mark.parametrize("text,nodes,reason", [
+        ("T(3,3,3;6)", 2, "node_budget"),
+        ("T(10,10,2;16)", None, "cell_budget"),
+        ("T(10,10,10;43)", None, "oracle_refused"),
+        ("T(1,2,3;3;0,0,1)", None, "oracle_deficit"),
+        # the drop's child is refused; the root's own oracle never runs
+        ("T(0,10,10,10;43)", None, "no_rule"),
+    ])
+    def test_reason(self, text, nodes, reason):
+        v = ProofEngine().prove(text, nodes=nodes)
+        assert (v.status, v.reason) == (None, reason)
+        assert (v.evidence is not None) == (reason in ("cell_budget",
+                                                       "oracle_deficit"))
+
+    def test_settled_verdicts_have_no_reason(self):
+        assert prove("T(3,3,3;6)").reason is None
+        assert prove("T(2,3,3;5)").reason is None
+
     def test_engine_takes_its_budget_from_the_config(self):
         v = ProofEngine(RunConfig(budget_nodes=2)).prove("T(3,3,3;6)")
         assert v.status is None
