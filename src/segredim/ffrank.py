@@ -36,6 +36,9 @@ MAX_PRIME = math.isqrt(_EXACT // _PANEL)
 # Terracini matrices at about 160-190 columns, 2-core x86-64 with OpenBLAS).
 _LEAF_COLS = 3 * _PANEL
 _SOLVE_BASE = 16
+# Rows per chunk of the blocked path's trailing update and of the input's
+# first reduction, so that no temporary is as tall as the matrix.
+_CHUNK = 256
 
 DEFAULT_PRIME = 1_000_003
 FALLBACK_PRIME = 4_194_301
@@ -220,16 +223,16 @@ def _chain_outer(vectors: Iterable[np.ndarray], p: int) -> np.ndarray:
     return out
 
 
-def _slot_block(vectors: tuple[np.ndarray, ...], slot: int, p: int) -> np.ndarray:
-    # rows b = tensor with the slot vector replaced by the b-th basis vector
+def _write_slot_block(out: np.ndarray, vectors: tuple[np.ndarray, ...],
+                      slot: int, p: int) -> None:
+    # rows b = tensor with the slot vector replaced by the b-th basis vector;
+    # out is zeroed and has one row per entry of the slot vector
     left = _chain_outer(vectors[:slot], p)
     right = _chain_outer(vectors[slot + 1 :], p)
     m = len(vectors[slot])
     lr = (left[:, None] * right[None, :]) % p
-    out = np.zeros((m, left.size, m, right.size), dtype=np.int64)
     idx = np.arange(m)
-    out[idx, :, idx, :] = lr
-    return out.reshape(m, left.size * m * right.size)
+    out.reshape(m, left.size, m, right.size)[idx, :, idx, :] = lr
 
 
 def row_count(st: Statement) -> int:
@@ -240,20 +243,22 @@ def row_count(st: Statement) -> int:
 def build_terracini_matrix(st: Statement, pts: PointSet) -> np.ndarray:
     """Rows: per tangent point, one block per factor slot (the point itself
     appears in each block's row span); then the fiber blocks per factor.
-    Columns: multi-indices in row-major order, first factor slowest."""
+    Columns: multi-indices in row-major order, first factor slowest.
+
+    Returns float64 residues in [0, p), not int64: each slot block is
+    written straight into one zeroed array, exact since p < MAX_PRIME < 2^53,
+    which rank_mod_p(..., overwrite=True) then reduces in place."""
     p = pts.prime
     k = st.format.k
-    blocks: list[np.ndarray] = []
-    for point in pts.tangent:
-        for j in range(k):
-            blocks.append(_slot_block(point, j, p))
-    for i in range(k):
-        for point in pts.fibers[i]:
-            blocks.append(_slot_block(point, i, p))
-    cols = ambient_dim(st.format)
-    if not blocks:
-        return np.zeros((0, cols), dtype=np.int64)
-    return np.vstack(blocks)
+    slots = [(point, j) for point in pts.tangent for j in range(k)]
+    slots += [(point, i) for i in range(k) for point in pts.fibers[i]]
+    out = np.zeros((row_count(st), ambient_dim(st.format)), dtype=np.float64)
+    top = 0
+    for point, j in slots:
+        m = len(point[j])
+        _write_slot_block(out[top : top + m], point, j, p)
+        top += m
+    return out
 
 
 def _eliminate(
@@ -308,8 +313,12 @@ def _reduce(x: np.ndarray, p: int) -> None:
     by a congruent one of magnitude at most p-1.  The quotient estimate is
     off by less than 1/p, so the remainder lies within p/2 + 1 of zero.
     np.fmod would do the same at a cost that grows with the bit length of
-    x/p, many times slower on large entries."""
-    q = np.rint(x * (1.0 / p))
+    x/p, many times slower on large entries.  The input's one reduction
+    (_residues) does use np.fmod: an input entry can exceed _EXACT, where
+    this estimate is no longer exact, and the oracle's entries are residues
+    below p, on which fmod costs one cheap pass."""
+    q = x * (1.0 / p)
+    np.rint(q, out=q)
     q *= p
     x -= q
 
@@ -331,21 +340,22 @@ def _solve_unit_lower(lower: np.ndarray, y: np.ndarray, p: int) -> None:
     _solve_unit_lower(lower[h:, h:], y[h:], p)
 
 
-def _blocked_rank(matrix: np.ndarray, p: int) -> int:
-    """Rank by column panels of width _PANEL.  _eliminate finds each panel's
+def _blocked_rank(f: np.ndarray, p: int) -> int:
+    """Rank by column panels of width _PANEL, overwriting f, a float64 array
+    of integers of magnitude at most p-1.  _eliminate finds each panel's
     pivots in int64; the rows left below them get the Schur-complement update
-    of the columns to the right as one float64 GEMM, and the panel's columns
-    are then dropped.  The trailing block is reduced only when the next
-    update could take it past _EXACT."""
-    rows, cols = matrix.shape
-    f = np.empty((rows, cols), dtype=np.float64)
-    np.remainder(matrix, p, out=f)
+    of the columns to the right as float64 GEMMs over chunks of _CHUNK rows,
+    and the panel's columns are then dropped.  The trailing block is reduced,
+    in the same chunks, only when the next update could take it past
+    _EXACT."""
+    rows, cols = f.shape
     step = (p - 1) ** 2  # growth of a trailing entry per unit of inner dimension
     bound = p - 1  # largest magnitude a trailing entry can have
     top = 0
     for c in range(0, cols, _PANEL):
         e = min(c + _PANEL, cols)
-        panel = f[top:, c:e].astype(np.int64) % p
+        panel = f[top:, c:e].astype(np.int64)
+        panel %= p
         r, pivots, inverses, swaps = _eliminate(panel, p)
         top += r
         if top == rows or e == cols:
@@ -362,32 +372,74 @@ def _blocked_rank(matrix: np.ndarray, p: int) -> int:
         # Multipliers against the unscaled pivot rows: column k scaled by the
         # k-th pivot inverse, so the triangle to solve has a unit diagonal.
         lower = (panel[:, pivots] * np.array(inverses) % p).astype(np.float64)
-        pivot_rows, rest = t[:r], t[r:]
+        pivot_rows = t[:r]
         _reduce(pivot_rows, p)
         _solve_unit_lower(lower[:r], pivot_rows, p)
-        if bound + r * step > _EXACT:
-            _reduce(rest, p)
-            bound = p - 1
-        rest -= lower[r:] @ pivot_rows
-        bound += r * step
+        reduce = bound + r * step > _EXACT
+        for i in range(r, len(t), _CHUNK):
+            rest = t[i : i + _CHUNK]
+            if reduce:
+                _reduce(rest, p)
+            rest -= lower[i : i + _CHUNK] @ pivot_rows
+        bound = (p - 1 if reduce else bound) + r * step
     return top
 
 
-def rank_mod_p(matrix: np.ndarray, p: int) -> int:
+def _residues(a: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Write into out (int64 or float64, the shape of a; it may be a itself)
+    integers congruent to the entries of a, of magnitude at most p-1, in
+    chunks of _CHUNK rows so that no temporary is as tall as a.  A float
+    entry that is not a finite integer raises ValueError: np.fmod is exact at
+    any magnitude, keeps the sign of its argument, and turns inf and nan into
+    nan, which the integrality test rejects."""
+    for i in range(0, len(a), _CHUNK):
+        chunk, dest = a[i : i + _CHUNK], out[i : i + _CHUNK]
+        if a.dtype.kind != "f":
+            np.remainder(chunk, p, out=dest, dtype=np.int64)
+            continue
+        with np.errstate(invalid="ignore"):
+            r = np.fmod(chunk, p, dtype=np.float64,
+                        out=dest if dest.dtype == np.float64 else None)
+        if not np.array_equal(r, np.rint(r)):
+            raise ValueError("rank_mod_p needs integer entries, got a "
+                             "non-finite or non-integral float")
+        if r is not dest:
+            dest[...] = r
+
+
+def rank_mod_p(matrix: np.ndarray, p: int, *, overwrite: bool = False) -> int:
     """Exact rank of an integer matrix over F_p, for a prime p < MAX_PRIME.
 
-    A matrix of at most _LEAF_COLS columns is row-reduced whole by the int64
-    loop; a wider one goes through _blocked_rank."""
+    The matrix is 2-D, of an integer dtype that casts safely to int64, or of
+    a float dtype whose entries are finite integers; anything else raises
+    ValueError.  A matrix of at most _LEAF_COLS columns is row-reduced whole
+    by the int64 loop; a wider one goes through _blocked_rank.
+
+    The matrix is left unchanged unless overwrite is true, which lets a
+    C-contiguous, writeable float64 matrix serve as the blocked path's
+    working buffer (its contents are then undefined): the oracle's one copy."""
     if not 2 <= p < MAX_PRIME:
         raise ValueError(
             f"modulus {p} outside [2, {MAX_PRIME}), where rank_mod_p is exact")
-    a = np.asarray(matrix, dtype=np.int64)
+    a = np.asarray(matrix)
+    if a.ndim != 2:
+        raise ValueError(f"rank_mod_p needs a 2-D matrix, got {a.ndim}-D")
+    if not np.can_cast(a.dtype, np.int64 if a.dtype.kind in "biu" else np.float64,
+                       "safe"):
+        raise ValueError(
+            f"rank_mod_p needs integers representable in int64, got {a.dtype}")
     rows, cols = a.shape
     if rows == 0 or cols == 0:
         return 0
     if cols <= _LEAF_COLS:
-        return _eliminate(a % p, p)[0]
-    return _blocked_rank(a, p)
+        leaf = np.empty((rows, cols), dtype=np.int64)
+        _residues(a, p, leaf)
+        return _eliminate(leaf, p)[0]
+    in_place = (overwrite and a.dtype == np.float64
+                and a.flags.c_contiguous and a.flags.writeable)
+    f = a if in_place else np.empty((rows, cols), dtype=np.float64)
+    _residues(a, p, f)
+    return _blocked_rank(f, p)
 
 
 def terracini_oracle(st: Statement, cfg: FieldConfig | None = None) -> OracleResult:
@@ -411,8 +463,8 @@ def terracini_oracle(st: Statement, cfg: FieldConfig | None = None) -> OracleRes
     for prime, attempt in plan:
         seed = derive_seed(key, prime, cfg.seed, attempt)
         pts = sample_points(st, prime, seed)
-        mat = build_terracini_matrix(st, pts)
-        rank = rank_mod_p(mat, prime)
+        # no name keeps the matrix: it is freed before the next attempt builds
+        rank = rank_mod_p(build_terracini_matrix(st, pts), prime, overwrite=True)
         w = RankWitness(st.canonical(), prime, seed, rows, cols, rank, goal)
         attempts.append(w)
         if best is None or w.rank > best.rank:
@@ -426,8 +478,6 @@ def terracini_oracle(st: Statement, cfg: FieldConfig | None = None) -> OracleRes
 def recompute_rank(st: Statement, prime: int, seed: int) -> RankWitness:
     """Re-run a single recorded attempt from (prime, seed); used by verifiers."""
     pts = sample_points(st, prime, seed)
-    mat = build_terracini_matrix(st, pts)
-    rank = rank_mod_p(mat, prime)
-    return RankWitness(
-        st.canonical(), prime, seed, mat.shape[0], mat.shape[1], rank, target_dim(st)
-    )
+    rank = rank_mod_p(build_terracini_matrix(st, pts), prime, overwrite=True)
+    return RankWitness(st.canonical(), prime, seed, row_count(st),
+                       ambient_dim(st.format), rank, target_dim(st))

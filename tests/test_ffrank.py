@@ -11,6 +11,7 @@ from segredim.ffrank import (
     FALLBACK_PRIME,
     MAX_CELLS,
     MAX_PRIME,
+    _CHUNK,
     _LEAF_COLS,
     _PANEL,
     INCONCLUSIVE_NOTE,
@@ -85,6 +86,34 @@ class TestRankModP:
         mat = rng.integers(p - 5, p, size=(20, 20), dtype=np.int64)
         assert rank_mod_p(mat, p) == reference_rank(mat, p)
 
+    def test_non_integral_float_refused(self):
+        # an int64 cast would truncate it to 0: a silent rank 0
+        with pytest.raises(ValueError, match="non-integral"):
+            rank_mod_p(np.array([[0.5]]), 97)
+
+    def test_non_finite_float_refused(self):
+        # an int64 cast would turn nan into some integer, with only a warning
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                rank_mod_p(np.array([[1.0, bad]]), 97)
+        wide = np.ones((3, _LEAF_COLS + 1))
+        wide[2, -1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_mod_p(wide, 97)
+
+    def test_integer_dtype_past_int64_refused(self):
+        # 97 * 2^57 > 2^63 is 0 mod 97, but would wrap to a nonzero int64
+        big = np.array([[97 << 57]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="uint64"):
+            rank_mod_p(big, 97)
+        assert rank_mod_p(big.astype(np.float64), 97) == 0  # exact in float
+        assert rank_mod_p(np.array([[3]], dtype=np.uint32), 97) == 1
+
+    def test_only_matrices_accepted(self):
+        for shape in [(4,), (2, 2, 2), ()]:
+            with pytest.raises(ValueError, match="2-D"):
+                rank_mod_p(np.ones(shape, dtype=np.int64), 97)
+
     def test_primes_are_prime(self):
         assert is_prime(DEFAULT_PRIME)
         assert is_prime(FALLBACK_PRIME)
@@ -135,6 +164,9 @@ class TestBlockedKernel:
         assert rank_mod_p(wide, p) == reference_rank(wide, p)  # rank < panel
         tall = staircase(_LEAF_COLS + 8, _LEAF_COLS + 1, 18, p, seed=p % 997)
         assert rank_mod_p(tall, p) == reference_rank(tall, p)
+        # below the first panel's pivots: two full row chunks and a partial one
+        taller = staircase(2 * _CHUNK + 100, _LEAF_COLS + 1, 18, p, seed=p % 991)
+        assert rank_mod_p(taller, p) == reference_rank(taller, p)
 
     def test_worst_case_accumulation_at_largest_prime(self):
         # Eight panels of pivot rows [0 .. I .. 0 | b] above two rows
@@ -162,6 +194,12 @@ class TestBlockedKernel:
         assert rank_mod_p(mat, p) == n
         near = rng.integers(p - 3, p, size=(70, _LEAF_COLS + 30), dtype=np.int64)
         assert rank_mod_p(near, p) == reference_rank(near, p)
+        # The [m m .. m | c] rows repeated, so that they fill two row chunks
+        # and part of a third below the pivots of every panel: each chunk's
+        # reduction must happen, or its rows round and add a pivot.
+        repeats = (2 * _CHUNK + 88) // 2
+        tall = np.vstack([mat[:n]] + [mat[n:]] * repeats)
+        assert rank_mod_p(tall, p) == n
 
     def test_inexact_modulus_refused(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,225 @@
+"""The oracle's one-buffer path computes what the copying path computed.
+
+The references below are the matrix build and the blocked kernel as they
+were before the oracle built one float64 array and reduced it in place: the
+build stacks int64 blocks, and the kernel reduces a float64 copy of its
+input with full-height trailing updates.  Ranks, and so every witness and
+certificate, must not move, so the tests compare exact values.
+"""
+import random
+import tracemalloc
+from typing import Iterable
+
+import numpy as np
+import pytest
+
+from segredim.ffrank import (
+    DEFAULT_PRIME,
+    FALLBACK_PRIME,
+    MAX_PRIME,
+    _CHUNK,
+    _EXACT,
+    _LEAF_COLS,
+    _PANEL,
+    _eliminate,
+    _reduce,
+    _solve_unit_lower,
+    FieldConfig,
+    build_terracini_matrix,
+    rank_mod_p,
+    recompute_rank,
+    row_count,
+    sample_points,
+    terracini_oracle,
+)
+from segredim.formats import Statement, ambient_dim, parse_statement
+
+PRIMES = [DEFAULT_PRIME, FALLBACK_PRIME]
+
+
+def ref_chain_outer(vectors: Iterable[np.ndarray], p: int) -> np.ndarray:
+    out = np.ones(1, dtype=np.int64)
+    for v in vectors:
+        out = (out[:, None] * v[None, :]) % p
+        out = out.reshape(-1)
+    return out
+
+
+def ref_slot_block(vectors: tuple[np.ndarray, ...], slot: int, p: int) -> np.ndarray:
+    # rows b = tensor with the slot vector replaced by the b-th basis vector
+    left = ref_chain_outer(vectors[:slot], p)
+    right = ref_chain_outer(vectors[slot + 1 :], p)
+    m = len(vectors[slot])
+    lr = (left[:, None] * right[None, :]) % p
+    out = np.zeros((m, left.size, m, right.size), dtype=np.int64)
+    idx = np.arange(m)
+    out[idx, :, idx, :] = lr
+    return out.reshape(m, left.size * m * right.size)
+
+
+def ref_build_terracini_matrix(st: Statement, pts) -> np.ndarray:
+    p = pts.prime
+    k = st.format.k
+    blocks: list[np.ndarray] = []
+    for point in pts.tangent:
+        for j in range(k):
+            blocks.append(ref_slot_block(point, j, p))
+    for i in range(k):
+        for point in pts.fibers[i]:
+            blocks.append(ref_slot_block(point, i, p))
+    cols = ambient_dim(st.format)
+    if not blocks:
+        return np.zeros((0, cols), dtype=np.int64)
+    return np.vstack(blocks)
+
+
+def ref_blocked_rank(matrix: np.ndarray, p: int) -> int:
+    rows, cols = matrix.shape
+    f = np.empty((rows, cols), dtype=np.float64)
+    np.remainder(matrix, p, out=f)
+    step = (p - 1) ** 2  # growth of a trailing entry per unit of inner dimension
+    bound = p - 1  # largest magnitude a trailing entry can have
+    top = 0
+    for c in range(0, cols, _PANEL):
+        e = min(c + _PANEL, cols)
+        panel = f[top:, c:e].astype(np.int64) % p
+        r, pivots, inverses, swaps = _eliminate(panel, p)
+        top += r
+        if top == rows or e == cols:
+            break
+        if r == 0:
+            continue
+        t = f[top - r :, e:]
+        if swaps:
+            order = np.arange(len(t))
+            for i, j in swaps:
+                order[i], order[j] = order[j], order[i]
+            moved = np.flatnonzero(order != np.arange(len(t)))
+            t[moved] = t[order[moved]]
+        # Multipliers against the unscaled pivot rows: column k scaled by the
+        # k-th pivot inverse, so the triangle to solve has a unit diagonal.
+        lower = (panel[:, pivots] * np.array(inverses) % p).astype(np.float64)
+        pivot_rows, rest = t[:r], t[r:]
+        _reduce(pivot_rows, p)
+        _solve_unit_lower(lower[:r], pivot_rows, p)
+        if bound + r * step > _EXACT:
+            _reduce(rest, p)
+            bound = p - 1
+        rest -= lower[r:] @ pivot_rows
+        bound += r * step
+    return top
+
+
+def ref_rank_mod_p(matrix: np.ndarray, p: int) -> int:
+    if not 2 <= p < MAX_PRIME:
+        raise ValueError(
+            f"modulus {p} outside [2, {MAX_PRIME}), where rank_mod_p is exact")
+    a = np.asarray(matrix, dtype=np.int64)
+    rows, cols = a.shape
+    if rows == 0 or cols == 0:
+        return 0
+    if cols <= _LEAF_COLS:
+        return _eliminate(a % p, p)[0]
+    return ref_blocked_rank(a, p)
+
+
+def random_statement(rng: random.Random) -> Statement:
+    # ambient dimensions from 8 to 600: both sides of _LEAF_COLS
+    k = rng.choice([3, 3, 4])
+    while True:
+        dims = tuple(rng.randint(1, 9 if k == 3 else 5) for _ in range(k))
+        cols = int(np.prod([n + 1 for n in dims]))
+        if 8 <= cols <= 600:
+            break
+    a = tuple(rng.choice([0, 0, 0, 1, 2]) for _ in range(k))
+    return Statement.of(dims, rng.randint(1, 2 + cols // (sum(dims) + 1)), a)
+
+
+def statement_sweep(count: int, seed: int) -> list[Statement]:
+    rng = random.Random(seed)
+    return [random_statement(rng) for _ in range(count)]
+
+
+def test_build_matches_reference_entrywise():
+    for i, st in enumerate(statement_sweep(60, seed=1)):
+        p = PRIMES[i % 2]
+        pts = sample_points(st, p, 1000 + i)
+        new = build_terracini_matrix(st, pts)
+        old = ref_build_terracini_matrix(st, pts)
+        assert new.dtype == np.float64, st
+        assert new.shape == old.shape == (row_count(st), ambient_dim(st.format))
+        assert np.array_equal(new, old), st
+
+
+def test_statement_ranks_match_reference():
+    seen = set()
+    for i, st in enumerate(statement_sweep(80, seed=2)):
+        p = PRIMES[i % 2]
+        old = ref_build_terracini_matrix(st, sample_points(st, p, 7 + i))
+        mat = build_terracini_matrix(st, sample_points(st, p, 7 + i))
+        want = ref_rank_mod_p(old, p)
+        assert rank_mod_p(mat, p, overwrite=True) == want, st
+        rows, cols = old.shape
+        seen.add((cols > _LEAF_COLS, want == min(rows, cols)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_matrix_ranks_match_reference(p):
+    # random matrices, of full rank or of rank at most 100, with entries
+    # outside [0, p) in their lower half; on both paths, across row chunks
+    rng = np.random.default_rng(p % 1000)
+    seen = set()
+    for _ in range(24):
+        rows = int(rng.integers(1, 2 * _CHUNK + 150))
+        cols = int(rng.choice([int(rng.integers(1, _LEAF_COLS + 1)),
+                               int(rng.integers(_LEAF_COLS + 1, 450))]))
+        if rng.random() < 0.5:
+            mat = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+        else:  # exact in int64: inner * p^2 < 2^63
+            inner = int(rng.integers(1, min(rows, cols, 100) + 1))
+            x = rng.integers(0, p, size=(rows, inner), dtype=np.int64)
+            y = rng.integers(0, p, size=(inner, cols), dtype=np.int64)
+            mat = x @ y % p
+        mat[rows // 2:] -= p * rng.integers(-3, 4, size=(rows - rows // 2, cols))
+        want = ref_rank_mod_p(mat, p)
+        assert rank_mod_p(mat, p) == want
+        assert rank_mod_p(mat.astype(np.float64), p, overwrite=True) == want
+        seen.add((cols > _LEAF_COLS, want == min(rows, cols)))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("cols", [_LEAF_COLS, _LEAF_COLS + 70])
+def test_argument_unchanged_without_overwrite(dtype, cols):
+    rng = np.random.default_rng(cols)
+    mat = rng.integers(-3 * DEFAULT_PRIME, 3 * DEFAULT_PRIME,
+                       size=(2 * _CHUNK + 30, cols)).astype(dtype)
+    before = mat.copy()
+    assert rank_mod_p(mat, DEFAULT_PRIME) == ref_rank_mod_p(before, DEFAULT_PRIME)
+    assert np.array_equal(mat, before)
+
+
+@pytest.mark.parametrize("text", [
+    "T(2,2,2;4)",        # leaf path, deficient at both primes
+    "T(3,3,3,3;19)",     # blocked path, full rank
+    "T(1,1,7,7;15)",     # blocked path, deficient at both primes
+])
+def test_recompute_reproduces_oracle_witness(text):
+    res = terracini_oracle(parse_statement(text), FieldConfig(force=True))
+    for w in res.attempts:
+        assert recompute_rank(w.statement, w.prime, w.seed) == w
+
+
+def test_oracle_holds_one_matrix_copy():
+    # clock-free: the copying path peaked at 3.0x the float64 matrix here
+    st = parse_statement("T(1,1,15,15;31)")
+    matrix_bytes = row_count(st) * ambient_dim(st.format) * 8
+    tracemalloc.start()
+    try:
+        res = terracini_oracle(st, FieldConfig(force=True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.attempts) == 2  # deficient: the fallback prime ran too
+    assert peak < 1.5 * matrix_bytes
