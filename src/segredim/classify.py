@@ -278,21 +278,15 @@ def _measure(fmt: Format, s: int, row: ProfileRow, cfg: RunConfig) -> ProfileRow
                       row.source, row.proof, row.note)
 
 
-_LOOK_UP = object()
-
-
 def resolve_secant(fmt: FormatLike, s: int, cfg: Optional[RunConfig] = None,
                    engine: Optional[ProofEngine] = None,
-                   cache=None, *, catalog=_LOOK_UP) -> ProfileRow:
-    """Resolve one secant row: catalog, then proof search, then oracle.
-
-    `catalog` is the row's `_catalog_row` result when the caller has
-    looked it up already (None when the catalog is silent)."""
+                   cache=None) -> ProfileRow:
+    """Resolve one secant row: catalog, then proof search, then oracle."""
     f = Format.of(fmt)
     cfg = cfg or RunConfig()
     affine, _ = expected_secant_dim(f, s)
 
-    row = _catalog_row(f, s) if catalog is _LOOK_UP else catalog
+    row = _catalog_row(f, s)
     if row is not None:
         if row.status == DEFECTIVE and row.lower is None:
             return _measure(f, s, row, cfg)
@@ -568,12 +562,12 @@ def defective_scan(k_max: int, n_max: int, r_max: int,
     r_max), the largest scanned s that is still subabundant.  If the
     crit-th secant is nondefective, its crit general tangent spaces are
     independent, so any fewer of them are too (Terracini's lemma): every
-    row below crit is nondefective.  So on the first row below crit that
-    the catalog leaves open, crit is resolved first; if it is
-    NonDefective, the catalog-silent rows below it get no search, oracle
-    or cache record, and a catalog row below it that is not NonDefective
-    raises CatalogConsistencyError.  Otherwise the rows are resolved one
-    by one.  Rows from crit on are resolved in order until one fills.
+    row below crit is nondefective.  So crit is resolved first; if it is
+    NonDefective, the rows below it get no search, oracle or cache
+    record, and a catalog row below it that is not NonDefective raises
+    CatalogConsistencyError.  Otherwise the rows below crit are resolved
+    one by one.  No row below crit can fill, so rows from crit on are
+    then resolved in order until one fills.
     With a cache, only the rows the scan proved are recorded.  `classify`
     (secant_profile) and `dim` (resolve_secant) still prove every row they
     print, since their output carries each row's cert_ref.
@@ -587,34 +581,24 @@ def defective_scan(k_max: int, n_max: int, r_max: int,
             f = Format.of(dims)
             P = ambient_dim(f)
             crit = min(P // (1 + sum(dims)), r_max)
-            crit_row: Optional[ProfileRow] = None
-            first = len(hits)
-            for s in range(1, r_max + 1):
-                if s == crit and crit_row is not None:
-                    row = crit_row
-                else:
+            crit_row = resolve_secant(f, crit, cfg, engine, cache)
+            start = 1
+            if crit_row.status == NONDEFECTIVE:
+                for s in range(1, crit):
                     cat = _catalog_row(f, s)
-                    if cat is None and s < crit:
-                        if crit_row is None:
-                            crit_row = resolve_secant(f, crit, cfg, engine,
-                                                      cache)
-                        if crit_row.status == NONDEFECTIVE:
-                            continue  # follows from the critical row
-                    row = resolve_secant(f, s, cfg, engine, cache,
-                                         catalog=cat)
-                    if s == crit:
-                        crit_row = row
+                    if cat is not None and cat.status != NONDEFECTIVE:
+                        raise CatalogConsistencyError(
+                            f"({f}) s={s} reads {cat.status} below its "
+                            f"nondefective critical row s={crit}")
+                start = crit  # every row below follows from crit
+            for s in range(start, r_max + 1):
+                row = (crit_row if s == crit
+                       else resolve_secant(f, s, cfg, engine, cache))
                 if row.status != NONDEFECTIVE:
                     hits.append(ScanHit(f, s, row.expected, row.lower,
                                         row.upper, row.status))
                 elif row.lower == P:
                     break  # fills from here on
-            if crit_row is not None and crit_row.status == NONDEFECTIVE:
-                below = [h for h in hits[first:] if h.s < crit]
-                if below:
-                    raise CatalogConsistencyError(
-                        f"({f}) s={below[0].s} reads {below[0].status} "
-                        f"below its nondefective critical row s={crit}")
     return ScanReport(k_max, n_max, r_max, tuple(hits))
 
 

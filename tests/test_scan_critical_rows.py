@@ -93,9 +93,9 @@ def test_per_row_cache_serves_the_critical_row_scan(per_row):
 
 
 @pytest.mark.parametrize("fake", [
-    {3: "defective"},               # listed before crit is resolved
-    {4: None, 5: "defective"},      # listed after crit is resolved early
-], ids=["before_crit", "after_crit"])
+    {3: "defective"},               # among catalog rows only
+    {4: None, 5: "defective"},      # above a catalog-silent row
+], ids=["catalog_rows", "above_silent_row"])
 def test_defective_catalog_row_below_a_nondefective_crit(monkeypatch, fake):
     # (3,3,3): P = 64, so crit = 6; the catalog gives s <= 4, and s = 6 is
     # proved nondefective
