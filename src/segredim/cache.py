@@ -62,12 +62,11 @@ class VerdictCache:
         self.path = Path(path)
         self._records: dict[tuple[str, str], CacheRecord] = {}
         if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
+            # each line decodes on its own, so one that is not UTF-8
+            # (UnicodeDecodeError is a ValueError) is skipped like the rest
+            for line in self.path.read_bytes().splitlines():
                 try:
-                    rec = CacheRecord.from_json(json.loads(line))
+                    rec = CacheRecord.from_json(json.loads(line.decode()))
                 except (ValueError, KeyError, TypeError):
                     continue
                 self._records[(rec.statement, rec.config_digest)] = rec

@@ -22,14 +22,9 @@ from .formats import (
     ambient_dim,
     expected_fill_count,
     expected_secant_dim,
-    is_balanced,
-    is_unbalanced,
-    unbalanced_defective_range,
-    unbalanced_span_dim,
-    unbalanced_typical_rank,
 )
 from .induction import CertNode, ProofEngine
-from .induction.rules import SMALL_FORMAT_DIMS, known_false
+from .induction.rules import SMALL_FORMAT_DIMS, defective_family, known_false
 
 NONDEFECTIVE = "NonDefective"
 DEFECTIVE = "Defective"
@@ -189,7 +184,6 @@ def _catalog_row(fmt: Format, s: int) -> Optional[ProfileRow]:
     silent.  Defective rows without exact catalog dimensions come back with
     lower=None; the caller measures them."""
     affine, _ = expected_secant_dim(fmt, s)
-    P = ambient_dim(fmt)
     pos = _positive_dims(fmt)
     k = len(pos)
     if k <= 1:
@@ -206,28 +200,18 @@ def _catalog_row(fmt: Format, s: int) -> Optional[ProfileRow]:
                           "catalog:small-format")
     if k >= 3 and s <= 2:
         return _nd(s, affine, "two-secants")
-    if k == 4 and pos[0] == 1 and pos[1] == 1 and pos[2] == pos[3]:
-        n = pos[2]
-        if s <= 2 * n:
-            return _nd(s, affine, "paired-square")
-        if s == 2 * n + 1:
-            return _exact(s, affine, P - 2, "paired-square")
-        return _nd(s, affine, "paired-square-fill")
-    if pos == (2, 3, 3):
-        if s <= 4:
-            return _nd(s, affine, "hull-233")
-        if s == 5:
-            return _exact(s, affine, 44, "hull-233")
-        return _nd(s, affine, "hull-233-fill")
-    if is_unbalanced(pos):
-        lo, hi = unbalanced_defective_range(pos)
+    family = defective_family(pos)
+    if family is not None:
+        name, lo, hi, span = family
+        low, bad = ("-low", "-range") if name == "unbalanced" else ("", "")
         if s <= lo:
-            return _nd(s, affine, "unbalanced-low")
+            return _nd(s, affine, name + low)
         if s < hi:
-            return _exact(s, affine, unbalanced_span_dim(pos, s), "unbalanced-range")
-        # hi equals the typical rank, so everything from here on fills
-        return _nd(s, affine, "unbalanced-fill")
-    if is_balanced(pos) and s <= pos[-1]:
+            return _exact(s, affine, span(s), name + bad)
+        # hi is the typical rank, so everything from here on fills
+        return _nd(s, affine, name + "-fill")
+    # every format outside the families is balanced
+    if s <= pos[-1]:
         return _nd(s, affine, "balanced-low")
     if k >= 3 and len(set(pos)) == 1:
         pb = tensor_power_bounds(pos[0], k)
@@ -406,16 +390,12 @@ def typical_rank(fmt: FormatLike, cfg: Optional[RunConfig] = None,
     f = Format.of(fmt)
     pos = _positive_dims(f)
     k = len(pos)
-    result: Optional[TypicalRank] = None
+    family = defective_family(pos)
     if k <= 1:
         result = TypicalRank(1, "catalog", "single-factor")
-    elif pos == (2, 3, 3):
-        result = TypicalRank(6, "catalog", "hull-233")
-    elif k == 4 and pos[0] == 1 and pos[1] == 1 and pos[2] == pos[3]:
-        result = TypicalRank(2 * pos[2] + 2, "catalog", "paired-square")
-    elif is_unbalanced(pos):
-        result = TypicalRank(unbalanced_typical_rank(pos), "catalog",
-                             "unbalanced")
+    elif family is not None:
+        name, _, hi, _ = family
+        result = TypicalRank(hi, "catalog", name)
     else:
         profile = secant_profile(f, cfg, engine=engine, cache=cache)
         if profile.typical_rank is not None:

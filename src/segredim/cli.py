@@ -140,9 +140,9 @@ def cmd_prove(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    cache = _cache(args)
     engine = ProofEngine(cfg)
     v = engine.prove(st)
-    cache = _cache(args)
     out_path = Path(args.out)
     if v.status is None:
         word = "UNDETERMINED"
@@ -166,9 +166,11 @@ def cmd_prove(args: argparse.Namespace) -> int:
                 print(f"best oracle evidence: rank {w.rank} of target "
                       f"{w.target} (not a proof)", file=sys.stderr)
         return EXIT_UNDETERMINED
+    # the certificate first: a cache record must not point at a file that
+    # failed to be written
+    out_path.write_text(v.certificate.dumps() + "\n")
     if cache is not None:
         cache.put(st, v.status, v.certificate, cfg.digest())
-    out_path.write_text(v.certificate.dumps() + "\n")
     word = "TRUE" if v.status else "FALSE"
     if args.json:
         print(json.dumps({
@@ -242,12 +244,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    path = Path(args.certificate)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    text = Path(args.certificate).read_text()
     try:
         cert = Certificate.loads(text)
         verify(cert)
@@ -331,7 +328,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse exits on usage errors and --help; surface the code so
         # embedders calling main() directly get a return value instead.
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        # an unreadable cache or certificate, or an unwritable output
+        # path, is a usage error: exit 1 would read as a false verdict
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

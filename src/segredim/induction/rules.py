@@ -305,35 +305,40 @@ def _small_false_keys() -> dict:
 _SMALL_FALSE_KEYS = _small_false_keys()
 
 
-def _family_false(c: Statement) -> Optional[FalsityReason]:
-    if any(c.a):
-        return None
-    dims = c.format.dims  # descending
-    if dims == (3, 3, 2) and c.s == 5:
-        return FalsityReason(cert.TABLE_FALSE, "family:2,3,3",
-                             {"actual_affine_dim": 44})
-    if len(dims) == 4 and dims[2] == dims[3] == 1 and dims[0] == dims[1]:
-        n = dims[0]
-        if c.s == 2 * n + 1:
-            return FalsityReason(cert.TABLE_FALSE, "family:1,1,n,n",
-                                 {"n": n, "actual_affine_dim": ambient_dim(c.format) - 2})
+def defective_family(asc: tuple[int, ...]):
+    """(name, lo, hi, span) of the closed-form defective family holding the
+    ascending positive dims `asc`, or None.  Its rows are defective exactly
+    for lo < s < hi, span(s) is their affine dimension, and hi is the
+    typical rank.  Families: hull-233 (P^2 x P^3 x P^3 at s = 5),
+    paired-square (P^1 x P^1 x P^n x P^n at s = 2n+1), unbalanced."""
+    if asc == (2, 3, 3):
+        return "hull-233", 4, 6, lambda s: 44
+    if len(asc) == 4 and asc[0] == asc[1] == 1 and asc[2] == asc[3]:
+        n = asc[2]
+        return "paired-square", 2 * n, 2 * n + 2, lambda s: ambient_dim(asc) - 2
+    if len(asc) > 1 and is_unbalanced(asc):
+        lo, hi = unbalanced_defective_range(asc)
+        return "unbalanced", lo, hi, lambda s: unbalanced_span_dim(asc, s)
     return None
 
 
-def _unbalanced_false(c: Statement) -> Optional[FalsityReason]:
+def _family_false(c: Statement) -> Optional[FalsityReason]:
+    dims = c.format.dims  # descending
     # two factors are two_factor_dim's
-    if any(c.a) or c.format.k < 3 or min(c.format.dims) < 1:
+    if any(c.a) or c.format.k < 3 or min(dims) < 1:
         return None
-    if not is_unbalanced(c.format):
+    family = defective_family(dims[::-1])
+    if family is None or not family[1] < c.s < family[2]:
         return None
-    lo, hi = unbalanced_defective_range(c.format)
-    if not lo < c.s < hi:
-        return None
-    return FalsityReason(cert.UNBALANCED_FALSE, None, {
-        "d": c.s,
-        "actual_affine_dim": unbalanced_span_dim(c.format, c.s),
-        "expected": target_dim(c),
-    })
+    name, actual = family[0], family[3](c.s)
+    if name == "unbalanced":
+        return FalsityReason(cert.UNBALANCED_FALSE, None, {
+            "d": c.s, "actual_affine_dim": actual, "expected": target_dim(c)})
+    if name == "paired-square":
+        return FalsityReason(cert.TABLE_FALSE, "family:1,1,n,n",
+                             {"n": dims[0], "actual_affine_dim": actual})
+    return FalsityReason(cert.TABLE_FALSE, "family:2,3,3",
+                         {"actual_affine_dim": actual})
 
 
 def _fibration_false(c: Statement) -> Optional[FalsityReason]:
@@ -369,7 +374,7 @@ def known_false(st: Statement) -> Optional[FalsityReason]:
     if table_id is not None:
         return FalsityReason(cert.TABLE_FALSE, table_id)
     c = st.canonical()
-    for check in (_family_false, _unbalanced_false, _fibration_false):
+    for check in (_family_false, _fibration_false):
         reason = check(c)
         if reason is not None:
             return reason

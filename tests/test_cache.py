@@ -64,6 +64,16 @@ def test_bad_lines_do_not_hide_good_ones(tmp_path):
     assert cache.get(STATEMENT, DIGEST).verdict is True
 
 
+def test_a_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
+    path = tmp_path / "verdicts.ldjson"
+    path.write_bytes(b"\xff\n" + json.dumps(record()).encode() + b"\n\xfe{\n")
+    cache = VerdictCache(path)
+    assert len(cache) == 1
+    assert cache.get(STATEMENT, DIGEST).verdict is True
+    assert main(["dim", "2,4,4", "7", "--cache", str(path)]) == 0
+    assert "NonDefective [induction]" in capsys.readouterr().out
+
+
 def test_record_from_an_older_tool_version_misses(tmp_path, capsys):
     # RunConfig(budget_nodes=INDUCTION_NODE_BUDGET, retries=3).digest() as
     # version 0.1.0 computed it, before the digest covered the tool version.

@@ -156,6 +156,17 @@ class TestProve:
         assert code == 0
         assert "certificate OK: FALSE" in out
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        cache = tmp_path / "cache.ldjson"
+        code, out, err = run(capsys, "prove", "T(2,2,2;3)", "--cache",
+                             str(cache), "--out",
+                             str(tmp_path / "missing" / "c.json"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # the cache holds no record of a certificate that was never written
+        assert not cache.exists() or cache.read_text() == ""
+
     def test_summary_lists_leaf_kinds(self, capsys, tmp_path):
         code, out, _ = run(capsys, "prove", "T(3,3,3;6)",
                            "--out", str(tmp_path / "c.json"))
@@ -333,6 +344,14 @@ class TestScan:
     def test_scan_requires_k_at_least_three(self, capsys):
         code, _, err = run(capsys, "scan", "--k", "2", "--max-n", "3", "--max-r", "3")
         assert code == 2
+
+    def test_cache_that_is_a_directory_is_a_usage_error(self, capsys,
+                                                        tmp_path):
+        code, out, err = run(capsys, "scan", "--k", "3", "--max-n", "2",
+                             "--max-r", "3", "--cache", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_scan_json_and_cache_reuse(self, capsys, tmp_path):
         cache = tmp_path / "cache.ldjson"
