@@ -244,11 +244,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    text = Path(args.certificate).read_text()
     try:
-        cert = Certificate.loads(text)
+        cert = Certificate.loads(Path(args.certificate).read_text(encoding="utf-8"))
         verify(cert)
-    except (CertificateFormatError, json.JSONDecodeError) as exc:
+    except (CertificateFormatError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"verification failed: malformed certificate: {exc}",
               file=sys.stderr)
         return EXIT_FALSE

@@ -1,7 +1,9 @@
 """Exact rank certification over a large prime field.
 
 Builds the tangent-plus-fiber span matrix of a statement at random points with
-coordinates in F_p and row-reduces it exactly. A full-rank outcome certifies
+coordinates in F_p and row-reduces it exactly. The matrix holds one basis of
+each tangent space (Terracini's lemma: 1 + sum n_i rows per point) and every
+fiber row, so it has parameter_count rows. A full-rank outcome certifies
 the statement (a nonzero minor mod p is a nonzero integer minor, so the generic
 characteristic-zero rank is at least the observed one); a rank deficit is
 evidence only and is never treated as a disproof.
@@ -16,7 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .formats import Statement, ambient_dim, json_int, parse_statement, target_dim
+from .formats import (Statement, ambient_dim, json_int, parameter_count,
+                      parse_statement, target_dim)
 
 # Exactness of rank_mod_p.  float64 holds every integer of magnitude at most
 # 2^53.  The kernel keeps each float64 entry it stores at magnitude at most
@@ -224,40 +227,57 @@ def _chain_outer(vectors: Iterable[np.ndarray], p: int) -> np.ndarray:
 
 
 def _write_slot_block(out: np.ndarray, vectors: tuple[np.ndarray, ...],
-                      slot: int, p: int) -> None:
-    # rows b = tensor with the slot vector replaced by the b-th basis vector;
-    # out is zeroed and has one row per entry of the slot vector
+                      slot: int, basis: np.ndarray, p: int) -> None:
+    # row t = tensor with the slot vector replaced by basis vector basis[t];
+    # out is zeroed and has one row per entry of basis
     left = _chain_outer(vectors[:slot], p)
     right = _chain_outer(vectors[slot + 1 :], p)
     m = len(vectors[slot])
     lr = (left[:, None] * right[None, :]) % p
-    idx = np.arange(m)
-    out.reshape(m, left.size, m, right.size)[idx, :, idx, :] = lr
+    t = len(basis)
+    out.reshape(t, left.size, m, right.size)[np.arange(t), :, basis, :] = lr
 
 
 def row_count(st: Statement) -> int:
+    """Generators of the configuration: n_j + 1 per factor slot of each
+    tangent point, and n_i + 1 per fiber point.  The unit of the oracle's
+    budget (MAX_CELLS, the search's cell budget), of its refusal message and
+    of RankWitness.rows; the matrix itself keeps parameter_count of them."""
     d = st.format.dims
     return st.s * sum(n + 1 for n in d) + sum(x * (n + 1) for x, n in zip(st.a, d))
 
 
 def build_terracini_matrix(st: Statement, pts: PointSet) -> np.ndarray:
-    """Rows: per tangent point, one block per factor slot (the point itself
-    appears in each block's row span); then the fiber blocks per factor.
-    Columns: multi-indices in row-major order, first factor slowest.
+    """Rows: per tangent point x = x_0 (x) ... (x) x_{k-1}, the whole slot-0
+    block, then each slot block j >= 1 without its row at the first nonzero
+    coordinate b of x_j; then the fiber blocks per factor, whole.  Columns:
+    multi-indices in row-major order, first factor slowest.  The shape is
+    (parameter_count(st), ambient_dim(st.format)).
+
+    The span is that of all row_count(st) generators, exactly, at every
+    sample: the rows of block j weighted by x_j sum to x, which the slot-0
+    block spans, so the dropped row is x_j[b]^-1 times a combination of rows
+    kept (x_j[b] is a unit mod p).  A P^0 slot j >= 1 adds no row.
 
     Returns float64 residues in [0, p), not int64: each slot block is
     written straight into one zeroed array, exact since p < MAX_PRIME < 2^53,
     which rank_mod_p(..., overwrite=True) then reduces in place."""
     p = pts.prime
     k = st.format.k
-    slots = [(point, j) for point in pts.tangent for j in range(k)]
-    slots += [(point, i) for i in range(k) for point in pts.fibers[i]]
-    out = np.zeros((row_count(st), ambient_dim(st.format)), dtype=np.float64)
+    slots = []
+    for point in pts.tangent:
+        for j, v in enumerate(point):
+            basis = np.arange(len(v))
+            if j:
+                basis = np.delete(basis, np.flatnonzero(v)[0])
+            slots.append((point, j, basis))
+    slots += [(point, i, np.arange(len(point[i])))
+              for i in range(k) for point in pts.fibers[i]]
+    out = np.zeros((parameter_count(st), ambient_dim(st.format)), dtype=np.float64)
     top = 0
-    for point, j in slots:
-        m = len(point[j])
-        _write_slot_block(out[top : top + m], point, j, p)
-        top += m
+    for point, j, basis in slots:
+        _write_slot_block(out[top : top + len(basis)], point, j, basis, p)
+        top += len(basis)
     return out
 
 
@@ -267,6 +287,9 @@ def _eliminate(
     """Row-reduce int64 residues in place by the per-column loop with delayed
     reduction: only the pivot row and multipliers are reduced each step, the
     trailing block is reduced just often enough to stay inside int64.
+
+    Each pivot column is reduced once: its residues give the pivot row (the
+    first nonzero one), the pivot's inverse and the multipliers.
 
     Leaves `a` as LAPACK's getrf does: each pivot row is scaled to 1 at its
     pivot, and below each pivot sits the multiplier that cleared that entry.
@@ -284,17 +307,17 @@ def _eliminate(
         if rank == rows:
             break
         col = a[rank:, c] % p
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-            swaps.append((rank, piv))
-        a[rank, c:] %= p
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank, c:] = a[rank, c:] * inv % p
-        below = a[rank + 1 :, c] % p
+        piv = int(nz[0])
+        if piv:
+            a[[rank, rank + piv]] = a[[rank + piv, rank]]
+            col[[0, piv]] = col[[piv, 0]]
+            swaps.append((rank, rank + piv))
+        inv = pow(int(col[0]), p - 2, p)
+        a[rank, c:] = a[rank, c:] % p * inv % p
+        below = col[1:]
         if below.size:
             a[rank + 1 :, c + 1 :] -= below[:, None] * a[rank, c + 1 :][None, :]
             a[rank + 1 :, c] = below

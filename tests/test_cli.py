@@ -263,6 +263,15 @@ class TestVerify:
         assert f"certificate node {len(doc['nodes']) - 1}: slot -2 out of " \
             "range" in err
 
+    def test_non_utf8_file_fails(self, capsys, tmp_path):
+        cert = tmp_path / "c.json"
+        cert.write_bytes(b"\xff")
+        code, out, err = run(capsys, "verify", str(cert))
+        assert code == 1
+        assert "certificate OK" not in out
+        assert err.startswith("verification failed: malformed certificate: ")
+        assert "utf-8" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2

@@ -27,7 +27,7 @@ from segredim.ffrank import (
     sample_points,
     terracini_oracle,
 )
-from segredim.formats import Statement, ambient_dim, target_dim
+from segredim.formats import Statement, ambient_dim, parameter_count, target_dim
 
 
 def reference_rank(mat: np.ndarray, p: int) -> int:
@@ -211,15 +211,18 @@ class TestTerraciniMatrix:
         s = Statement.of((2, 3, 3), 5)
         pts = sample_points(s, DEFAULT_PRIME, 1234)
         mat = build_terracini_matrix(s, pts)
-        assert mat.shape == (row_count(s), ambient_dim(s.format))
-        # one block of n_j+1 rows per factor per tangent point
-        assert mat.shape == (5 * (3 + 4 + 4), 48)
+        assert mat.shape == (parameter_count(s), ambient_dim(s.format))
+        # one basis of 1 + sum n_j rows per tangent point, not the
+        # 5 * (3 + 4 + 4) generators row_count counts
+        assert mat.shape == (5 * (1 + 2 + 3 + 3), 48)
+        assert row_count(s) == 5 * (3 + 4 + 4)
 
     def test_fiber_rows_counted(self):
         s = Statement.of((1, 1, 1), 1, (0, 0, 3))
         pts = sample_points(s, DEFAULT_PRIME, 99)
         mat = build_terracini_matrix(s, pts)
-        assert mat.shape == (row_count(s), 8)
+        assert mat.shape == (parameter_count(s), 8)
+        assert parameter_count(s) == (1 + 1 + 1 + 1) + 3 * 2
         assert row_count(s) == (2 + 2 + 2) + 3 * 2
 
     def test_deterministic_given_seed(self):

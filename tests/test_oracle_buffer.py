@@ -2,9 +2,12 @@
 
 The references below are the matrix build and the blocked kernel as they
 were before the oracle built one float64 array and reduced it in place: the
-build stacks int64 blocks, and the kernel reduces a float64 copy of its
-input with full-height trailing updates.  Ranks, and so every witness and
-certificate, must not move, so the tests compare exact values.
+build stacks int64 blocks of all row_count generators, and the kernel
+reduces a float64 copy of its input with full-height trailing updates.  The
+live build keeps one basis of each tangent space out of those generators,
+and the per-column loop is checked against a pure-Python elimination.
+Ranks, and so every witness and certificate, must not move, so the tests
+compare exact values.
 """
 import random
 import tracemalloc
@@ -17,6 +20,7 @@ from segredim.ffrank import (
     DEFAULT_PRIME,
     FALLBACK_PRIME,
     MAX_PRIME,
+    PointSet,
     _CHUNK,
     _EXACT,
     _LEAF_COLS,
@@ -32,7 +36,7 @@ from segredim.ffrank import (
     sample_points,
     terracini_oracle,
 )
-from segredim.formats import Statement, ambient_dim, parse_statement
+from segredim.formats import Statement, ambient_dim, parameter_count, parse_statement
 
 PRIMES = [DEFAULT_PRIME, FALLBACK_PRIME]
 
@@ -71,6 +75,20 @@ def ref_build_terracini_matrix(st: Statement, pts) -> np.ndarray:
     if not blocks:
         return np.zeros((0, cols), dtype=np.int64)
     return np.vstack(blocks)
+
+
+def kept_rows(st: Statement, pts) -> list[int]:
+    """Rows of ref_build_terracini_matrix that the live build keeps: each
+    tangent point's slot-0 block whole, each slot block j >= 1 without the
+    row at the first nonzero coordinate of x_j, and every fiber row."""
+    keep: list[int] = []
+    top = 0
+    for point in pts.tangent:
+        for j, v in enumerate(point):
+            drop = top + int(np.flatnonzero(v)[0]) if j else -1
+            keep += [i for i in range(top, top + len(v)) if i != drop]
+            top += len(v)
+    return keep + list(range(top, row_count(st)))
 
 
 def ref_blocked_rank(matrix: np.ndarray, p: int) -> int:
@@ -140,15 +158,126 @@ def statement_sweep(count: int, seed: int) -> list[Statement]:
     return [random_statement(rng) for _ in range(count)]
 
 
+# k = 1 to 5, P^0 factors (in slot 0 and later), fibers, s = 0
+EDGE_STATEMENTS = [parse_statement(text) for text in [
+    "T(4;3)", "T(3;0;2)", "T(0,0;1)", "T(2,3;2;1,0)", "T(0,3,3;4)",
+    "T(3,0,3;4;1,0,1)", "T(3,3,0;2;0,0,3)", "T(2,2,2;0;1,2,0)", "T(2,2,2;4)",
+    "T(1,1,1,1;3)", "T(1,0,2,1;3;0,1,0,1)", "T(1,1,1,1,1;6)",
+    "T(1,1,1,1,2;5;1,0,0,0,1)", "T(0,1,0,1,1;2)", "T(2,2,2,2,2;11)",
+]]
+
+
 def test_build_matches_reference_entrywise():
-    for i, st in enumerate(statement_sweep(60, seed=1)):
+    for i, st in enumerate(EDGE_STATEMENTS + statement_sweep(60, seed=1)):
         p = PRIMES[i % 2]
         pts = sample_points(st, p, 1000 + i)
         new = build_terracini_matrix(st, pts)
         old = ref_build_terracini_matrix(st, pts)
         assert new.dtype == np.float64, st
-        assert new.shape == old.shape == (row_count(st), ambient_dim(st.format))
-        assert np.array_equal(new, old), st
+        assert old.shape == (row_count(st), ambient_dim(st.format))
+        assert new.shape == (parameter_count(st), ambient_dim(st.format))
+        assert np.array_equal(new, old[kept_rows(st, pts)]), st
+
+
+def test_build_spans_what_reference_spans():
+    # equal spans: rank(new) = rank(reference) = rank(both stacked)
+    seen = set()
+    for i, st in enumerate(EDGE_STATEMENTS + statement_sweep(30, seed=5)):
+        p = PRIMES[i % 2]
+        pts = sample_points(st, p, 300 + i)
+        new = build_terracini_matrix(st, pts)
+        old = ref_build_terracini_matrix(st, pts)
+        rank = rank_mod_p(new, p)
+        assert rank == ref_rank_mod_p(old, p), st
+        assert rank == rank_mod_p(np.vstack([new, old]), p), st
+        seen.add((st.format.k, rank == len(new)))
+    assert {k for k, _ in seen} == {1, 2, 3, 4, 5}
+    assert {full for _, full in seen} == {False, True}
+
+
+def test_build_drops_first_nonzero_coordinate():
+    # slot vectors that start with zeros: the row to drop is not row 0
+    p = DEFAULT_PRIME
+    st = parse_statement("T(2,3,2;2;0,1,0)")
+    v = lambda *xs: np.array(xs, dtype=np.int64)
+    pts = PointSet(prime=p, seed=0, tangent=(
+        (v(0, 4, 9), v(0, 0, 5, 7), v(0, 3, 1)),
+        (v(6, 2, 5), v(0, 8, 0, 1), v(0, 0, 2)),
+    ), fibers=((), ((v(1, 2, 3), v(0, 1, 0, 4), v(5, 0, 6)),), ()))
+    new = build_terracini_matrix(st, pts)
+    old = ref_build_terracini_matrix(st, pts)
+    keep = kept_rows(st, pts)
+    assert [i for i in range(len(old)) if i not in keep] == [5, 8, 14, 19]
+    assert new.shape == (parameter_count(st), ambient_dim(st.format)) == (20, 36)
+    assert np.array_equal(new, old[keep])
+    assert rank_mod_p(new, p) == rank_mod_p(old, p) == 20
+
+
+def py_eliminate(a: list[list[int]], p: int):
+    """The per-column loop in exact Python ints: the first nonzero residue
+    at or below the current row is the pivot, its row is swapped up and
+    scaled to 1 from the pivot on, and each row below keeps its multiplier
+    in the pivot column."""
+    a = [[x % p for x in row] for row in a]
+    rows, cols = len(a), len(a[0])
+    rank, pivots, inverses, swaps = 0, [], [], []
+    for c in range(cols):
+        if rank == rows:
+            break
+        piv = next((i for i in range(rank, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            swaps.append((rank, piv))
+        inv = pow(a[rank][c], p - 2, p)
+        a[rank][c:] = [x * inv % p for x in a[rank][c:]]
+        for i in range(rank + 1, rows):
+            m = a[i][c]
+            a[i][c + 1 :] = [(x - m * y) % p
+                             for x, y in zip(a[i][c + 1 :], a[rank][c + 1 :])]
+        pivots.append(c)
+        inverses.append(inv)
+        rank += 1
+    return rank, pivots, inverses, swaps, a
+
+
+def tricky_panel(rng: np.random.Generator, rows: int, cols: int, p: int) -> np.ndarray:
+    """Residues of magnitude below p, some negative: the top rows are zero
+    in the first columns, so the first pivots sit below the top row; one
+    column is zero, one is a combination of two earlier ones, and some rows
+    are combinations of others, so the rank can fall short of both sides."""
+    a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    a[: min(8, rows - 1), : min(4, cols)] = 0
+    if cols > 6:
+        a[:, 5] = 0
+        a[:, 6] = (3 * a[:, 1] + 5 * a[:, 2]) % p
+    for _ in range(int(rng.integers(0, rows))):
+        i, j, t = rng.integers(0, rows, size=3)
+        a[t] = (a[i] + 2 * a[j]) % p
+    a -= p * (rng.random(a.shape) < 0.3) * (a != 0)
+    return a
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 1_073_741_827])
+def test_eliminate_matches_python_elimination(p):
+    # 1 073 741 827 leaves room for only 3 unreduced updates, so the
+    # delayed reduction of the trailing block runs too
+    rng = np.random.default_rng(p % 997)
+    seen = set()
+    shapes = [(int(rng.integers(1, 90)), int(rng.integers(1, 50))) for _ in range(10)]
+    shapes += [(int(rng.integers(_PANEL, 3 * _PANEL)), _PANEL) for _ in range(6)]
+    for rows, cols in shapes:
+        a = tricky_panel(rng, rows, cols, p)
+        want = py_eliminate(a.tolist(), p)
+        got = a.copy()
+        assert _eliminate(got, p) == want[:4]
+        assert (got % p).tolist() == want[4]
+        rank, pivots, _, swaps, _ = want
+        seen.add((cols == _PANEL, bool(swaps), rank < min(rows, cols),
+                  len(pivots) < min(rows, cols)))
+    assert {s[0] for s in seen} == {False, True}
+    assert all(any(s[i] for s in seen) for i in (1, 2, 3))
 
 
 def test_statement_ranks_match_reference():
@@ -212,9 +341,10 @@ def test_recompute_reproduces_oracle_witness(text):
 
 
 def test_oracle_holds_one_matrix_copy():
-    # clock-free: the copying path peaked at 3.0x the float64 matrix here
+    # clock-free: the copying path peaked at 3.0x the float64 matrix here;
+    # the matrix the kernel gets has parameter_count rows
     st = parse_statement("T(1,1,15,15;31)")
-    matrix_bytes = row_count(st) * ambient_dim(st.format) * 8
+    matrix_bytes = parameter_count(st) * ambient_dim(st.format) * 8
     tracemalloc.start()
     try:
         res = terracini_oracle(st, FieldConfig(force=True))
