@@ -21,6 +21,11 @@ from .formats import Statement
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
+class CacheConflictError(RuntimeError):
+    """A new verdict contradicts the record held for the same statement
+    and config digest."""
+
+
 @dataclass(frozen=True)
 class CacheRecord:
     statement: str
@@ -91,7 +96,7 @@ class VerdictCache:
         )
         existing = self._records.get((text, config_digest))
         if existing is not None and existing.verdict != rec.verdict:
-            raise RuntimeError(
+            raise CacheConflictError(
                 f"cache conflict for {text}: stored {existing.verdict}, "
                 f"new {rec.verdict}")
         self._records[(text, config_digest)] = rec

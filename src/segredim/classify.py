@@ -1,19 +1,20 @@
 """Per-format reports built on the catalog, the prover, and the oracle.
 
 Secant rows are resolved cheapest-first: closed-form catalog facts, then a
-small-budget proof search, then a direct modular rank computation.  A rank
-deficit observed by the oracle is reported as Evidence-Defective, never as
-proven Defective; only catalog families and falsity certificates promote a
-row to Defective, and only catalog families carry exact defective
-dimensions.
+proof search, then a direct modular rank computation.  Every entry point
+takes one ProofEngine, whose RunConfig holds the run's settings: the
+search's node budget, the oracle's field settings and the cache digest.
+A rank deficit observed by the oracle is reported as Evidence-Defective,
+never as proven Defective; only catalog families and falsity certificates
+promote a row to Defective, and only catalog families carry exact
+defective dimensions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Optional, Union
 
-from .config import RunConfig
 from .ffrank import OracleBudgetError, terracini_oracle
 from .formats import (
     Format,
@@ -30,10 +31,6 @@ NONDEFECTIVE = "NonDefective"
 DEFECTIVE = "Defective"
 EVIDENCE_DEFECTIVE = "Evidence-Defective"
 UNKNOWN = "Unknown"
-
-# node budget for the per-row proof attempt; rows the search cannot settle
-# this cheaply fall through to the oracle
-INDUCTION_NODE_BUDGET = 2_000
 
 # extra secants to sweep past the expected fill count before giving up
 _CAP_MARGIN = 6
@@ -224,24 +221,22 @@ def _catalog_row(fmt: Format, s: int) -> Optional[ProfileRow]:
     return None
 
 
-def _settle(st: Statement, cfg: RunConfig, engine: Optional[ProofEngine],
-            cache, nodes: int):
+def _settle(st: Statement, engine: ProofEngine, cache):
     """Settle a canonical statement the catalog leaves open: the cache,
-    then a proof search of at most `nodes` nodes, then the oracle.
+    then the engine's proof search, then its oracle.
 
     Returns (verdict, proof, oracle).  A cache hit gives verdict and the
     record's root digest as proof, a certificate gives verdict and its
     root node, unhashed; otherwise verdict is None and oracle is the
     engine's oracle outcome (an OracleResult or OracleBudgetError), which
-    the search's last leaf usually asked for already.  The cache digest
-    covers the node budget the search runs with.
+    the search's last leaf usually asked for already.  Records are keyed
+    by the digest of the engine's config, the one that produces them.
     """
-    digest = replace(cfg, budget_nodes=nodes).digest()
+    digest = engine.config.digest()
     hit = cache.get(st, digest) if cache is not None else None
     if hit is not None:
         return hit.verdict, hit.cert_sha256, None
-    engine = engine or ProofEngine(cfg)
-    v = engine.prove(st, nodes=nodes)
+    v = engine.prove(st)
     if v.status is not None:
         if cache is not None:
             cache.put(st, v.status, v.certificate, digest)
@@ -249,11 +244,12 @@ def _settle(st: Statement, cfg: RunConfig, engine: Optional[ProofEngine],
     return None, None, engine.oracle(st)
 
 
-def _measure(fmt: Format, s: int, row: ProfileRow, cfg: RunConfig) -> ProfileRow:
+def _measure(fmt: Format, s: int, row: ProfileRow,
+             engine: ProofEngine) -> ProfileRow:
     """Fill in the oracle-measured dimension of a proven-defective row."""
     st = Statement.of(fmt, s, (0,) * fmt.k)
     try:
-        res = terracini_oracle(st, cfg.field_config())
+        res = terracini_oracle(st, engine.field_config)
     except OracleBudgetError:
         return row
     best = max(w.rank for w in res.attempts)
@@ -262,30 +258,29 @@ def _measure(fmt: Format, s: int, row: ProfileRow, cfg: RunConfig) -> ProfileRow
                       row.source, row.proof, row.note)
 
 
-def resolve_secant(fmt: FormatLike, s: int, cfg: Optional[RunConfig] = None,
+def resolve_secant(fmt: FormatLike, s: int,
                    engine: Optional[ProofEngine] = None,
                    cache=None) -> ProfileRow:
     """Resolve one secant row: catalog, then proof search, then oracle."""
     f = Format.of(fmt)
-    cfg = cfg or RunConfig()
+    engine = engine or ProofEngine()
     affine, _ = expected_secant_dim(f, s)
 
     row = _catalog_row(f, s)
     if row is not None:
         if row.status == DEFECTIVE and row.lower is None:
-            return _measure(f, s, row, cfg)
+            return _measure(f, s, row, engine)
         return row
 
     st = Statement.of(f, s, (0,) * f.k).canonical()
-    verdict, proof, oracle = _settle(st, cfg, engine, cache,
-                                     min(cfg.budget_nodes, INDUCTION_NODE_BUDGET))
+    verdict, proof, oracle = _settle(st, engine, cache)
     if verdict is True:
         return ProfileRow(s, affine, affine, affine, NONDEFECTIVE, 0,
                           "induction", proof)
     if verdict is False:
         row = ProfileRow(s, affine, None, affine - 1, DEFECTIVE, None,
                          "induction", proof)
-        return _measure(f, s, row, cfg)
+        return _measure(f, s, row, engine)
     if isinstance(oracle, OracleBudgetError):
         return ProfileRow(s, affine, None, affine, UNKNOWN, None, "oracle",
                           None, str(oracle))
@@ -310,8 +305,7 @@ def _family_notes(fmt: Format) -> tuple[str, ...]:
     return tuple(notes)
 
 
-def secant_profile(fmt: FormatLike, cfg: Optional[RunConfig] = None,
-                   max_s: Optional[int] = None,
+def secant_profile(fmt: FormatLike, max_s: Optional[int] = None,
                    engine: Optional[ProofEngine] = None,
                    cache=None) -> SecantProfile:
     """Sweep s = 1, 2, ... resolving each row, stopping at certified fill.
@@ -321,15 +315,13 @@ def secant_profile(fmt: FormatLike, cfg: Optional[RunConfig] = None,
     is reported unknown.
     """
     f = Format.of(fmt)
-    cfg = cfg or RunConfig()
-    if engine is None:
-        engine = ProofEngine(cfg)
+    engine = engine or ProofEngine()
     P = ambient_dim(f)
     cap = max_s if max_s is not None else expected_fill_count(f) + _CAP_MARGIN
     rows: list[ProfileRow] = []
     rank: Optional[int] = None
     for s in range(1, cap + 1):
-        row = resolve_secant(f, s, cfg, engine, cache)
+        row = resolve_secant(f, s, engine, cache)
         rows.append(row)
         if row.status == NONDEFECTIVE and row.lower == P:
             rank = s
@@ -383,8 +375,7 @@ _RANK_CROSS_CHECKS = {
 }
 
 
-def typical_rank(fmt: FormatLike, cfg: Optional[RunConfig] = None,
-                 engine: Optional[ProofEngine] = None,
+def typical_rank(fmt: FormatLike, engine: Optional[ProofEngine] = None,
                  cache=None) -> TypicalRank:
     """Least s whose secant variety fills the ambient space."""
     f = Format.of(fmt)
@@ -397,7 +388,7 @@ def typical_rank(fmt: FormatLike, cfg: Optional[RunConfig] = None,
         name, _, hi, _ = family
         result = TypicalRank(hi, "catalog", name)
     else:
-        profile = secant_profile(f, cfg, engine=engine, cache=cache)
+        profile = secant_profile(f, engine=engine, cache=cache)
         if profile.typical_rank is not None:
             result = TypicalRank(profile.typical_rank, "certified", "profile")
         else:
@@ -443,8 +434,7 @@ def _odd_power_family(pos: tuple[int, ...]) -> bool:
     return c2 == k + 1 and n % 2 == 1
 
 
-def perfect_check(fmt: FormatLike, cfg: Optional[RunConfig] = None,
-                  engine: Optional[ProofEngine] = None,
+def perfect_check(fmt: FormatLike, engine: Optional[ProofEngine] = None,
                   cache=None) -> PerfectCheck:
     """Does some secant variety hit the ambient dimension exactly?
 
@@ -453,7 +443,6 @@ def perfect_check(fmt: FormatLike, cfg: Optional[RunConfig] = None,
     the proof; otherwise it goes catalog, search, oracle, like any row.
     """
     f = Format.of(fmt)
-    cfg = cfg or RunConfig()
     pos = _positive_dims(f)
     P = ambient_dim(f)
     w = 1 + sum(pos)
@@ -472,7 +461,7 @@ def perfect_check(fmt: FormatLike, cfg: Optional[RunConfig] = None,
     if k >= 3 and _odd_power_family(pos):
         return PerfectCheck(PERFECT, s_star, st, "catalog:odd-power-family")
 
-    verdict, proof, oracle = _settle(st, cfg, engine, cache, cfg.budget_nodes)
+    verdict, proof, oracle = _settle(st, engine or ProofEngine(), cache)
     if verdict is not None:
         return PerfectCheck(PERFECT if verdict else NOT_PERFECT, s_star, st,
                             "induction", _cert_ref(proof))
@@ -530,7 +519,6 @@ class ScanReport:
 
 
 def defective_scan(k_max: int, n_max: int, r_max: int,
-                   cfg: Optional[RunConfig] = None,
                    engine: Optional[ProofEngine] = None,
                    cache=None,
                    k_min: int = 3) -> ScanReport:
@@ -552,16 +540,14 @@ def defective_scan(k_max: int, n_max: int, r_max: int,
     (secant_profile) and `dim` (resolve_secant) still prove every row they
     print, since their output carries each row's cert_ref.
     """
-    cfg = cfg or RunConfig()
-    if engine is None:
-        engine = ProofEngine(cfg)
+    engine = engine or ProofEngine()
     hits: list[ScanHit] = []
     for k in range(k_min, k_max + 1):
         for dims in combinations_with_replacement(range(1, n_max + 1), k):
             f = Format.of(dims)
             P = ambient_dim(f)
             crit = min(P // (1 + sum(dims)), r_max)
-            crit_row = resolve_secant(f, crit, cfg, engine, cache)
+            crit_row = resolve_secant(f, crit, engine, cache)
             start = 1
             if crit_row.status == NONDEFECTIVE:
                 for s in range(1, crit):
@@ -573,7 +559,7 @@ def defective_scan(k_max: int, n_max: int, r_max: int,
                 start = crit  # every row below follows from crit
             for s in range(start, r_max + 1):
                 row = (crit_row if s == crit
-                       else resolve_secant(f, s, cfg, engine, cache))
+                       else resolve_secant(f, s, engine, cache))
                 if row.status != NONDEFECTIVE:
                     hits.append(ScanHit(f, s, row.expected, row.lower,
                                         row.upper, row.status))

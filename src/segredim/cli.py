@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import classify as cls
-from .cache import VerdictCache
+from .cache import CacheConflictError, VerdictCache
 from .config import DEFAULT_BUDGET_NODES, RunConfig, TOOL_VERSION
 from .ffrank import DEFAULT_PRIME, DEFAULT_RETRIES, MAX_CELLS, MAX_PRIME, check_prime
 from .formats import (
@@ -72,14 +72,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help=f"run oracle matrices past the {MAX_CELLS}-cell cap")
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
+def _engine(args: argparse.Namespace) -> ProofEngine:
+    """The command's one engine: its config holds every setting of the run."""
+    return ProofEngine(RunConfig(
         prime=args.prime,
         seed=args.seed,
         retries=args.retries,
         budget_nodes=args.budget_nodes,
         force=args.force,
-    )
+    ))
 
 
 def _cache(args: argparse.Namespace) -> Optional[VerdictCache]:
@@ -90,7 +91,6 @@ def _cache(args: argparse.Namespace) -> Optional[VerdictCache]:
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     try:
         fmt = parse_format(args.format)
     except ParseError as exc:
@@ -99,7 +99,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
     if args.s < 1:
         print(f"error: secant index must be >= 1, got {args.s}", file=sys.stderr)
         return EXIT_USAGE
-    row = cls.resolve_secant(fmt, args.s, cfg, cache=_cache(args))
+    row = cls.resolve_secant(fmt, args.s, _engine(args), _cache(args))
     positive = sum(1 for n in fmt.dims if n > 0)
     if args.json:
         print(json.dumps(row.record(fmt), sort_keys=True))
@@ -134,14 +134,13 @@ def _leaf_summary(certificate: Certificate) -> str:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     try:
         st = parse_statement(args.statement)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cache = _cache(args)
-    engine = ProofEngine(cfg)
+    engine = _engine(args)
     v = engine.prove(st)
     out_path = Path(args.out)
     if v.status is None:
@@ -170,7 +169,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     # failed to be written
     out_path.write_text(v.certificate.dumps() + "\n")
     if cache is not None:
-        cache.put(st, v.status, v.certificate, cfg.digest())
+        cache.put(st, v.status, v.certificate, engine.config.digest())
     word = "TRUE" if v.status else "FALSE"
     if args.json:
         print(json.dumps({
@@ -190,17 +189,15 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     try:
         fmt = parse_format(args.format)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    engine = ProofEngine(cfg)
+    engine = _engine(args)
     cache = _cache(args)
-    profile = cls.secant_profile(fmt, cfg, max_s=args.max_s, engine=engine,
-                                 cache=cache)
-    perf = cls.perfect_check(fmt, cfg, engine=engine, cache=cache)
+    profile = cls.secant_profile(fmt, args.max_s, engine, cache)
+    perf = cls.perfect_check(fmt, engine, cache)
     if args.json:
         for rec in profile.records():
             print(json.dumps(rec, sort_keys=True))
@@ -223,13 +220,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     if args.k < 3 or args.max_n < 1 or args.max_r < 1:
         print("error: scan needs --k >= 3, --max-n >= 1, --max-r >= 1",
               file=sys.stderr)
         return EXIT_USAGE
-    report = cls.defective_scan(args.k, args.max_n, args.max_r, cfg,
-                                cache=_cache(args))
+    report = cls.defective_scan(args.k, args.max_n, args.max_r,
+                                _engine(args), _cache(args))
     if args.json:
         for rec in report.records():
             print(json.dumps(rec, sort_keys=True))
@@ -329,9 +325,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except OSError as exc:
-        # an unreadable cache or certificate, or an unwritable output
-        # path, is a usage error: exit 1 would read as a false verdict
+    except (OSError, CacheConflictError) as exc:
+        # an unreadable cache or certificate, an unwritable output path,
+        # or a cache record of the opposite verdict is a usage error: exit
+        # 1 would read as a false verdict
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,6 +23,13 @@ class RunConfig:
     budget_nodes: int = DEFAULT_BUDGET_NODES
     force: bool = False
 
+    def __post_init__(self):
+        # every search runs under this budget; the CLI's --budget-nodes
+        # rejects the same values
+        n = self.budget_nodes
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"budget_nodes must be an int >= 1, got {n!r}")
+
     def field_config(self) -> FieldConfig:
         return FieldConfig(prime=self.prime, seed=self.seed,
                            retries=self.retries, force=self.force)

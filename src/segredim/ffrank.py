@@ -284,9 +284,11 @@ def build_terracini_matrix(st: Statement, pts: PointSet) -> np.ndarray:
 def _eliminate(
     a: np.ndarray, p: int
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
-    """Row-reduce int64 residues in place by the per-column loop with delayed
-    reduction: only the pivot row and multipliers are reduced each step, the
-    trailing block is reduced just often enough to stay inside int64.
+    """Row-reduce int64 residues in place by the per-column loop: only the
+    pivot row and multipliers are reduced each step.  The trailing block
+    takes at most one update of magnitude (p-1)^2 per column, which the
+    assertion keeps inside int64 (for p < MAX_PRIME and the at most
+    _LEAF_COLS columns the callers pass, with room to spare).
 
     Each pivot column is reduced once: its residues give the pivot row (the
     first nonzero one), the pivot's inverse and the multipliers.
@@ -296,10 +298,8 @@ def _eliminate(
     Returns the rank, the pivot columns, the inverses of the pivots before
     scaling, and the row swaps in the order made."""
     rows, cols = a.shape
-    # entries grow by at most (p-1)^2 per unreduced step
-    batch = max(1, ((1 << 62) - p) // ((p - 1) ** 2))
+    assert (p - 1) + cols * (p - 1) ** 2 < 1 << 63, (p, cols)
     rank = 0
-    dirty = 0
     pivots: list[int] = []
     inverses: list[int] = []
     swaps: list[tuple[int, int]] = []
@@ -321,10 +321,6 @@ def _eliminate(
         if below.size:
             a[rank + 1 :, c + 1 :] -= below[:, None] * a[rank, c + 1 :][None, :]
             a[rank + 1 :, c] = below
-            dirty += 1
-            if dirty >= batch:
-                a[rank + 1 :, c + 1 :] %= p
-                dirty = 0
         pivots.append(c)
         inverses.append(inv)
         rank += 1

@@ -97,11 +97,14 @@ def _outward(lo: int, hi: int, center: int) -> Iterator[int]:
 class ProofEngine:
     """Proof search with a memo table shared across calls.
 
-    Field settings and the default node budget come from one RunConfig.
-    Verdicts are memoized by canonical statement, so permuted inputs reuse
-    earlier work.  Failed (undetermined) subgoals are only remembered for
-    the duration of one prove() call, letting later calls retry with a
-    fresh budget.  Oracle outcomes are kept for the engine's lifetime.
+    `config`, one RunConfig, holds every setting of a run: the field
+    settings and the node budget of each prove() call.  The classify entry
+    points read theirs from the engine they are given, and a cache keys its
+    records by config.digest().  Verdicts are memoized by canonical
+    statement, so permuted inputs reuse earlier work.  Failed
+    (undetermined) subgoals are only remembered for the duration of one
+    prove() call, letting later calls retry with a fresh budget.  Oracle
+    outcomes are kept for the engine's lifetime.
 
     Each prove() call also has a cell budget when its root is admissible
     to the oracle: what the root's own call costs when inconclusive,
@@ -112,9 +115,8 @@ class ProofEngine:
     """
 
     def __init__(self, cfg: Optional[RunConfig] = None):
-        cfg = cfg or RunConfig()
-        self.field_config = cfg.field_config()
-        self.nodes = cfg.budget_nodes
+        self.config = cfg or RunConfig()
+        self.field_config = self.config.field_config()
         self._memo: dict = {}
         self._oracles: dict[str, OracleResult | OracleBudgetError] = {}
         self._dead: set = set()
@@ -122,15 +124,14 @@ class ProofEngine:
         self._memo_hits = 0
         self._root_oracle: OracleResult | OracleBudgetError | None = None
         self._root_key: Optional[str] = None
-        self._active_nodes = self.nodes
         self._cell_budget: Optional[int] = None
         self._cells_spent = 0
         self._charged: set = set()
 
     # -- public entry points -----------------------------------------------
 
-    def prove(self, statement, nodes: Optional[int] = None) -> Verdict:
-        """Search at most `nodes` nodes (default: the config's)."""
+    def prove(self, statement) -> Verdict:
+        """Search at most config.budget_nodes nodes."""
         if isinstance(statement, str):
             statement = parse_statement(statement)
         st = statement.canonical()
@@ -139,7 +140,6 @@ class ProofEngine:
         self._memo_hits = 0
         self._root_oracle = None
         self._root_key = st.key()
-        self._active_nodes = self.nodes if nodes is None else nodes
         self._cell_budget = self.cell_budget(st)
         self._cells_spent = 0
         self._charged = set()
@@ -210,7 +210,7 @@ class ProofEngine:
         if key in self._dead:
             return None
         self._nodes_used += 1
-        if self._nodes_used > self._active_nodes:
+        if self._nodes_used > self.config.budget_nodes:
             raise _Exhausted
         res = self._resolve(st)
         if res is not None:
@@ -415,7 +415,6 @@ class ProofEngine:
         yield from rec(0, 0)
 
 
-def prove(statement, run_config: Optional[RunConfig] = None,
-          engine: Optional[ProofEngine] = None) -> Verdict:
+def prove(statement, run_config: Optional[RunConfig] = None) -> Verdict:
     """One-shot proof attempt; see ProofEngine for the reusable version."""
-    return (engine or ProofEngine(run_config)).prove(statement)
+    return ProofEngine(run_config).prove(statement)

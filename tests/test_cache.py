@@ -6,13 +6,13 @@ import pytest
 
 from segredim import RunConfig
 from segredim.cache import CacheRecord, VerdictCache
-from segredim.classify import INDUCTION_NODE_BUDGET, resolve_secant
+from segredim.classify import resolve_secant
 from segredim.cli import main
 
 # T(2,4,4;7) is in the defective (2,n,n), n even, family; no search proves
 # it, so a served record is the only way to a NonDefective row
 STATEMENT = "T(4,4,2;7;0,0,0)"
-DIGEST = RunConfig(budget_nodes=INDUCTION_NODE_BUDGET).digest()
+DIGEST = RunConfig().digest()
 
 
 def record(**fields) -> dict:
@@ -75,23 +75,22 @@ def test_a_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
 
 
 def test_record_from_an_older_tool_version_misses(tmp_path, capsys):
-    # RunConfig(budget_nodes=INDUCTION_NODE_BUDGET, retries=3).digest() as
-    # version 0.1.0 computed it, before the digest covered the tool version.
+    # RunConfig(budget_nodes=2_000, retries=3).digest() as version 0.1.0
+    # computed it, before the digest covered the tool version.
     # Same settings, but the two_factor leaf changed cert_refs since.
     old = "e68af1522a226f62"
     path = tmp_path / "verdicts.ldjson"
     path.write_text(json.dumps(record(config_digest=old)) + "\n")
     assert VerdictCache(path).get(STATEMENT, old) is not None
-    assert RunConfig(budget_nodes=INDUCTION_NODE_BUDGET, retries=3).digest() != old
+    assert RunConfig(retries=3).digest() != old
     assert main(["dim", "2,4,4", "7", "--retries", "3", "--cache", str(path)]) == 0
     assert "status: Evidence-Defective [oracle]" in capsys.readouterr().out
 
 
 def test_record_from_version_0_2_0_misses(tmp_path, capsys):
-    # RunConfig(budget_nodes=INDUCTION_NODE_BUDGET).digest() as version
-    # 0.2.0 computed it.  Same settings, but the search's cell budget
-    # changed cert_refs since: (3,4,10) s=12 now proves by the root's own
-    # oracle leaf.
+    # RunConfig(budget_nodes=2_000).digest() as version 0.2.0 computed it.
+    # Same settings, but the search's cell budget changed cert_refs since:
+    # (3,4,10) s=12 now proves by the root's own oracle leaf.
     old = "8a27eb81ee85c3d5"
     path = tmp_path / "verdicts.ldjson"
     path.write_text(json.dumps(record(config_digest=old,

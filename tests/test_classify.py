@@ -7,7 +7,6 @@ import pytest
 
 from segredim.cache import VerdictCache
 from segredim.classify import (
-    INDUCTION_NODE_BUDGET,
     defective_scan,
     perfect_check,
     resolve_secant,
@@ -182,6 +181,24 @@ class TestPerfect:
         assert row.cert_ref == proof.root.digest[:12]
         assert len(VerdictCache(path)) == 2
 
+    def test_records_are_keyed_by_the_engines_config(self, tmp_path,
+                                                     monkeypatch):
+        # a seed-9 record used to be stored under the digest of a separate
+        # cfg argument, and a warm run under that cfg served it
+        path = tmp_path / "verdicts.ldjson"
+        cold = resolve_secant((4, 4, 7), 12, ProofEngine(RunConfig(seed=9)),
+                              VerdictCache(path))
+        assert cold.cert_ref == "38cdae566f75"
+        warm_engine = ProofEngine(RunConfig(seed=9))
+        monkeypatch.setattr(warm_engine, "prove", None)  # a search would fail
+        warm = resolve_secant((4, 4, 7), 12, warm_engine, VerdictCache(path))
+        assert warm.cert_ref == cold.cert_ref
+        # a seed-5 engine misses that record and proves the row itself
+        other = resolve_secant((4, 4, 7), 12, ProofEngine(RunConfig(seed=5)),
+                               VerdictCache(path))
+        assert other.cert_ref == "a288804f5bd4"
+        assert len(VerdictCache(path)) == 2
+
 
 class TestCertRef:
     """A row's cert_ref is the first 12 hex digits of its certificate's
@@ -217,8 +234,7 @@ class TestCertRef:
                 for s in (5, 6, 8)}
         assert refs == {5: "69bf1f58cd8b", 6: "577bc91a342d",
                         8: "433e28956267"}
-        record = cache.get("T(4,4,2;5;0,0,0)",
-                           RunConfig(budget_nodes=INDUCTION_NODE_BUDGET).digest())
+        record = cache.get("T(4,4,2;5;0,0,0)", RunConfig().digest())
         assert record.cert_sha256 == (
             "69bf1f58cd8b3e0d3495dd2975bda013347d306e76c3afc112d40a8238a14ca1")
         # a warm cache serves the same refs without a search

@@ -50,6 +50,18 @@ class TestDim:
         assert rec["status"] == "Evidence-Defective"
         assert "r(k-1)/p = 150/1000003" in rec["note"]
 
+    def test_dim_reads_the_record_prove_wrote(self, capsys, tmp_path):
+        # rows search under --budget-nodes like prove does, so both key
+        # their records by one digest
+        cache = tmp_path / "cache.ldjson"
+        _, uncached, _ = run(capsys, "dim", "4,4,7", "12", "--json")
+        assert run(capsys, "prove", "T(4,4,7;12)", "--cache", str(cache),
+                   "--out", str(tmp_path / "c.json"))[0] == 0
+        code, out, _ = run(capsys, "dim", "4,4,7", "12", "--json",
+                           "--cache", str(cache))
+        assert code == 0 and out == uncached
+        assert len(cache.read_text().splitlines()) == 1
+
     def test_bad_format_usage_error(self, capsys):
         code, _, err = run(capsys, "dim", "2;3", "4")
         assert code == 2
@@ -166,6 +178,24 @@ class TestProve:
         assert err.startswith("error: ") and err.count("\n") == 1
         # the cache holds no record of a certificate that was never written
         assert not cache.exists() or cache.read_text() == ""
+
+    def test_conflicting_cache_record_is_a_usage_error(self, capsys,
+                                                       tmp_path):
+        # a record of the opposite verdict for the same statement and
+        # digest used to end in a traceback with exit 1, which reads FALSE
+        cache = tmp_path / "cache.ldjson"
+        argv = ("prove", "T(3,3,3;7)", "--cache", str(cache),
+                "--out", str(tmp_path / "c.json"))
+        assert run(capsys, *argv)[0] == 0
+        rec = json.loads(cache.read_text())
+        rec["verdict"] = False
+        cache.write_text(json.dumps(rec) + "\n")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cache conflict for T(3,3,3;7;0,0,0)")
+        assert err.count("\n") == 1
+        assert len(cache.read_text().splitlines()) == 1
 
     def test_summary_lists_leaf_kinds(self, capsys, tmp_path):
         code, out, _ = run(capsys, "prove", "T(3,3,3;6)",
@@ -373,20 +403,20 @@ class TestScan:
         assert code == 0
         assert out1 == out2
 
-    def test_cache_digest_follows_the_row_budget(self, capsys, tmp_path):
-        # scan rows search at most 2000 nodes whatever --budget-nodes says
-        # above that, so a second budget reuses every record
+    def test_cache_digest_follows_the_budget(self, capsys, tmp_path):
+        # scan rows search under --budget-nodes and key their records by
+        # it: a second budget writes a set of its own, a repeat writes none
         cache = tmp_path / "cache.ldjson"
         outs, lines = [], []
-        for budget in ("3000", "4000"):
+        for budget in ("3000", "4000", "4000"):
             code, out, _ = run(capsys, "scan", "--k", "3", "--max-n", "4",
                                "--max-r", "20", "--cache", str(cache),
                                "--budget-nodes", budget)
             assert code == 0
             outs.append(out)
             lines.append(len(cache.read_text().splitlines()))
-        assert outs[0] == outs[1]
-        assert 0 < lines[0] == lines[1]
+        assert outs[0] == outs[1] == outs[2]
+        assert 0 < lines[0] and lines[1] == lines[2] == 2 * lines[0]
 
 
 class TestGlobalFlags:

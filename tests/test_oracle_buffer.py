@@ -261,9 +261,18 @@ def tricky_panel(rng: np.random.Generator, rows: int, cols: int, p: int) -> np.n
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, 1_073_741_827])
 def test_eliminate_matches_python_elimination(p):
-    # 1 073 741 827 leaves room for only 3 unreduced updates, so the
-    # delayed reduction of the trailing block runs too
     rng = np.random.default_rng(p % 997)
+    if p > MAX_PRIME:
+        # 64 updates of (p-1)^2 could leave int64, so the loop refuses the
+        # prime rather than overflow silently; 7 columns still fit, exactly
+        a = tricky_panel(rng, 2 * _PANEL, _PANEL, p)
+        with pytest.raises(AssertionError):
+            _eliminate(a, p)
+        narrow = a[:, :7].copy()
+        want = py_eliminate(narrow.tolist(), p)
+        assert _eliminate(narrow, p) == want[:4]
+        assert (narrow % p).tolist() == want[4]
+        return
     seen = set()
     shapes = [(int(rng.integers(1, 90)), int(rng.integers(1, 50))) for _ in range(10)]
     shapes += [(int(rng.integers(_PANEL, 3 * _PANEL)), _PANEL) for _ in range(6)]

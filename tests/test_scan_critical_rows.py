@@ -21,23 +21,20 @@ from segredim.classify import (
     render_scan,
     resolve_secant,
 )
-from segredim.config import RunConfig
 from segredim.formats import Format, ambient_dim, expected_secant_dim
 from segredim.induction import ProofEngine
 
 
-def ref_defective_scan(k_max, n_max, r_max, cfg=None, engine=None,
-                       cache=None, k_min=3) -> ScanReport:
-    cfg = cfg or RunConfig()
-    if engine is None:
-        engine = ProofEngine(cfg)
+def ref_defective_scan(k_max, n_max, r_max, engine=None, cache=None,
+                       k_min=3) -> ScanReport:
+    engine = engine or ProofEngine()
     hits = []
     for k in range(k_min, k_max + 1):
         for dims in combinations_with_replacement(range(1, n_max + 1), k):
             f = Format.of(dims)
             P = ambient_dim(f)
             for s in range(1, r_max + 1):
-                row = resolve_secant(f, s, cfg, engine, cache)
+                row = resolve_secant(f, s, engine, cache)
                 if row.status != NONDEFECTIVE:
                     hits.append(ScanHit(f, s, row.expected, row.lower,
                                         row.upper, row.status))

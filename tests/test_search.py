@@ -106,8 +106,8 @@ class TestUndetermined:
         assert v.evidence is not None
 
     def test_budget_exhaustion(self):
-        engine = ProofEngine(RunConfig())
-        v = engine.prove("T(3,3,3;6)", nodes=2)
+        engine = ProofEngine(RunConfig(budget_nodes=2))
+        v = engine.prove("T(3,3,3;6)")
         assert v.status is None
         assert v.stats["exhausted"]
 
@@ -121,7 +121,8 @@ class TestUndetermined:
         ("T(0,10,10,10;43)", None, "no_rule"),
     ])
     def test_reason(self, text, nodes, reason):
-        v = ProofEngine().prove(text, nodes=nodes)
+        cfg = RunConfig() if nodes is None else RunConfig(budget_nodes=nodes)
+        v = ProofEngine(cfg).prove(text)
         assert (v.status, v.reason) == (None, reason)
         assert (v.evidence is not None) == (reason in ("cell_budget",
                                                        "oracle_deficit"))
@@ -137,6 +138,14 @@ class TestUndetermined:
         assert v.stats["nodes"] == 3  # the third node is refused
         # without a budget the same statement is proven
         assert ProofEngine(RunConfig()).prove("T(3,3,3;6)").status is True
+
+    @pytest.mark.parametrize("budget", [0, -5, True, 2.0, "10", None])
+    def test_budget_below_one_or_not_an_int_is_rejected(self, budget):
+        # 0 and -5 used to be accepted, and every search ended at once
+        # with reason node_budget
+        with pytest.raises(ValueError, match="budget_nodes"):
+            RunConfig(budget_nodes=budget)
+        assert RunConfig(budget_nodes=1).budget_nodes == 1
 
 
 class TestEngineState:
