@@ -82,8 +82,9 @@ def test_record_from_an_older_tool_version_misses(tmp_path, capsys):
     path = tmp_path / "verdicts.ldjson"
     path.write_text(json.dumps(record(config_digest=old)) + "\n")
     assert VerdictCache(path).get(STATEMENT, old) is not None
-    assert RunConfig(retries=3).digest() != old
-    assert main(["dim", "2,4,4", "7", "--retries", "3", "--cache", str(path)]) == 0
+    assert RunConfig(budget_nodes=2_000, retries=3).digest() != old
+    assert main(["dim", "2,4,4", "7", "--retries", "3", "--budget-nodes",
+                 "2000", "--cache", str(path)]) == 0
     assert "status: Evidence-Defective [oracle]" in capsys.readouterr().out
 
 
@@ -96,6 +97,7 @@ def test_record_from_version_0_2_0_misses(tmp_path, capsys):
     path.write_text(json.dumps(record(config_digest=old,
                                       tool_version="0.2.0")) + "\n")
     assert VerdictCache(path).get(STATEMENT, old) is not None
-    assert DIGEST != old
-    assert main(["dim", "2,4,4", "7", "--cache", str(path)]) == 0
+    assert RunConfig(budget_nodes=2_000).digest() != old
+    assert main(["dim", "2,4,4", "7", "--budget-nodes", "2000",
+                 "--cache", str(path)]) == 0
     assert "status: Evidence-Defective [oracle]" in capsys.readouterr().out
