@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -51,7 +50,9 @@ FALLBACK_PRIME = 4_194_301
 # statement of full rank r reads deficient at one random attempt with
 # probability at most r(k-1)/p: under 0.3 % even for T(10,10,10;43) at
 # DEFAULT_PRIME.  A miss loses a certificate and never forges one, so one
-# attempt plus the fallback prime is the default plan.
+# attempt plus the fallback prime is the default plan (FieldConfig.plan).
+# Only a verdict needs the guard: the search runs the whole plan for its
+# root and the first attempt only for each split subgoal (ProofEngine.oracle).
 DEFAULT_RETRIES = 1
 MAX_CELLS = 200_000  # the oracle's one budget; FieldConfig.force overrides it
 
@@ -117,6 +118,13 @@ class FieldConfig:
             check_prime(p)
         if self.retries < 1:
             raise ValueError("need at least one attempt")
+
+    @property
+    def plan(self) -> tuple[tuple[int, int], ...]:
+        """(prime, attempt index) of each attempt of terracini_oracle, in
+        order: `retries` at `prime`, then one at `fallback_prime`."""
+        return (tuple((self.prime, attempt) for attempt in range(self.retries))
+                + ((self.fallback_prime, 0),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,52 +198,76 @@ def derive_seed(statement_key: str, prime: int, seed: int, attempt: int) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def _draw_vector(rng: np.random.Generator, length: int, p: int) -> np.ndarray:
+def _draw_points(rng: np.random.Generator, lengths: tuple[int, ...], count: int,
+                 p: int) -> np.ndarray:
+    """`count` points of one vector per entry of `lengths`, as one array of
+    shape (count, sum(lengths)) whose row t holds point t's vectors side by
+    side.  The numbers are those of one rng.integers call per vector, in
+    row-major order, with a vector that comes out zero drawn again at once:
+    one call draws them all, and each zero vector is cut from the stream,
+    which one more call of its length then extends at the end."""
+    width = sum(lengths)
+    starts = np.cumsum((0,) + lengths[:-1])
+    flat = rng.integers(0, p, size=count * width, dtype=np.int64)
     while True:
-        v = rng.integers(0, p, size=length, dtype=np.int64)
-        if v.any():
-            return v
+        drawn = flat.reshape(count, width)
+        zero = ~np.logical_or.reduceat(drawn != 0, starts, axis=1)
+        if not zero.any():
+            return drawn
+        t, j = divmod(int(zero.argmax()), len(lengths))  # the first in draw order
+        at = t * width + starts[j]
+        flat = np.concatenate((flat[:at], flat[at + lengths[j] :],
+                               rng.integers(0, p, size=lengths[j], dtype=np.int64)))
 
 
 def sample_points(st: Statement, prime: int, seed: int) -> PointSet:
     """Deterministic given (canonical form of st, prime, seed); statements that
-    agree up to factor permutation get the same points, permuted to match."""
+    agree up to factor permutation get the same points, permuted to match.
+    Every vector is nonzero.  Draw order: the s tangent points, then the
+    fiber points of each canonical slot; each point's vectors in canonical
+    slot order."""
     order = st.canonical_order()  # canonical slot j -> original factor order[j]
     canon = st.canonical()
     rng = np.random.default_rng(np.random.PCG64(derive_seed(st.key(), prime, seed, 0)))
-    k = st.format.k
-
-    def draw_point() -> tuple[np.ndarray, ...]:
-        vecs: list[np.ndarray | None] = [None] * k
-        for j, i in enumerate(order):
-            vecs[i] = _draw_vector(rng, canon.format.dims[j] + 1, prime)
-        return tuple(vecs)  # type: ignore[arg-type]
-
-    tangent = tuple(draw_point() for _ in range(st.s))
-    fibers: list[tuple[tuple[np.ndarray, ...], ...]] = [()] * k
+    lengths = tuple(n + 1 for n in canon.format.dims)
+    drawn = _draw_points(rng, lengths, st.s + sum(canon.a), prime)
+    ends = np.cumsum(lengths).tolist()
+    cut = [slice(0, 0)] * len(order)  # original factor i -> its columns of drawn
     for j, i in enumerate(order):
-        fibers[i] = tuple(draw_point() for _ in range(canon.a[j]))
-    return PointSet(prime=prime, seed=seed, tangent=tangent, fibers=tuple(fibers))
+        cut[i] = slice(ends[j] - lengths[j], ends[j])
+    points = [tuple(row[c] for c in cut) for row in drawn]
+    fibers: list[tuple[tuple[np.ndarray, ...], ...]] = [()] * len(order)
+    top = st.s
+    for j, i in enumerate(order):
+        fibers[i] = tuple(points[top : top + canon.a[j]])
+        top += canon.a[j]
+    return PointSet(prime=prime, seed=seed, tangent=tuple(points[: st.s]),
+                    fibers=tuple(fibers))
 
 
-def _chain_outer(vectors: Iterable[np.ndarray], p: int) -> np.ndarray:
-    out = np.ones(1, dtype=np.int64)
-    for v in vectors:
-        out = (out[:, None] * v[None, :]) % p
-        out = out.reshape(-1)
-    return out
+def _outer_rows(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    # row t: a[t] (x) b[t] mod p, flattened with a's index slowest
+    return (a[:, :, None] * b[:, None, :] % p).reshape(len(a), -1)
 
 
-def _write_slot_block(out: np.ndarray, vectors: tuple[np.ndarray, ...],
-                      slot: int, basis: np.ndarray, p: int) -> None:
-    # row t = tensor with the slot vector replaced by basis vector basis[t];
-    # out is zeroed and has one row per entry of basis
-    left = _chain_outer(vectors[:slot], p)
-    right = _chain_outer(vectors[slot + 1 :], p)
-    m = len(vectors[slot])
-    lr = (left[:, None] * right[None, :]) % p
-    t = len(basis)
-    out.reshape(t, left.size, m, right.size)[np.arange(t), :, basis, :] = lr
+def _by_slot(points: tuple[tuple[np.ndarray, ...], ...]) -> list[np.ndarray]:
+    # one (len(points), n_j + 1) array per slot j
+    return [np.array(vectors) for vectors in zip(*points)]
+
+
+def _write_slot(out: np.ndarray, rows: np.ndarray, basis: np.ndarray,
+                xs: list[np.ndarray], slot: int, p: int) -> None:
+    """Write row rows[t, r] of the zeroed `out`: point t's tensor with its
+    vector at `slot` replaced by basis vector basis[t, r].  The points are
+    _by_slot arrays; the row's nonzero entries are the product of point t's
+    vectors before the slot (left) times that of those after it (right)."""
+    left = right = np.ones((len(xs[slot]), 1), dtype=np.int64)
+    for x in xs[:slot]:
+        left = _outer_rows(left, x, p)
+    for x in xs[slot + 1 :]:
+        right = _outer_rows(right, x, p)
+    view = out.reshape(len(out), left.shape[1], xs[slot].shape[1], right.shape[1])
+    view[rows, :, basis, :] = (left[:, :, None] * right[:, None, :] % p)[:, None]
 
 
 def row_count(st: Statement) -> int:
@@ -259,25 +291,36 @@ def build_terracini_matrix(st: Statement, pts: PointSet) -> np.ndarray:
     block spans, so the dropped row is x_j[b]^-1 times a combination of rows
     kept (x_j[b] is a unit mod p).  A P^0 slot j >= 1 adds no row.
 
-    Returns float64 residues in [0, p), not int64: each slot block is
-    written straight into one zeroed array, exact since p < MAX_PRIME < 2^53,
+    Returns float64 residues in [0, p), not int64: each slot is written
+    for all tangent points at once, and each factor's fiber rows at once,
+    straight into one zeroed array (exact since p < MAX_PRIME < 2^53),
     which rank_mod_p(..., overwrite=True) then reduces in place."""
     p = pts.prime
-    k = st.format.k
-    slots = []
-    for point in pts.tangent:
-        for j, v in enumerate(point):
-            basis = np.arange(len(v))
-            if j:
-                basis = np.delete(basis, np.flatnonzero(v)[0])
-            slots.append((point, j, basis))
-    slots += [(point, i, np.arange(len(point[i])))
-              for i in range(k) for point in pts.fibers[i]]
+    dims = st.format.dims
     out = np.zeros((parameter_count(st), ambient_dim(st.format)), dtype=np.float64)
-    top = 0
-    for point, j, basis in slots:
-        _write_slot_block(out[top : top + len(basis)], point, j, basis, p)
-        top += len(basis)
+    # each slot is written for all tangent points at once: point t's rows
+    # start at t * width, and its block for slot j at `top` past that
+    width = 1 + sum(dims)
+    if pts.tangent:
+        xs = _by_slot(pts.tangent)
+        starts = np.arange(len(pts.tangent))[:, None] * width
+        top = 0
+        for j, x in enumerate(xs):
+            basis = np.arange(dims[j] + (j == 0))
+            rows = starts + top + basis
+            if j:
+                # skip each point's first nonzero coordinate b: row r is
+                # basis vector r below b and r + 1 from b on
+                basis = basis + (basis >= (x != 0).argmax(axis=1)[:, None])
+            _write_slot(out, rows, basis, xs, j, p)
+            top += rows.shape[1]
+    top = len(pts.tangent) * width
+    for i, points in enumerate(pts.fibers):
+        if points:
+            m = dims[i] + 1
+            rows = top + np.arange(len(points) * m).reshape(len(points), m)
+            _write_slot(out, rows, np.arange(m), _by_slot(points), i, p)
+            top += len(points) * m
     return out
 
 
@@ -461,25 +504,33 @@ def rank_mod_p(matrix: np.ndarray, p: int, *, overwrite: bool = False) -> int:
     return _blocked_rank(f, p)
 
 
-def terracini_oracle(st: Statement, cfg: FieldConfig | None = None) -> OracleResult:
+def terracini_oracle(st: Statement, cfg: FieldConfig | None = None, *,
+                     prior: OracleResult | None = None,
+                     stop: int | None = None) -> OracleResult:
     """CertifiedTrue when some attempt reaches rank == target_dim; otherwise
-    Inconclusive with the best witness. cfg.retries attempts (DEFAULT_RETRIES
-    by default) reseed points only; after all fall short, one extra attempt
-    runs with the fallback prime.
-    Past MAX_CELLS cells it raises OracleBudgetError unless cfg.force."""
+    Inconclusive with the best witness.  The attempts follow cfg.plan:
+    cfg.retries attempts (DEFAULT_RETRIES by default) reseed points only,
+    then one runs with the fallback prime; the first that certifies ends it.
+    Past MAX_CELLS cells it raises OracleBudgetError unless cfg.force.
+
+    `prior` (an earlier result for st under cfg) and `stop` run the slice
+    cfg.plan[len(prior.attempts):stop] and merge it into prior; a certified
+    prior is returned as it is.  The merged result equals that of one call
+    from the start of the plan, since each attempt's seed depends only on
+    the canonical statement, its prime, cfg.seed and its attempt index."""
     cfg = cfg or FieldConfig()
     rows, cols = row_count(st), ambient_dim(st.format)
     if rows * cols > MAX_CELLS and not cfg.force:
         raise OracleBudgetError(
             f"matrix {rows}x{cols} exceeds {MAX_CELLS} cells; pass force to override"
         )
+    if prior is not None and prior.certified:
+        return prior
     goal = target_dim(st)
-    plan = [(cfg.prime, attempt) for attempt in range(cfg.retries)]
-    plan.append((cfg.fallback_prime, 0))
-    attempts: list[RankWitness] = []
-    best: RankWitness | None = None
+    attempts = list(prior.attempts) if prior is not None else []
+    best = prior.witness if prior is not None else None
     key = st.key()
-    for prime, attempt in plan:
+    for prime, attempt in cfg.plan[len(attempts) : stop]:
         seed = derive_seed(key, prime, cfg.seed, attempt)
         pts = sample_points(st, prime, seed)
         # no name keeps the matrix: it is freed before the next attempt builds
@@ -490,7 +541,7 @@ def terracini_oracle(st: Statement, cfg: FieldConfig | None = None) -> OracleRes
             best = w
         if rank == goal:
             return OracleResult(True, w, tuple(attempts))
-    assert best is not None
+    assert best is not None, "the plan slice ran no attempt"
     return OracleResult(False, best, tuple(attempts))
 
 

@@ -23,9 +23,15 @@ class Abundance(Enum):
 @dataclass(frozen=True)
 class Format:
     """Projective dimensions (n_1, ..., n_k) of the factors of a product of
-    projective spaces. Entries are >= 0; a factor with n_i = 0 is a point."""
+    projective spaces. Entries are >= 0; a factor with n_i = 0 is a point.
+
+    ambient_dim() keeps its value on the instance, as an attribute that is
+    not a dataclass field, so it takes no part in ==, hash or repr."""
 
     dims: tuple[int, ...]
+
+    # not a field (no annotation): None until ambient_dim() sets it
+    _ambient = None
 
     def __post_init__(self) -> None:
         if len(self.dims) < 1:
@@ -133,14 +139,19 @@ class Statement:
 
 def ambient_dim(fmt: FormatLike) -> int:
     """Affine dimension of the ambient tensor space, prod(n_i + 1)."""
-    return math.prod(n + 1 for n in Format.of(fmt).dims)
+    f = fmt if isinstance(fmt, Format) else Format.of(fmt)
+    p = f._ambient
+    if p is None:
+        p = math.prod(n + 1 for n in f.dims)
+        object.__setattr__(f, "_ambient", p)
+    return p
 
 
 def parameter_count(st: Statement) -> int:
     """Affine dimension the configuration would span if all conditions were
     independent: s*(1 + sum n_i) + sum a_i*(n_i + 1)."""
-    d = st.format.dims
-    return st.s * (1 + sum(d)) + sum(x * (n + 1) for x, n in zip(st.a, d))
+    d, a = st.format.dims, st.a
+    return st.s * (1 + sum(d)) + sum(map(operator.mul, a, d)) + sum(a)
 
 
 def target_dim(st: Statement) -> int:

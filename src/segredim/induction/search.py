@@ -4,9 +4,10 @@ Priority order per statement: the exact two_factor leaf for statements
 with at most two positive factors, falsity catalog, trivial truths, an
 oracle leaf for the small three-factor base formats, drop rules, splits,
 and finally a direct oracle leaf; both oracle leaves go through
-ProofEngine.oracle.  A search whose subgoal oracle calls cost more cells
-than the root's own call gives up its tree and takes the root's oracle
-leaf instead.  False only ever comes from the two_factor
+ProofEngine.oracle, which runs the first attempt of the oracle's plan for
+a subgoal and the whole plan for the root.  A search whose subgoal oracle
+calls cost more cells than the root's own call gives up its tree and takes
+the root's oracle leaf instead.  False only ever comes from the two_factor
 leaf's closed form or the falsity catalog (directly, or passed through an
 equivalence); an inconclusive oracle is never treated as False.
 """
@@ -104,14 +105,18 @@ class ProofEngine:
     statement, so permuted inputs reuse earlier work.  Failed
     (undetermined) subgoals are only remembered for the duration of one
     prove() call, letting later calls retry with a fresh budget.  Oracle
-    outcomes are kept for the engine's lifetime.
+    outcomes are kept for the engine's lifetime.  A subgoal runs only the
+    first attempt of the oracle's plan, and the rest runs if the statement
+    later becomes a root (see oracle()).
 
     Each prove() call also has a cell budget when its root is admissible
     to the oracle: what the root's own call costs when inconclusive,
     rows x cols x (retries + 1).  Every subgoal oracle outcome the search
     consults spends rows x cols x attempts, once per canonical statement,
-    remembered outcomes included and refusals free.  Once the spend passes
-    the budget the search unwinds and the root's own oracle leaf decides.
+    remembered outcomes included and refusals free: the whole plan's
+    attempts when it did not certify, whatever ran, and the attempts run
+    when it did.  Once the spend passes the budget the search unwinds and
+    the root's own oracle leaf decides.
     """
 
     def __init__(self, cfg: Optional[RunConfig] = None):
@@ -154,6 +159,8 @@ class ProofEngine:
             res = self._try_oracle(st)
             if res is not None:
                 self._memo[self._root_key] = res
+        finally:
+            self._root_key = None  # outside a search every call gets the whole plan
         stats = {
             "nodes": self._nodes_used,
             "memo_hits": self._memo_hits,
@@ -179,16 +186,27 @@ class ProofEngine:
 
     def oracle(self, st: Statement) -> OracleResult | OracleBudgetError:
         """The one way to terracini_oracle: its OracleResult for `st`, or
-        the OracleBudgetError that refused it.  The outcome depends only on
-        the canonical statement and the field config, so each canonical
-        statement runs once per engine."""
+        the OracleBudgetError that refused it, kept by canonical statement.
+
+        A subgoal of the running search (any statement but its root) runs
+        the first attempt of the field config's plan only: reading deficient
+        there just sends the search on to its next split.  A root, and any
+        call outside prove(), gets the whole plan, continuing a result kept
+        from a subgoal.  Each attempt's outcome depends only on the
+        canonical statement and the field config, so each attempt runs at
+        most once per engine and a root's result is a fresh engine's."""
         key = st.key()
-        if key not in self._oracles:
+        kept = self._oracles.get(key)
+        subgoal = self._root_key not in (None, key)
+        want = 1 if subgoal else len(self.field_config.plan)
+        if kept is None or (isinstance(kept, OracleResult) and not kept.certified
+                            and len(kept.attempts) < want):
             try:
-                self._oracles[key] = terracini_oracle(st, self.field_config)
+                kept = terracini_oracle(st, self.field_config, prior=kept, stop=want)
             except OracleBudgetError as exc:  # kept without its frames
-                self._oracles[key] = exc.with_traceback(None)
-        return self._oracles[key]
+                kept = exc.with_traceback(None)
+            self._oracles[key] = kept
+        return kept
 
     def cell_budget(self, st: Statement) -> Optional[int]:
         """The subgoal oracle cells a search rooted at `st` may spend: what
@@ -197,7 +215,7 @@ class ProofEngine:
         cells = row_count(st) * ambient_dim(st.format)
         if cells > MAX_CELLS and not self.field_config.force:
             return None
-        return cells * (self.field_config.retries + 1)
+        return cells * len(self.field_config.plan)
 
     # -- search core -------------------------------------------------------
 
@@ -299,7 +317,10 @@ class ProofEngine:
             return
         self._charged.add(key)
         w = result.witness
-        self._cells_spent += w.rows * w.cols * len(result.attempts)
+        # charged by the plan, what a root runs, unless it certified early:
+        # so where the budget stops does not depend on who ran the rest
+        runs = len(result.attempts) if result.certified else len(self.field_config.plan)
+        self._cells_spent += w.rows * w.cols * runs
         if self._cells_spent > self._cell_budget:
             raise _OverBudget
 

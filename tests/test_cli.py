@@ -132,9 +132,9 @@ class TestProve:
         search = importlib.import_module("segredim.induction.search")
         asked = []
 
-        def recording(st, cfg=None, real=search.terracini_oracle):
+        def recording(st, cfg=None, real=search.terracini_oracle, **kw):
             asked.append(st.key())
-            return real(st, cfg)
+            return real(st, cfg, **kw)
 
         monkeypatch.setattr(search, "terracini_oracle", recording)
         root = parse_statement("T(4,4,1;4;2,0,1)")

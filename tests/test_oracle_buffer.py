@@ -1,13 +1,15 @@
 """The oracle's one-buffer path computes what the copying path computed.
 
-The references below are the matrix build and the blocked kernel as they
-were before the oracle built one float64 array and reduced it in place: the
-build stacks int64 blocks of all row_count generators, and the kernel
-reduces a float64 copy of its input with full-height trailing updates.  The
-live build keeps one basis of each tangent space out of those generators,
-and the per-column loop is checked against a pure-Python elimination.
-Ranks, and so every witness and certificate, must not move, so the tests
-compare exact values.
+The references below are the sampler, the matrix build and the blocked
+kernel as they were before the oracle drew each attempt's points with one
+generator call, built one float64 array slot by slot for all points at once
+and reduced it in place: the sampler draws each vector with its own call,
+the build stacks int64 blocks of all row_count generators, point by point,
+and the kernel reduces a float64 copy of its input with full-height
+trailing updates.  The live build keeps one basis of each tangent space out
+of those generators, and the per-column loop is checked against a
+pure-Python elimination.  Points and ranks, and so every witness and
+certificate, must not move, so the tests compare exact values.
 """
 import random
 import tracemalloc
@@ -29,7 +31,9 @@ from segredim.ffrank import (
     _reduce,
     _solve_unit_lower,
     FieldConfig,
+    _draw_points,
     build_terracini_matrix,
+    derive_seed,
     rank_mod_p,
     recompute_rank,
     row_count,
@@ -39,6 +43,40 @@ from segredim.ffrank import (
 from segredim.formats import Statement, ambient_dim, parameter_count, parse_statement
 
 PRIMES = [DEFAULT_PRIME, FALLBACK_PRIME]
+
+
+def ref_draw_vector(rng: np.random.Generator, length: int, p: int) -> np.ndarray:
+    while True:
+        v = rng.integers(0, p, size=length, dtype=np.int64)
+        if v.any():
+            return v
+
+
+def ref_sample_points(st: Statement, prime: int, seed: int) -> PointSet:
+    order = st.canonical_order()
+    canon = st.canonical()
+    rng = np.random.default_rng(np.random.PCG64(derive_seed(st.key(), prime, seed, 0)))
+    k = st.format.k
+
+    def draw_point() -> tuple[np.ndarray, ...]:
+        vecs: list = [None] * k
+        for j, i in enumerate(order):
+            vecs[i] = ref_draw_vector(rng, canon.format.dims[j] + 1, prime)
+        return tuple(vecs)
+
+    tangent = tuple(draw_point() for _ in range(st.s))
+    fibers: list = [()] * k
+    for j, i in enumerate(order):
+        fibers[i] = tuple(draw_point() for _ in range(canon.a[j]))
+    return PointSet(prime=prime, seed=seed, tangent=tangent, fibers=tuple(fibers))
+
+
+def same_points(a: PointSet, b: PointSet) -> bool:
+    def flat(pts):
+        points = list(pts.tangent) + [q for f in pts.fibers for q in f]
+        return [len(pts.tangent)] + [len(f) for f in pts.fibers], [
+            v.tolist() for q in points for v in q]
+    return (a.prime, a.seed, flat(a)) == (b.prime, b.seed, flat(b))
 
 
 def ref_chain_outer(vectors: Iterable[np.ndarray], p: int) -> np.ndarray:
@@ -165,6 +203,99 @@ EDGE_STATEMENTS = [parse_statement(text) for text in [
     "T(1,1,1,1;3)", "T(1,0,2,1;3;0,1,0,1)", "T(1,1,1,1,1;6)",
     "T(1,1,1,1,2;5;1,0,0,0,1)", "T(0,1,0,1,1;2)", "T(2,2,2,2,2;11)",
 ]]
+
+
+def sampling_statement(rng: random.Random) -> Statement:
+    # k = 1 to 5, P^0 slots anywhere, s = 0 with and without fibers
+    k = rng.randint(1, 5)
+    dims = tuple(rng.choice([0, 0, 1, 2, 3]) for _ in range(k))
+    a = tuple(rng.choice([0, 0, 1, 2]) for _ in range(k))
+    return Statement.of(dims, rng.choice([0, 0, 1, 2, 3, 5, 8]), a)
+
+
+def test_bulk_sampler_and_build_match_the_per_vector_references():
+    # one generator call per attempt draws the numbers of one call per
+    # vector; the build of all points at once writes the same bytes
+    rng = random.Random(16)
+    sweep = EDGE_STATEMENTS + [sampling_statement(rng) for _ in range(1000)]
+    kinds = set()
+    for i, st in enumerate(sweep):
+        p, seed = PRIMES[i % 2], rng.randrange(1 << 32)
+        pts = sample_points(st, p, seed)
+        assert same_points(pts, ref_sample_points(st, p, seed)), st
+        ref = ref_build_terracini_matrix(st, pts)[kept_rows(st, pts)]
+        assert build_terracini_matrix(st, pts).tobytes() == (
+            ref.astype(np.float64).tobytes()), st
+        kinds |= {("P0", 0 in st.format.dims), ("s=0", st.s == 0),
+                  ("fibers only", st.s == 0 and sum(st.a) > 0)}
+    assert kinds == {(kind, flag) for kind in ("P0", "s=0", "fibers only")
+                     for flag in (False, True)}
+
+
+class Stream:
+    """Stands in for np.random.Generator: integers() hands out the next
+    numbers of one fixed stream, as a bit generator does across calls."""
+
+    def __init__(self, numbers: list[int]):
+        self.numbers, self.pos = numbers, 0
+
+    def integers(self, low, high, size, dtype):
+        out = np.array(self.numbers[self.pos : self.pos + size], dtype=dtype)
+        assert len(out) == size, "stream too short"
+        self.pos += size
+        return out
+
+
+def test_zero_vector_is_drawn_again_as_by_the_reference(monkeypatch):
+    # canonical slots (2, 1, 0) of lengths 3, 2, 1 and four points: the
+    # first vector comes out zero, the second point's P^0 vector twice in a
+    # row, and the last vector of the last point once, past the numbers the
+    # first call drew
+    st = parse_statement("T(0,2,1;2;1,0,1)")
+    draws = [[0, 0, 0], [1, 2, 3], [4, 5], [6],
+             [7, 8, 9], [10, 11], [0], [0], [12],
+             [13, 14, 15], [16, 17], [18],
+             [19, 20, 21], [22, 23], [0], [24]]
+    numbers = [x for d in draws for x in d]
+    streams: list[Stream] = []
+
+    def stream(_bitgen):
+        streams.append(Stream(numbers))
+        return streams[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", stream)
+    live = sample_points(st, DEFAULT_PRIME, 5)
+    ref = ref_sample_points(st, DEFAULT_PRIME, 5)
+    assert same_points(live, ref)
+    assert streams[0].pos == streams[1].pos == len(numbers)
+    assert live.tangent[0][1].tolist() == [1, 2, 3]
+    assert live.tangent[1][0].tolist() == [12]
+    assert live.fibers[0][0][0].tolist() == [24]
+
+
+def test_draw_points_shape_and_empty_draw():
+    rng = np.random.default_rng(3)
+    drawn = _draw_points(rng, (3, 1, 2), 4, DEFAULT_PRIME)
+    assert drawn.shape == (4, 6) and drawn.dtype == np.int64
+    assert _draw_points(rng, (3, 1), 0, DEFAULT_PRIME).shape == (0, 4)
+
+
+@pytest.mark.parametrize("text", ["T(5,5,5,5;61)", "T(7,7,3;20;0,2,3)",
+                                  "T(15,7,1;8;3,5,9)"])
+def test_build_allocates_no_matrix_sized_temporary(text):
+    # each slot is written for all points at once; what that takes beside
+    # the matrix is a few percent of it here
+    st = parse_statement(text)
+    pts = sample_points(st, DEFAULT_PRIME, 3)
+    matrix_bytes = parameter_count(st) * ambient_dim(st.format) * 8
+    tracemalloc.start()
+    try:
+        out = build_terracini_matrix(st, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == matrix_bytes
+    assert peak < matrix_bytes * 9 // 8
 
 
 def test_build_matches_reference_entrywise():

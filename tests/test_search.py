@@ -8,7 +8,8 @@ import pytest
 
 from segredim import RunConfig
 from segredim.classify import ScanReport, defective_scan, resolve_secant
-from segredim.ffrank import OracleBudgetError
+from segredim.ffrank import (DEFAULT_PRIME, FALLBACK_PRIME, FieldConfig,
+                             OracleBudgetError, terracini_oracle)
 from segredim.formats import Statement, parse_statement
 from segredim.induction import ProofEngine, prove
 from segredim.induction import certificate as cert
@@ -183,16 +184,33 @@ def count_oracle_calls(monkeypatch) -> Counter:
         module = importlib.import_module(name)
         real = module.terracini_oracle
 
-        def counting(st, cfg=None, real=real):
+        def counting(st, cfg=None, real=real, **kw):
             calls[st.key()] += 1
-            return real(st, cfg)
+            return real(st, cfg, **kw)
 
         monkeypatch.setattr(module, "terracini_oracle", counting)
     return calls
 
 
+def record_attempts(monkeypatch) -> list:
+    """Record (canonical key, prime, seed) of every oracle attempt, in the
+    order run: each attempt draws its points once."""
+    attempts: list = []
+    ffrank = importlib.import_module("segredim.ffrank")
+    real = ffrank.sample_points
+
+    def sampling(st, prime, seed):
+        attempts.append((st.key(), prime, seed))
+        return real(st, prime, seed)
+
+    monkeypatch.setattr(ffrank, "sample_points", sampling)
+    return attempts
+
+
 class TestOracleDoor:
-    """ProofEngine.oracle runs each canonical statement at most once."""
+    """ProofEngine.oracle runs each attempt of each canonical statement at
+    most once: a search's subgoals the first attempt of the plan, a root
+    the whole plan."""
 
     def test_outcome_is_remembered_for_the_engine(self, monkeypatch):
         calls = count_oracle_calls(monkeypatch)
@@ -239,17 +257,95 @@ class TestOracleDoor:
         assert isinstance(report, ScanReport) and report.hits
         assert sum(calls.values()) == len(calls) > 0
 
+    # the search's child T(4,2,1;2;0,4,1) reads rank 28 of target 30, and
+    # the root stops at its cell budget with rank 48 of target 50
+    ROOT, CHILD = "T(4,4,1;4;2,0,1)", "T(4,2,1;2;0,4,1)"
+
+    def test_a_subgoal_runs_one_attempt(self, monkeypatch):
+        attempts = record_attempts(monkeypatch)
+        root, child = parse_statement(self.ROOT), parse_statement(self.CHILD)
+        engine = ProofEngine()
+        v = engine.prove(root)
+        assert (v.status, v.reason) == (None, "cell_budget")
+        runs = Counter(key for key, _, _ in attempts)
+        assert runs.pop(root.key()) == 2
+        assert runs[child.key()] == 1 and len(runs) > 1
+        assert set(runs.values()) == {1}
+        assert all(prime == DEFAULT_PRIME for key, prime, _ in attempts
+                   if key != root.key())
+
+    def test_a_subgoal_later_proved_as_a_root_gets_the_whole_plan(
+            self, monkeypatch):
+        attempts = record_attempts(monkeypatch)
+        child = parse_statement(self.CHILD)
+        engine = ProofEngine()
+        engine.prove(self.ROOT)
+        v = engine.prove(child)
+        ran = [a for a in attempts if a[0] == child.key()]
+        assert [prime for _, prime, _ in ran] == [DEFAULT_PRIME, FALLBACK_PRIME]
+        assert len(set(attempts)) == len(attempts)  # no attempt ran twice
+        assert (v.status, v.reason) == (None, "oracle_deficit")
+        fresh = ProofEngine().prove(child)
+        assert v.evidence == fresh.evidence == terracini_oracle(child)
+        assert len(v.evidence.attempts) == 2 and v.evidence.witness.rank == 28
+        # outside a search a kept result is whole, and asked again runs nothing
+        n = len(attempts)
+        assert engine.oracle(child) is v.evidence
+        assert len(attempts) == n
+
+    def test_a_root_gets_the_whole_plan(self, monkeypatch):
+        # the (2,n,n) row at s = 3n/2 + 1: every split child is deficient
+        # too, and the row is Evidence-Defective on the root's own evidence
+        attempts = record_attempts(monkeypatch)
+        root = parse_statement("T(4,4,2;7)")
+        whole = terracini_oracle(root)
+        n = len(attempts)
+        v = ProofEngine().prove(root)
+        assert v.evidence == whole
+        assert [w.prime for w in whole.attempts] == [DEFAULT_PRIME, FALLBACK_PRIME]
+        assert whole.witness.rank == 74 and v.evidence.note == whole.note
+        assert "r(k-1)/p = 150/1000003" in whole.note
+        assert [a[1] for a in attempts[n:] if a[0] == root.key()] == [
+            DEFAULT_PRIME, FALLBACK_PRIME]
+        row = resolve_secant((2, 4, 4), 7)
+        assert (row.status, row.lower, row.note) == (
+            "Evidence-Defective", 74, whole.note)
+
+    def test_scan_runs_the_fallback_prime_only_at_roots(self, monkeypatch):
+        attempts = record_attempts(monkeypatch)
+        roots = set()
+        real = ProofEngine.prove
+
+        def proving(engine, st):
+            roots.add(st.key())
+            return real(engine, st)
+
+        monkeypatch.setattr(ProofEngine, "prove", proving)
+        defective_scan(3, 5, 30)
+        assert len(set(attempts)) == len(attempts) == 58
+        # T(4,4,2;7) is a root that reads deficient; T(2,2,2;4) is a
+        # catalog-defective row whose dimension the oracle measures
+        measured = "T(2,2,2;4;0,0,0)"
+        assert sorted(key for key, prime, _ in attempts
+                      if prime == FALLBACK_PRIME) == [measured, "T(4,4,2;7;0,0,0)"]
+        runs = Counter(key for key, _, _ in attempts)
+        assert all(n == 1 for key, n in runs.items()
+                   if key not in roots | {measured})
+
 
 def record_oracle_cells(monkeypatch) -> dict:
-    """Record, per canonical statement, the cells terracini_oracle spent on
-    it: rows x cols x attempts.  Refusals record nothing."""
+    """Record, per canonical statement, the cells the cell budget charges
+    for its oracle result: rows x cols x the attempts it ran when it
+    certified, x the whole plan when it did not.  Refusals record nothing."""
     cells: dict = {}
     search = importlib.import_module("segredim.induction.search")
 
-    def recording(st, cfg=None, real=search.terracini_oracle):
-        result = real(st, cfg)
+    def recording(st, cfg=None, real=search.terracini_oracle, **kw):
+        result = real(st, cfg, **kw)
         w = result.witness
-        cells[st.key()] = w.rows * w.cols * len(result.attempts)
+        runs = (len(result.attempts) if result.certified
+                else len((cfg or FieldConfig()).plan))
+        cells[st.key()] = w.rows * w.cols * runs
         return result
 
     monkeypatch.setattr(search, "terracini_oracle", recording)
