@@ -249,10 +249,10 @@ def _measure(fmt: Format, s: int, row: ProfileRow,
     """Fill in the oracle-measured dimension of a proven-defective row."""
     st = Statement.of(fmt, s, (0,) * fmt.k)
     try:
-        res = terracini_oracle(st, engine.field_config)
+        res = terracini_oracle(st, engine.config)
     except OracleBudgetError:
         return row
-    best = max(w.rank for w in res.attempts)
+    best = res.witness.rank
     defect = row.expected - best if best == row.upper else None
     return ProfileRow(row.s, row.expected, best, row.upper, DEFECTIVE, defect,
                       row.source, row.proof, row.note)
@@ -286,9 +286,8 @@ def resolve_secant(fmt: FormatLike, s: int,
                           None, str(oracle))
     if oracle.certified:
         return ProfileRow(s, affine, affine, affine, NONDEFECTIVE, 0, "oracle")
-    best = max(w.rank for w in oracle.attempts)
-    return ProfileRow(s, affine, best, affine, EVIDENCE_DEFECTIVE, None,
-                      "oracle", None, oracle.note)
+    return ProfileRow(s, affine, oracle.witness.rank, affine,
+                      EVIDENCE_DEFECTIVE, None, "oracle", None, oracle.note)
 
 
 # --- profiles -------------------------------------------------------------

@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .ffrank import DEFAULT_PRIME, DEFAULT_RETRIES, MAX_CELLS, FieldConfig
+from .ffrank import MAX_CELLS, FieldConfig
 
 DEFAULT_BUDGET_NODES = 50_000
 
@@ -16,23 +16,19 @@ CERT_VERSION = "cert-v2"
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    prime: int = DEFAULT_PRIME
-    seed: int = 0
-    retries: int = DEFAULT_RETRIES
+class RunConfig(FieldConfig):
+    """Every setting of a run: the oracle's, which it passes on as the
+    FieldConfig it is, and the node budget of each search."""
+
     budget_nodes: int = DEFAULT_BUDGET_NODES
-    force: bool = False
 
     def __post_init__(self):
+        super().__post_init__()
         # every search runs under this budget; the CLI's --budget-nodes
         # rejects the same values
         n = self.budget_nodes
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"budget_nodes must be an int >= 1, got {n!r}")
-
-    def field_config(self) -> FieldConfig:
-        return FieldConfig(prime=self.prime, seed=self.seed,
-                           retries=self.retries, force=self.force)
 
     def digest(self) -> str:
         """Hash of every setting that can change a verdict, the oracle's

@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import ClassVar
 
 import numpy as np
 
@@ -107,17 +109,26 @@ class OracleBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldConfig:
+    """The oracle's settings; config.RunConfig adds the search's."""
+
     prime: int = DEFAULT_PRIME
     seed: int = 0
     retries: int = DEFAULT_RETRIES
-    fallback_prime: int = FALLBACK_PRIME
     force: bool = False
+    fallback_prime: ClassVar[int] = FALLBACK_PRIME
 
     def __post_init__(self) -> None:
-        for p in (self.prime, self.fallback_prime):
-            check_prime(p)
+        # checked here: a float retries would fail only at the first oracle
+        # call, and a string seed would key the cache apart from its int
+        for name, kind in (("prime", int), ("seed", int), ("retries", int),
+                           ("force", bool)):
+            value = getattr(self, name)
+            if type(value) is not kind:  # so a bool is no int
+                raise ValueError(
+                    f"{name} must be of type {kind.__name__}, got {value!r}")
         if self.retries < 1:
-            raise ValueError("need at least one attempt")
+            raise ValueError(f"retries must be >= 1, got {self.retries}")
+        check_prime(self.prime)
 
     @property
     def plan(self) -> tuple[tuple[int, int], ...]:
@@ -129,13 +140,15 @@ class FieldConfig:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Random points backing one rank attempt. Each point is a tuple of k
-    coordinate vectors in the statement's own factor order."""
+    """Random points backing one rank attempt, in the statement's own factor
+    order: tangent[j] holds the slot-j vectors of the tangent points, one
+    per row, an array of shape (s, n_j + 1), and fibers[i][j] those of the
+    fiber points of factor i, of shape (a_i, n_j + 1)."""
 
     prime: int
     seed: int
-    tangent: tuple[tuple[np.ndarray, ...], ...]
-    fibers: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
+    tangent: tuple[np.ndarray, ...]
+    fibers: tuple[tuple[np.ndarray, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -225,24 +238,19 @@ def sample_points(st: Statement, prime: int, seed: int) -> PointSet:
     agree up to factor permutation get the same points, permuted to match.
     Every vector is nonzero.  Draw order: the s tangent points, then the
     fiber points of each canonical slot; each point's vectors in canonical
-    slot order."""
+    slot order.  The PointSet's arrays are views of the one drawn array."""
     order = st.canonical_order()  # canonical slot j -> original factor order[j]
     canon = st.canonical()
     rng = np.random.default_rng(np.random.PCG64(derive_seed(st.key(), prime, seed, 0)))
     lengths = tuple(n + 1 for n in canon.format.dims)
     drawn = _draw_points(rng, lengths, st.s + sum(canon.a), prime)
-    ends = np.cumsum(lengths).tolist()
-    cut = [slice(0, 0)] * len(order)  # original factor i -> its columns of drawn
-    for j, i in enumerate(order):
-        cut[i] = slice(ends[j] - lengths[j], ends[j])
-    points = [tuple(row[c] for c in cut) for row in drawn]
-    fibers: list[tuple[tuple[np.ndarray, ...], ...]] = [()] * len(order)
-    top = st.s
-    for j, i in enumerate(order):
-        fibers[i] = tuple(points[top : top + canon.a[j]])
-        top += canon.a[j]
-    return PointSet(prime=prime, seed=seed, tangent=tuple(points[: st.s]),
-                    fibers=tuple(fibers))
+    cols = list(accumulate(lengths, initial=0))  # canonical slot j: cols[j]:cols[j+1]
+    rows = list(accumulate(canon.a, initial=st.s))  # its fibers: rows[j]:rows[j+1]
+    slot_of = sorted(range(len(order)), key=order.__getitem__)  # factor i -> its slot
+    slots = [drawn[:, cols[j] : cols[j + 1]] for j in slot_of]
+    return PointSet(prime=prime, seed=seed, tangent=tuple(x[: st.s] for x in slots),
+                    fibers=tuple(tuple(x[rows[j] : rows[j + 1]] for x in slots)
+                                 for j in slot_of))
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -250,17 +258,13 @@ def _outer_rows(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a[:, :, None] * b[:, None, :] % p).reshape(len(a), -1)
 
 
-def _by_slot(points: tuple[tuple[np.ndarray, ...], ...]) -> list[np.ndarray]:
-    # one (len(points), n_j + 1) array per slot j
-    return [np.array(vectors) for vectors in zip(*points)]
-
-
 def _write_slot(out: np.ndarray, rows: np.ndarray, basis: np.ndarray,
-                xs: list[np.ndarray], slot: int, p: int) -> None:
+                xs: tuple[np.ndarray, ...], slot: int, p: int) -> None:
     """Write row rows[t, r] of the zeroed `out`: point t's tensor with its
     vector at `slot` replaced by basis vector basis[t, r].  The points are
-    _by_slot arrays; the row's nonzero entries are the product of point t's
-    vectors before the slot (left) times that of those after it (right)."""
+    given as in a PointSet, one array per slot whose row t is point t's
+    vector; the row's nonzero entries are the product of point t's vectors
+    before the slot (left) times that of those after it (right)."""
     left = right = np.ones((len(xs[slot]), 1), dtype=np.int64)
     for x in xs[:slot]:
         left = _outer_rows(left, x, p)
@@ -277,6 +281,17 @@ def row_count(st: Statement) -> int:
     of RankWitness.rows; the matrix itself keeps parameter_count of them."""
     d = st.format.dims
     return st.s * sum(n + 1 for n in d) + sum(x * (n + 1) for x, n in zip(st.a, d))
+
+
+def oracle_cells(st: Statement, force: bool) -> int:
+    """The cells row_count(st) x ambient_dim of st's oracle call, the unit
+    of the oracle's budget; past MAX_CELLS, OracleBudgetError unless force."""
+    rows, cols = row_count(st), ambient_dim(st.format)
+    if rows * cols > MAX_CELLS and not force:
+        raise OracleBudgetError(
+            f"matrix {rows}x{cols} exceeds {MAX_CELLS} cells; pass force to override"
+        )
+    return rows * cols
 
 
 def build_terracini_matrix(st: Statement, pts: PointSet) -> np.ndarray:
@@ -301,26 +316,26 @@ def build_terracini_matrix(st: Statement, pts: PointSet) -> np.ndarray:
     # each slot is written for all tangent points at once: point t's rows
     # start at t * width, and its block for slot j at `top` past that
     width = 1 + sum(dims)
-    if pts.tangent:
-        xs = _by_slot(pts.tangent)
-        starts = np.arange(len(pts.tangent))[:, None] * width
+    count = len(pts.tangent[0])
+    if count:
+        starts = np.arange(count)[:, None] * width
         top = 0
-        for j, x in enumerate(xs):
+        for j, x in enumerate(pts.tangent):
             basis = np.arange(dims[j] + (j == 0))
             rows = starts + top + basis
             if j:
                 # skip each point's first nonzero coordinate b: row r is
                 # basis vector r below b and r + 1 from b on
                 basis = basis + (basis >= (x != 0).argmax(axis=1)[:, None])
-            _write_slot(out, rows, basis, xs, j, p)
+            _write_slot(out, rows, basis, pts.tangent, j, p)
             top += rows.shape[1]
-    top = len(pts.tangent) * width
-    for i, points in enumerate(pts.fibers):
-        if points:
-            m = dims[i] + 1
-            rows = top + np.arange(len(points) * m).reshape(len(points), m)
-            _write_slot(out, rows, np.arange(m), _by_slot(points), i, p)
-            top += len(points) * m
+    top = count * width
+    for i, xs in enumerate(pts.fibers):
+        count, m = xs[i].shape
+        if count:
+            rows = top + np.arange(count * m).reshape(count, m)
+            _write_slot(out, rows, np.arange(m), xs, i, p)
+            top += count * m
     return out
 
 
@@ -511,7 +526,8 @@ def terracini_oracle(st: Statement, cfg: FieldConfig | None = None, *,
     Inconclusive with the best witness.  The attempts follow cfg.plan:
     cfg.retries attempts (DEFAULT_RETRIES by default) reseed points only,
     then one runs with the fallback prime; the first that certifies ends it.
-    Past MAX_CELLS cells it raises OracleBudgetError unless cfg.force.
+    Past MAX_CELLS cells it raises OracleBudgetError unless cfg.force
+    (oracle_cells).  Each attempt is one recompute_rank call.
 
     `prior` (an earlier result for st under cfg) and `stop` run the slice
     cfg.plan[len(prior.attempts):stop] and merge it into prior; a certified
@@ -519,35 +535,24 @@ def terracini_oracle(st: Statement, cfg: FieldConfig | None = None, *,
     from the start of the plan, since each attempt's seed depends only on
     the canonical statement, its prime, cfg.seed and its attempt index."""
     cfg = cfg or FieldConfig()
-    rows, cols = row_count(st), ambient_dim(st.format)
-    if rows * cols > MAX_CELLS and not cfg.force:
-        raise OracleBudgetError(
-            f"matrix {rows}x{cols} exceeds {MAX_CELLS} cells; pass force to override"
-        )
+    oracle_cells(st, cfg.force)
     if prior is not None and prior.certified:
         return prior
-    goal = target_dim(st)
     attempts = list(prior.attempts) if prior is not None else []
-    best = prior.witness if prior is not None else None
-    key = st.key()
     for prime, attempt in cfg.plan[len(attempts) : stop]:
-        seed = derive_seed(key, prime, cfg.seed, attempt)
-        pts = sample_points(st, prime, seed)
-        # no name keeps the matrix: it is freed before the next attempt builds
-        rank = rank_mod_p(build_terracini_matrix(st, pts), prime, overwrite=True)
-        w = RankWitness(st.canonical(), prime, seed, rows, cols, rank, goal)
+        w = recompute_rank(st, prime, derive_seed(st.key(), prime, cfg.seed, attempt))
         attempts.append(w)
-        if best is None or w.rank > best.rank:
-            best = w
-        if rank == goal:
+        if w.rank == w.target:
             return OracleResult(True, w, tuple(attempts))
-    assert best is not None, "the plan slice ran no attempt"
-    return OracleResult(False, best, tuple(attempts))
+    # the best witness: the first attempt of the highest rank
+    return OracleResult(False, max(attempts, key=lambda w: w.rank), tuple(attempts))
 
 
 def recompute_rank(st: Statement, prime: int, seed: int) -> RankWitness:
-    """Re-run a single recorded attempt from (prime, seed); used by verifiers."""
+    """One attempt from (prime, seed): terracini_oracle runs each of its
+    plan through it, and verifiers re-run a recorded one."""
     pts = sample_points(st, prime, seed)
+    # no name keeps the matrix: it is freed before the next attempt builds
     rank = rank_mod_p(build_terracini_matrix(st, pts), prime, overwrite=True)
     return RankWitness(st.canonical(), prime, seed, row_count(st),
                        ambient_dim(st.format), rank, target_dim(st))

@@ -20,10 +20,9 @@ from typing import Iterator, Optional
 
 from ..config import RunConfig
 from ..ffrank import (
-    MAX_CELLS,
     OracleBudgetError,
     OracleResult,
-    row_count,
+    oracle_cells,
     terracini_oracle,
 )
 from ..formats import (
@@ -111,7 +110,7 @@ class ProofEngine:
 
     Each prove() call also has a cell budget when its root is admissible
     to the oracle: what the root's own call costs when inconclusive,
-    rows x cols x (retries + 1).  Every subgoal oracle outcome the search
+    rows x cols x len(config.plan).  Every subgoal oracle outcome the search
     consults spends rows x cols x attempts, once per canonical statement,
     remembered outcomes included and refusals free: the whole plan's
     attempts when it did not certify, whatever ran, and the attempts run
@@ -121,7 +120,6 @@ class ProofEngine:
 
     def __init__(self, cfg: Optional[RunConfig] = None):
         self.config = cfg or RunConfig()
-        self.field_config = self.config.field_config()
         self._memo: dict = {}
         self._oracles: dict[str, OracleResult | OracleBudgetError] = {}
         self._dead: set = set()
@@ -189,20 +187,20 @@ class ProofEngine:
         the OracleBudgetError that refused it, kept by canonical statement.
 
         A subgoal of the running search (any statement but its root) runs
-        the first attempt of the field config's plan only: reading deficient
+        the first attempt of the config's plan only: reading deficient
         there just sends the search on to its next split.  A root, and any
         call outside prove(), gets the whole plan, continuing a result kept
         from a subgoal.  Each attempt's outcome depends only on the
-        canonical statement and the field config, so each attempt runs at
-        most once per engine and a root's result is a fresh engine's."""
+        canonical statement and the config, so each attempt runs at most
+        once per engine and a root's result is a fresh engine's."""
         key = st.key()
         kept = self._oracles.get(key)
         subgoal = self._root_key not in (None, key)
-        want = 1 if subgoal else len(self.field_config.plan)
+        want = 1 if subgoal else len(self.config.plan)
         if kept is None or (isinstance(kept, OracleResult) and not kept.certified
                             and len(kept.attempts) < want):
             try:
-                kept = terracini_oracle(st, self.field_config, prior=kept, stop=want)
+                kept = terracini_oracle(st, self.config, prior=kept, stop=want)
             except OracleBudgetError as exc:  # kept without its frames
                 kept = exc.with_traceback(None)
             self._oracles[key] = kept
@@ -212,10 +210,10 @@ class ProofEngine:
         """The subgoal oracle cells a search rooted at `st` may spend: what
         the root's own oracle call costs when inconclusive.  None when the
         oracle refuses the root, whose search then has no cell budget."""
-        cells = row_count(st) * ambient_dim(st.format)
-        if cells > MAX_CELLS and not self.field_config.force:
+        try:
+            return oracle_cells(st, self.config.force) * len(self.config.plan)
+        except OracleBudgetError:
             return None
-        return cells * len(self.field_config.plan)
 
     # -- search core -------------------------------------------------------
 
@@ -319,7 +317,7 @@ class ProofEngine:
         w = result.witness
         # charged by the plan, what a root runs, unless it certified early:
         # so where the budget stops does not depend on who ran the rest
-        runs = len(result.attempts) if result.certified else len(self.field_config.plan)
+        runs = len(result.attempts) if result.certified else len(self.config.plan)
         self._cells_spent += w.rows * w.cols * runs
         if self._cells_spent > self._cell_budget:
             raise _OverBudget

@@ -101,3 +101,11 @@ def test_record_from_version_0_2_0_misses(tmp_path, capsys):
     assert main(["dim", "2,4,4", "7", "--budget-nodes", "2000",
                  "--cache", str(path)]) == 0
     assert "status: Evidence-Defective [oracle]" in capsys.readouterr().out
+
+
+def test_config_digests_are_pinned():
+    # the digests version 0.3.0 writes: a change of either re-keys every
+    # record a cache holds, so it needs a new tool version
+    assert RunConfig().digest() == "8dcbb7ccde4363ea"
+    assert RunConfig(seed=9, retries=3, budget_nodes=2000,
+                     force=True).digest() == "1f38bf9ab30d3cc7"

@@ -222,8 +222,7 @@ def test_typical_ranks_match_the_reference(monkeypatch):
 
 
 def _oracle(dims, s):
-    res = terracini_oracle(Statement.of(dims, s, (0,) * len(dims)),
-                           RunConfig().field_config())
+    res = terracini_oracle(Statement.of(dims, s, (0,) * len(dims)), RunConfig())
     return res.certified, max(w.rank for w in res.attempts)
 
 

@@ -71,6 +71,13 @@ def ref_sample_points(st: Statement, prime: int, seed: int) -> PointSet:
     return PointSet(prime=prime, seed=seed, tangent=tangent, fibers=tuple(fibers))
 
 
+def per_point(pts: PointSet) -> PointSet:
+    """The references' layout, each point a tuple of its k vectors, from
+    the live one of one (count, n_j + 1) array per slot."""
+    return PointSet(prime=pts.prime, seed=pts.seed, tangent=tuple(zip(*pts.tangent)),
+                    fibers=tuple(tuple(zip(*xs)) for xs in pts.fibers))
+
+
 def same_points(a: PointSet, b: PointSet) -> bool:
     def flat(pts):
         points = list(pts.tangent) + [q for f in pts.fibers for q in f]
@@ -222,8 +229,9 @@ def test_bulk_sampler_and_build_match_the_per_vector_references():
     for i, st in enumerate(sweep):
         p, seed = PRIMES[i % 2], rng.randrange(1 << 32)
         pts = sample_points(st, p, seed)
-        assert same_points(pts, ref_sample_points(st, p, seed)), st
-        ref = ref_build_terracini_matrix(st, pts)[kept_rows(st, pts)]
+        old = per_point(pts)
+        assert same_points(old, ref_sample_points(st, p, seed)), st
+        ref = ref_build_terracini_matrix(st, old)[kept_rows(st, old)]
         assert build_terracini_matrix(st, pts).tobytes() == (
             ref.astype(np.float64).tobytes()), st
         kinds |= {("P0", 0 in st.format.dims), ("s=0", st.s == 0),
@@ -264,7 +272,7 @@ def test_zero_vector_is_drawn_again_as_by_the_reference(monkeypatch):
         return streams[-1]
 
     monkeypatch.setattr(np.random, "default_rng", stream)
-    live = sample_points(st, DEFAULT_PRIME, 5)
+    live = per_point(sample_points(st, DEFAULT_PRIME, 5))
     ref = ref_sample_points(st, DEFAULT_PRIME, 5)
     assert same_points(live, ref)
     assert streams[0].pos == streams[1].pos == len(numbers)
@@ -303,6 +311,7 @@ def test_build_matches_reference_entrywise():
         p = PRIMES[i % 2]
         pts = sample_points(st, p, 1000 + i)
         new = build_terracini_matrix(st, pts)
+        pts = per_point(pts)
         old = ref_build_terracini_matrix(st, pts)
         assert new.dtype == np.float64, st
         assert old.shape == (row_count(st), ambient_dim(st.format))
@@ -317,7 +326,7 @@ def test_build_spans_what_reference_spans():
         p = PRIMES[i % 2]
         pts = sample_points(st, p, 300 + i)
         new = build_terracini_matrix(st, pts)
-        old = ref_build_terracini_matrix(st, pts)
+        old = ref_build_terracini_matrix(st, per_point(pts))
         rank = rank_mod_p(new, p)
         assert rank == ref_rank_mod_p(old, p), st
         assert rank == rank_mod_p(np.vstack([new, old]), p), st
@@ -331,11 +340,12 @@ def test_build_drops_first_nonzero_coordinate():
     p = DEFAULT_PRIME
     st = parse_statement("T(2,3,2;2;0,1,0)")
     v = lambda *xs: np.array(xs, dtype=np.int64)
+    none = tuple(np.zeros((0, n + 1), dtype=np.int64) for n in st.format.dims)
     pts = PointSet(prime=p, seed=0, tangent=(
-        (v(0, 4, 9), v(0, 0, 5, 7), v(0, 3, 1)),
-        (v(6, 2, 5), v(0, 8, 0, 1), v(0, 0, 2)),
-    ), fibers=((), ((v(1, 2, 3), v(0, 1, 0, 4), v(5, 0, 6)),), ()))
+        v((0, 4, 9), (6, 2, 5)), v((0, 0, 5, 7), (0, 8, 0, 1)), v((0, 3, 1), (0, 0, 2)),
+    ), fibers=(none, (v((1, 2, 3)), v((0, 1, 0, 4)), v((5, 0, 6))), none))
     new = build_terracini_matrix(st, pts)
+    pts = per_point(pts)
     old = ref_build_terracini_matrix(st, pts)
     keep = kept_rows(st, pts)
     assert [i for i in range(len(old)) if i not in keep] == [5, 8, 14, 19]
@@ -424,7 +434,7 @@ def test_statement_ranks_match_reference():
     seen = set()
     for i, st in enumerate(statement_sweep(80, seed=2)):
         p = PRIMES[i % 2]
-        old = ref_build_terracini_matrix(st, sample_points(st, p, 7 + i))
+        old = ref_build_terracini_matrix(st, per_point(sample_points(st, p, 7 + i)))
         mat = build_terracini_matrix(st, sample_points(st, p, 7 + i))
         want = ref_rank_mod_p(old, p)
         assert rank_mod_p(mat, p, overwrite=True) == want, st

@@ -140,12 +140,22 @@ class TestUndetermined:
         # without a budget the same statement is proven
         assert ProofEngine(RunConfig()).prove("T(3,3,3;6)").status is True
 
-    @pytest.mark.parametrize("budget", [0, -5, True, 2.0, "10", None])
-    def test_budget_below_one_or_not_an_int_is_rejected(self, budget):
-        # 0 and -5 used to be accepted, and every search ended at once
-        # with reason node_budget
-        with pytest.raises(ValueError, match="budget_nodes"):
-            RunConfig(budget_nodes=budget)
+    BAD_SETTINGS = [("budget_nodes", v) for v in (0, -5, True, 2.0, "10", None)] + [
+        # accepted until the first oracle call raised a TypeError
+        ("retries", 2.0), ("retries", True), ("retries", 0),
+        # a string seed drew seed 7's points under another cache digest
+        ("seed", "7"), ("seed", False),
+        ("force", "no"), ("force", 1),  # "no" turned forcing on
+        ("prime", 5), ("prime", 1_000_003.0), ("prime", 1_000_001),
+    ]
+
+    @pytest.mark.parametrize("field,value", BAD_SETTINGS, ids=[
+        str(v) if f == "budget_nodes" else f"{f}={v!r}" for f, v in BAD_SETTINGS])
+    def test_budget_below_one_or_not_an_int_is_rejected(self, field, value):
+        # a budget of 0 or -5 used to be accepted, and every search ended at
+        # once with reason node_budget; each setting fails where it is built
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
         assert RunConfig(budget_nodes=1).budget_nodes == 1
 
 
