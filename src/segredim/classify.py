@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Optional, Union
 
+# unused here (ProofEngine.oracle is its one caller), but perfbench/spans.py
+# wraps terracini_oracle under this module's name
 from .ffrank import OracleBudgetError, terracini_oracle
 from .formats import (
     Format,
@@ -101,12 +103,6 @@ class SecantProfile:
     @property
     def ambient(self) -> int:
         return ambient_dim(self.format)
-
-    def row(self, s: int) -> ProfileRow:
-        for r in self.rows:
-            if r.s == s:
-                return r
-        raise KeyError(f"no row for s={s}")
 
     def records(self) -> list[dict]:
         return [r.record(self.format) for r in self.rows]
@@ -247,10 +243,8 @@ def _settle(st: Statement, engine: ProofEngine, cache):
 def _measure(fmt: Format, s: int, row: ProfileRow,
              engine: ProofEngine) -> ProfileRow:
     """Fill in the oracle-measured dimension of a proven-defective row."""
-    st = Statement.of(fmt, s, (0,) * fmt.k)
-    try:
-        res = terracini_oracle(st, engine.config)
-    except OracleBudgetError:
+    res = engine.oracle(Statement.of(fmt, s, (0,) * fmt.k))
+    if isinstance(res, OracleBudgetError):
         return row
     best = res.witness.rank
     defect = row.expected - best if best == row.upper else None

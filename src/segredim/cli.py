@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: dim, prove, classify, scan, verify.  All randomness flows
-from --seed; every number a command prints is reproducible from the flags.
+from --seed; every number a command prints is reproducible from the flags,
+except the wall time prove --json reports as stats.elapsed_s.
 Exit codes: 0 success/true, 1 false or verification failure, 2 usage,
 3 undetermined.
 """
@@ -16,7 +17,7 @@ from typing import Optional
 from . import classify as cls
 from .cache import CacheConflictError, VerdictCache
 from .config import DEFAULT_BUDGET_NODES, RunConfig, TOOL_VERSION
-from .ffrank import DEFAULT_PRIME, DEFAULT_RETRIES, MAX_CELLS, MAX_PRIME, check_prime
+from .ffrank import DEFAULT_PRIME, DEFAULT_RETRIES, MAX_CELLS, MAX_PRIME, FieldConfig
 from .formats import (
     ParseError,
     ambient_dim,
@@ -40,7 +41,8 @@ EXIT_UNDETERMINED = 3
 
 def _prime(text: str) -> int:
     try:
-        return check_prime(int(text))
+        # FieldConfig's rule: an admissible prime other than the fallback
+        return FieldConfig(prime=int(text)).prime
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -55,7 +57,7 @@ def _positive(text: str) -> int:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prime", type=_prime, default=DEFAULT_PRIME,
                    help="modulus for rank computations, a prime in "
-                        f"(2^16, {MAX_PRIME})")
+                        f"(2^16, {MAX_PRIME}) other than the fallback prime")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; all point draws derive from it")
     p.add_argument("--retries", type=_positive, default=DEFAULT_RETRIES,

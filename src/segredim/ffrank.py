@@ -129,6 +129,10 @@ class FieldConfig:
         if self.retries < 1:
             raise ValueError(f"retries must be >= 1, got {self.retries}")
         check_prime(self.prime)
+        if self.prime == self.fallback_prime:
+            # the fallback attempt would re-run attempt 0 exactly
+            raise ValueError(f"prime {self.prime} is the fallback prime; "
+                             "choose another")
 
     @property
     def plan(self) -> tuple[tuple[int, int], ...]:
@@ -520,26 +524,20 @@ def rank_mod_p(matrix: np.ndarray, p: int, *, overwrite: bool = False) -> int:
 
 
 def terracini_oracle(st: Statement, cfg: FieldConfig | None = None, *,
-                     prior: OracleResult | None = None,
                      stop: int | None = None) -> OracleResult:
     """CertifiedTrue when some attempt reaches rank == target_dim; otherwise
     Inconclusive with the best witness.  The attempts follow cfg.plan:
     cfg.retries attempts (DEFAULT_RETRIES by default) reseed points only,
     then one runs with the fallback prime; the first that certifies ends it.
-    Past MAX_CELLS cells it raises OracleBudgetError unless cfg.force
-    (oracle_cells).  Each attempt is one recompute_rank call.
-
-    `prior` (an earlier result for st under cfg) and `stop` run the slice
-    cfg.plan[len(prior.attempts):stop] and merge it into prior; a certified
-    prior is returned as it is.  The merged result equals that of one call
-    from the start of the plan, since each attempt's seed depends only on
-    the canonical statement, its prime, cfg.seed and its attempt index."""
+    `stop` runs only the plan's first `stop` attempts.  Past MAX_CELLS cells
+    it raises OracleBudgetError unless cfg.force (oracle_cells).  Each
+    attempt is one recompute_rank call, whose seed depends only on the
+    canonical statement, its prime, cfg.seed and its attempt index.  In
+    the package, only ProofEngine.oracle calls it."""
     cfg = cfg or FieldConfig()
     oracle_cells(st, cfg.force)
-    if prior is not None and prior.certified:
-        return prior
-    attempts = list(prior.attempts) if prior is not None else []
-    for prime, attempt in cfg.plan[len(attempts) : stop]:
+    attempts = []
+    for prime, attempt in cfg.plan[:stop]:
         w = recompute_rank(st, prime, derive_seed(st.key(), prime, cfg.seed, attempt))
         attempts.append(w)
         if w.rank == w.target:

@@ -137,7 +137,7 @@ def find_zero_factor_slot(st: Statement, with_conditions: bool) -> Optional[int]
     return None
 
 
-def drop_conditions(st: Statement, slot: Optional[int] = None,
+def drop_conditions(st: Statement, slot: int,
                     require_subabundant: bool = True) -> Statement:
     """Zero out the fiber count at a zero-dimensional slot.
 
@@ -151,10 +151,6 @@ def drop_conditions(st: Statement, slot: Optional[int] = None,
     A slot that already carries no conditions has nothing to drop, so the
     statement comes back unchanged.
     """
-    if slot is None:
-        slot = find_zero_factor_slot(st, with_conditions=True)
-        if slot is None:
-            return st
     _check_slot(st, slot)
     if st.format.dims[slot] != 0:
         raise RuleError(f"slot {slot} of {st} is not a point factor")
@@ -165,13 +161,9 @@ def drop_conditions(st: Statement, slot: Optional[int] = None,
     return Statement(st.format, st.s, st.a[:slot] + (0,) + st.a[slot + 1:])
 
 
-def drop_zero_factor(st: Statement, slot: Optional[int] = None) -> Statement:
+def drop_zero_factor(st: Statement, slot: int) -> Statement:
     """Remove a slot with dimension 0 and no conditions.  Tensoring with a
     one-dimensional space changes nothing: full equivalence."""
-    if slot is None:
-        slot = find_zero_factor_slot(st, with_conditions=False)
-        if slot is None:
-            raise RuleError(f"{st} has no droppable zero factor")
     _check_slot(st, slot)
     if st.format.dims[slot] != 0 or st.a[slot] != 0:
         raise RuleError(f"slot {slot} of {st} is not an empty zero factor")

@@ -104,9 +104,10 @@ class ProofEngine:
     statement, so permuted inputs reuse earlier work.  Failed
     (undetermined) subgoals are only remembered for the duration of one
     prove() call, letting later calls retry with a fresh budget.  Oracle
-    outcomes are kept for the engine's lifetime.  A subgoal runs only the
-    first attempt of the oracle's plan, and the rest runs if the statement
-    later becomes a root (see oracle()).
+    outcomes are kept for the engine's lifetime, and oracle() is the
+    package's one caller of terracini_oracle.  A subgoal runs only the
+    first attempt of the oracle's plan; if the statement later becomes a
+    root, the whole plan runs again from its first attempt (see oracle()).
 
     Each prove() call also has a cell budget when its root is admissible
     to the oracle: what the root's own call costs when inconclusive,
@@ -189,10 +190,11 @@ class ProofEngine:
         A subgoal of the running search (any statement but its root) runs
         the first attempt of the config's plan only: reading deficient
         there just sends the search on to its next split.  A root, and any
-        call outside prove(), gets the whole plan, continuing a result kept
-        from a subgoal.  Each attempt's outcome depends only on the
-        canonical statement and the config, so each attempt runs at most
-        once per engine and a root's result is a fresh engine's."""
+        call outside prove(), gets the whole plan; a kept result with fewer
+        attempts is not continued but replaced by a run of the whole plan
+        from attempt 0.  Each attempt's outcome depends only on the
+        canonical statement and the config, so a root's result is a fresh
+        engine's, and only such a rerun repeats an attempt."""
         key = st.key()
         kept = self._oracles.get(key)
         subgoal = self._root_key not in (None, key)
@@ -200,7 +202,7 @@ class ProofEngine:
         if kept is None or (isinstance(kept, OracleResult) and not kept.certified
                             and len(kept.attempts) < want):
             try:
-                kept = terracini_oracle(st, self.config, prior=kept, stop=want)
+                kept = terracini_oracle(st, self.config, stop=want)
             except OracleBudgetError as exc:  # kept without its frames
                 kept = exc.with_traceback(None)
             self._oracles[key] = kept

@@ -48,9 +48,9 @@ def _same_statement(a: Statement, b: Statement) -> bool:
     return a.key() == b.key()
 
 
-def _witness_checks(node: CertNode, path: int, recheck: bool) -> None:
-    """Check a True rank-witness leaf; with `recheck` the rank is recomputed
-    from the witness's prime and seed instead of being taken on trust."""
+def _witness_checks(node: CertNode, path: int) -> None:
+    """Check a True rank-witness leaf: its fields against the statement,
+    then its rank, recomputed from the witness's prime and seed."""
     w = node.witness
     _need(w is not None, path, "missing rank witness")
     st = node.statement
@@ -72,10 +72,9 @@ def _witness_checks(node: CertNode, path: int, recheck: bool) -> None:
         check_prime(w.prime)
     except ValueError as exc:
         _fail(path, f"witness modulus is not admissible: {exc}")
-    if recheck:
-        rank = recompute_rank(st, w.prime, w.seed).rank
-        _need(rank == w.rank, path,
-              f"oracle re-run gives rank {rank}, witness says {w.rank}")
+    rank = recompute_rank(st, w.prime, w.seed).rank
+    _need(rank == w.rank, path,
+          f"oracle re-run gives rank {rank}, witness says {w.rank}")
 
 
 def _check_split(node: CertNode, path: int) -> None:
@@ -150,7 +149,7 @@ def _check_trivial(node: CertNode, path: int) -> None:
           f"trivial reason {node.reason!r} should be {why!r}")
 
 
-def _check_node(node: CertNode, path: int, below: list, recheck: bool) -> bool:
+def _check_node(node: CertNode, path: int, below: list) -> bool:
     """Check one node whose children concluded `below`; return its verdict."""
     kind = node.kind
     _need(kind in cert.ALL_KINDS, path, f"unknown kind {kind!r}")
@@ -164,7 +163,7 @@ def _check_node(node: CertNode, path: int, below: list, recheck: bool) -> bool:
         return below[0]
     _child_count(node, path, 0)
     if kind == cert.ORACLE:
-        _witness_checks(node, path, recheck)
+        _witness_checks(node, path)
         return True
     if kind in cert.FALSE_KINDS:
         _check_falsity_leaf(node, path)
@@ -175,14 +174,12 @@ def _check_node(node: CertNode, path: int, below: list, recheck: bool) -> bool:
     return True
 
 
-def verify(certificate: Union[Certificate, dict, str],
-           recheck_oracle: bool = True) -> bool:
+def verify(certificate: Union[Certificate, dict, str]) -> bool:
     """Check every node of a certificate; True on success.
 
     Raises VerificationError naming the first failing node.  Rank
     witnesses are recomputed from their recorded (prime, seed), once per
-    witness node.  recheck_oracle=False is the structural-only mode: it
-    takes each witness's rank at face value.
+    witness node; no rank is taken on trust.
     """
     if isinstance(certificate, str):
         certificate = Certificate.loads(certificate)
@@ -196,16 +193,16 @@ def verify(certificate: Union[Certificate, dict, str],
     verdicts: dict[str, bool] = {}
     for path, node in enumerate(certificate.nodes):
         below = [verdicts[c.digest] for c in node.children]
-        verdicts[node.digest] = _check_node(node, path, below, recheck_oracle)
+        verdicts[node.digest] = _check_node(node, path, below)
     _need(verdicts[root.digest] == certificate.verdict, path,
           f"root concludes {verdicts[root.digest]}, certificate claims "
           f"{certificate.verdict}")
     return True
 
 
-def is_valid(certificate, recheck_oracle: bool = True) -> bool:
+def is_valid(certificate) -> bool:
     """Boolean form of verify: False instead of an exception."""
     try:
-        return verify(certificate, recheck_oracle=recheck_oracle)
+        return verify(certificate)
     except (VerificationError, cert.CertificateFormatError, ValueError):
         return False

@@ -412,7 +412,7 @@ class TestTamperRejection:
         assert str(info.value).startswith(f"certificate node {at}: ")
 
     def test_recheck_oracle_accepts_honest(self, true_cert_doc):
-        assert verify(copy.deepcopy(true_cert_doc), recheck_oracle=True)
+        assert verify(copy.deepcopy(true_cert_doc))
 
     def test_forged_oracle_leaf_on_catalog_false_statement(self):
         # every witness field is consistent; only the catalog knows better
@@ -458,7 +458,7 @@ class TestTamperRejection:
                      for n in cert.nodes if n.witness is not None]
         assert len(witnesses) == len(set(witnesses))
         assert cert.leaf_counts()["oracle"] > len(witnesses)
-        assert verify(cert, recheck_oracle=True)
+        assert verify(cert)
         assert sorted(calls) == sorted(witnesses)
 
     def test_equi_split_relabel(self):
@@ -542,15 +542,15 @@ class TestTwoFactorLeaf:
             assert info.value.path == 0
 
     def test_witness_against_the_closed_form(self):
-        # a structural-only check still catches an oracle leaf on a
-        # two-factor statement that the closed form says is false
+        # the closed-form check catches an oracle leaf on a two-factor
+        # statement that the closed form says is false, before any recompute
         st = parse_statement("T(3,3;0;2,2)")
         w = terracini_oracle(st).witness
         forged = dataclasses.replace(w, rank=w.target)
         node = CertNode(cert_mod.ORACLE, st, witness=forged)
         with pytest.raises(VerificationError,
                            match="contradicts the two-factor closed form"):
-            verify(Certificate(st, True, node), recheck_oracle=False)
+            verify(Certificate(st, True, node))
 
 
 class TestIntegerFields:
@@ -645,9 +645,6 @@ class TestDefaultRecheck:
             verify(copy.deepcopy(FORGED_RANK_75))
         assert not is_valid(copy.deepcopy(FORGED_RANK_75))
 
-    def test_structural_only_mode_takes_the_rank_on_trust(self):
-        assert verify(copy.deepcopy(FORGED_RANK_75), recheck_oracle=False)
-
 
 class TestLargeCertificate:
     def test_flagship_certificate_is_its_dag(self):
@@ -660,7 +657,7 @@ class TestLargeCertificate:
         assert len(text) < 100_000
         again = Certificate.loads(text)
         assert again.root.digest == cert.root.digest
-        assert verify(again, recheck_oracle=True)
+        assert verify(again)
 
 
 def oracle_leaf(text: str) -> CertNode:

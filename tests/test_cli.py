@@ -113,7 +113,9 @@ class TestProve:
         assert code == 0
         assert "reason" not in json.loads(out)
 
-    @pytest.mark.parametrize("prime", ["4294967311", "65521", "1000004", "x"])
+    # 4194301 is the fallback prime: its fallback attempt would re-run attempt 0
+    @pytest.mark.parametrize("prime", ["4294967311", "65521", "1000004", "x",
+                                       "4194301"])
     def test_inadmissible_prime_is_a_usage_error(self, capsys, tmp_path, prime):
         # 4294967311 once overflowed the rank kernel: this defective
         # statement came out TRUE

@@ -90,6 +90,16 @@ def test_prove_output_and_certificate(name, tmp_path, monkeypatch):
     assert (tmp_path / cert_name).read_text() == want.read_text()
 
 
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_python_api_runs():
+    # the README's Python API block, run as written
+    text = README.read_text().split("\n## Python API\n", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 BENCH_SCAN = (Path(__file__).parent.parent / "perfbench" / "reference"
               / "scan_k3_n10_r60.txt")
 

@@ -123,8 +123,6 @@ class TestDrops:
     def test_drop_conditions_identity_when_nothing_to_drop(self):
         st_ = T("T(0,2,3;4;0,1,0)")
         assert drop_conditions(st_, 0) == st_
-        st_ = T("T(2,3;1;0,0)")
-        assert drop_conditions(st_) == st_
 
 
 class TestTrivial:

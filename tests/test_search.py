@@ -1,8 +1,10 @@
 """Proof search: verdicts, certificates, budgets, and memo behavior."""
 
+import ast
 import hashlib
 import importlib
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +149,8 @@ class TestUndetermined:
         ("seed", "7"), ("seed", False),
         ("force", "no"), ("force", 1),  # "no" turned forcing on
         ("prime", 5), ("prime", 1_000_003.0), ("prime", 1_000_001),
+        # the fallback prime: the plan's fallback attempt would re-run attempt 0
+        ("prime", FALLBACK_PRIME),
     ]
 
     @pytest.mark.parametrize("field,value", BAD_SETTINGS, ids=[
@@ -187,18 +191,16 @@ class TestEngineState:
 
 
 def count_oracle_calls(monkeypatch) -> Counter:
-    """Count terracini_oracle calls per canonical statement, through both
-    names the engine and the classifier call it by."""
+    """Count terracini_oracle calls per canonical statement, through the
+    name ProofEngine.oracle, its one caller, calls it by."""
     calls: Counter = Counter()
-    for name in ("segredim.induction.search", "segredim.classify"):
-        module = importlib.import_module(name)
-        real = module.terracini_oracle
+    search = importlib.import_module("segredim.induction.search")
 
-        def counting(st, cfg=None, real=real, **kw):
-            calls[st.key()] += 1
-            return real(st, cfg, **kw)
+    def counting(st, cfg=None, real=search.terracini_oracle, **kw):
+        calls[st.key()] += 1
+        return real(st, cfg, **kw)
 
-        monkeypatch.setattr(module, "terracini_oracle", counting)
+    monkeypatch.setattr(search, "terracini_oracle", counting)
     return calls
 
 
@@ -218,9 +220,9 @@ def record_attempts(monkeypatch) -> list:
 
 
 class TestOracleDoor:
-    """ProofEngine.oracle runs each attempt of each canonical statement at
-    most once: a search's subgoals the first attempt of the plan, a root
-    the whole plan."""
+    """ProofEngine.oracle runs each canonical statement once: a search's
+    subgoals the first attempt of the plan, a root the whole plan, rerun
+    from attempt 0 when only a subgoal's attempt was kept."""
 
     def test_outcome_is_remembered_for_the_engine(self, monkeypatch):
         calls = count_oracle_calls(monkeypatch)
@@ -252,6 +254,16 @@ class TestOracleDoor:
         # the root is the only oracle call: its splits' children have two
         # positive factors, which the two_factor leaf settles
         assert calls == Counter({parse_statement("T(1,1,2;0;0,2,3)").key(): 1})
+
+    def test_a_measured_row_asks_the_engine_once(self, monkeypatch):
+        # a catalog-defective row whose dimension the oracle measures
+        calls = count_oracle_calls(monkeypatch)
+        engine = ProofEngine()
+        row = resolve_secant((2, 2, 2), 4, engine)
+        assert resolve_secant((2, 2, 2), 4, engine) == row
+        assert sum(calls.values()) == 1
+        assert row == resolve_secant((2, 2, 2), 4, ProofEngine())
+        assert (row.status, row.lower) == ("Defective", 26)
 
     def test_settle_reuses_the_search_outcome(self, monkeypatch):
         calls = count_oracle_calls(monkeypatch)
@@ -292,8 +304,9 @@ class TestOracleDoor:
         engine.prove(self.ROOT)
         v = engine.prove(child)
         ran = [a for a in attempts if a[0] == child.key()]
-        assert [prime for _, prime, _ in ran] == [DEFAULT_PRIME, FALLBACK_PRIME]
-        assert len(set(attempts)) == len(attempts)  # no attempt ran twice
+        # the subgoal's attempt 0, then the whole plan again from attempt 0
+        assert len(ran) == 3 and ran[0] == ran[1]
+        assert [prime for _, prime, _ in ran[1:]] == [DEFAULT_PRIME, FALLBACK_PRIME]
         assert (v.status, v.reason) == (None, "oracle_deficit")
         fresh = ProofEngine().prove(child)
         assert v.evidence == fresh.evidence == terracini_oracle(child)
@@ -388,7 +401,7 @@ class TestCellBudget:
         assert v.status is True
         assert len(v.certificate.nodes) == 1
         assert v.certificate.root.kind == cert.ORACLE
-        assert verify(v.certificate, recheck_oracle=True) is True
+        assert verify(v.certificate) is True
         # remembered like any proof the search finds
         again = engine.prove("T(3,4,10;12)")
         assert again.stats["nodes"] == 0
@@ -488,3 +501,34 @@ def test_verify_submodule_is_the_module():
     assert callable(V.recompute_rank)
     assert V.verify is segredim.verify
 
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "segredim"
+
+
+def _users(name: str) -> set:
+    """(module, enclosing def) of every use of `name` in the package's code,
+    a call or any other read, imports left out."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif ((isinstance(child, ast.Name) and child.id == name)
+                  or (isinstance(child, ast.Attribute) and child.attr == name)):
+                found.add((module, ".".join(scope)))
+            visit(child, module, inner)
+
+    for path in SRC.rglob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, ())
+    return found
+
+
+def test_each_rank_has_one_door():
+    # a rank is computed through ProofEngine.oracle and checked through
+    # recompute_rank; any other caller would be a second way to a verdict
+    assert _users("terracini_oracle") == {("search", "ProofEngine.oracle")}
+    assert _users("recompute_rank") == {("ffrank", "terracini_oracle"),
+                                        ("verify", "_witness_checks")}
