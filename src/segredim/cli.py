@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: dim, prove, classify, scan, verify.  All randomness flows
-from --seed; every number a command prints is reproducible from the flags,
-except the wall time prove --json reports as stats.elapsed_s.
+from --seed, and the oracle's primes are fixed (ffrank.PLAN); every number
+a command prints is reproducible from the flags, except the wall time
+prove --json reports as stats.elapsed_s.
 Exit codes: 0 success/true, 1 false or verification failure, 2 usage,
 3 undetermined.
 """
@@ -17,7 +18,7 @@ from typing import Optional
 from . import classify as cls
 from .cache import CacheConflictError, VerdictCache
 from .config import DEFAULT_BUDGET_NODES, RunConfig, TOOL_VERSION
-from .ffrank import DEFAULT_PRIME, DEFAULT_RETRIES, MAX_CELLS, MAX_PRIME, FieldConfig
+from .ffrank import MAX_CELLS
 from .formats import (
     ParseError,
     ambient_dim,
@@ -39,14 +40,6 @@ EXIT_USAGE = 2
 EXIT_UNDETERMINED = 3
 
 
-def _prime(text: str) -> int:
-    try:
-        # FieldConfig's rule: an admissible prime other than the fallback
-        return FieldConfig(prime=int(text)).prime
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _positive(text: str) -> int:
     n = int(text)  # argparse reports a ValueError as an invalid value
     if n < 1:
@@ -55,14 +48,8 @@ def _positive(text: str) -> int:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prime", type=_prime, default=DEFAULT_PRIME,
-                   help="modulus for rank computations, a prime in "
-                        f"(2^16, {MAX_PRIME}) other than the fallback prime")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed; all point draws derive from it")
-    p.add_argument("--retries", type=_positive, default=DEFAULT_RETRIES,
-                   help="attempts at --prime before the one attempt at the "
-                        f"fallback prime (default {DEFAULT_RETRIES})")
     p.add_argument("--budget-nodes", type=_positive,
                    default=DEFAULT_BUDGET_NODES,
                    help="proof search node budget")
@@ -76,13 +63,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 def _engine(args: argparse.Namespace) -> ProofEngine:
     """The command's one engine: its config holds every setting of the run."""
-    return ProofEngine(RunConfig(
-        prime=args.prime,
-        seed=args.seed,
-        retries=args.retries,
-        budget_nodes=args.budget_nodes,
-        force=args.force,
-    ))
+    return ProofEngine(RunConfig(seed=args.seed,
+                                 budget_nodes=args.budget_nodes,
+                                 force=args.force))
 
 
 def _cache(args: argparse.Namespace) -> Optional[VerdictCache]:
@@ -93,11 +76,7 @@ def _cache(args: argparse.Namespace) -> Optional[VerdictCache]:
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
-    try:
-        fmt = parse_format(args.format)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fmt = parse_format(args.format)
     if args.s < 1:
         print(f"error: secant index must be >= 1, got {args.s}", file=sys.stderr)
         return EXIT_USAGE
@@ -136,11 +115,7 @@ def _leaf_summary(certificate: Certificate) -> str:
 
 
 def cmd_prove(args: argparse.Namespace) -> int:
-    try:
-        st = parse_statement(args.statement)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    st = parse_statement(args.statement)
     cache = _cache(args)
     engine = _engine(args)
     v = engine.prove(st)
@@ -191,11 +166,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        fmt = parse_format(args.format)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fmt = parse_format(args.format)
     engine = _engine(args)
     cache = _cache(args)
     profile = cls.secant_profile(fmt, args.max_s, engine, cache)
@@ -327,10 +298,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, CacheConflictError) as exc:
-        # an unreadable cache or certificate, an unwritable output path,
-        # or a cache record of the opposite verdict is a usage error: exit
-        # 1 would read as a false verdict
+    except (OSError, CacheConflictError, ParseError) as exc:
+        # an unreadable cache or certificate, an unwritable output path, a
+        # cache record of the opposite verdict or an unparsable format or
+        # statement is a usage error: exit 1 would read as a false verdict
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

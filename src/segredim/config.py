@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .ffrank import MAX_CELLS, FieldConfig
+from .ffrank import DEFAULT_PRIME, MAX_CELLS, FieldConfig
 
 DEFAULT_BUDGET_NODES = 50_000
 
@@ -38,9 +38,11 @@ class RunConfig(FieldConfig):
         payload = {
             "tool_version": TOOL_VERSION,
             "cert_version": CERT_VERSION,
-            "prime": self.prime,
+            # the fixed plan (ffrank.PLAN), once settable: named as then,
+            # so that every record a cache holds keeps its key
+            "prime": DEFAULT_PRIME,
             "seed": self.seed,
-            "retries": self.retries,
+            "retries": 1,
             "budget_nodes": self.budget_nodes,
             "max_cells": MAX_CELLS,
             "force": self.force,

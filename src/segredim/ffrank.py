@@ -46,16 +46,16 @@ _CHUNK = 256
 
 DEFAULT_PRIME = 1_000_003
 FALLBACK_PRIME = 4_194_301
-# Attempts at the configured prime before the one fallback attempt.  Each
-# entry of the Terracini matrix is a product of k-1 point coordinates, so an
-# r x r minor has degree at most r(k-1) in them, and by Schwartz-Zippel a
-# statement of full rank r reads deficient at one random attempt with
-# probability at most r(k-1)/p: under 0.3 % even for T(10,10,10;43) at
-# DEFAULT_PRIME.  A miss loses a certificate and never forges one, so one
-# attempt plus the fallback prime is the default plan (FieldConfig.plan).
-# Only a verdict needs the guard: the search runs the whole plan for its
-# root and the first attempt only for each split subgoal (ProofEngine.oracle).
-DEFAULT_RETRIES = 1
+# The oracle's attempts, in order: (prime, attempt index).  Each entry of the
+# Terracini matrix is a product of k-1 point coordinates, so an r x r minor
+# has degree at most r(k-1) in them, and by Schwartz-Zippel a statement of
+# full rank r reads deficient at one random attempt with probability at most
+# r(k-1)/p: under 0.3 % even for T(10,10,10;43) at DEFAULT_PRIME.  A miss
+# loses a certificate and never forges one, so one attempt at DEFAULT_PRIME
+# and one at FALLBACK_PRIME are the whole plan.  Only a verdict needs the
+# guard: the search runs the whole plan for its root and the first attempt
+# only for each split subgoal (ProofEngine.oracle).
+PLAN = ((DEFAULT_PRIME, 0), (FALLBACK_PRIME, 0))
 MAX_CELLS = 200_000  # the oracle's one budget; FieldConfig.force overrides it
 
 INCONCLUSIVE_NOTE = (
@@ -109,37 +109,20 @@ class OracleBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """The oracle's settings; config.RunConfig adds the search's."""
+    """The oracle's settings; config.RunConfig adds the search's.  The
+    primes of its attempts are fixed (PLAN)."""
 
-    prime: int = DEFAULT_PRIME
     seed: int = 0
-    retries: int = DEFAULT_RETRIES
     force: bool = False
     fallback_prime: ClassVar[int] = FALLBACK_PRIME
 
     def __post_init__(self) -> None:
-        # checked here: a float retries would fail only at the first oracle
-        # call, and a string seed would key the cache apart from its int
-        for name, kind in (("prime", int), ("seed", int), ("retries", int),
-                           ("force", bool)):
+        # checked here: a string seed would key the cache apart from its int
+        for name, kind in (("seed", int), ("force", bool)):
             value = getattr(self, name)
             if type(value) is not kind:  # so a bool is no int
                 raise ValueError(
                     f"{name} must be of type {kind.__name__}, got {value!r}")
-        if self.retries < 1:
-            raise ValueError(f"retries must be >= 1, got {self.retries}")
-        check_prime(self.prime)
-        if self.prime == self.fallback_prime:
-            # the fallback attempt would re-run attempt 0 exactly
-            raise ValueError(f"prime {self.prime} is the fallback prime; "
-                             "choose another")
-
-    @property
-    def plan(self) -> tuple[tuple[int, int], ...]:
-        """(prime, attempt index) of each attempt of terracini_oracle, in
-        order: `retries` at `prime`, then one at `fallback_prime`."""
-        return (tuple((self.prime, attempt) for attempt in range(self.retries))
-                + ((self.fallback_prime, 0),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,18 +509,17 @@ def rank_mod_p(matrix: np.ndarray, p: int, *, overwrite: bool = False) -> int:
 def terracini_oracle(st: Statement, cfg: FieldConfig | None = None, *,
                      stop: int | None = None) -> OracleResult:
     """CertifiedTrue when some attempt reaches rank == target_dim; otherwise
-    Inconclusive with the best witness.  The attempts follow cfg.plan:
-    cfg.retries attempts (DEFAULT_RETRIES by default) reseed points only,
-    then one runs with the fallback prime; the first that certifies ends it.
-    `stop` runs only the plan's first `stop` attempts.  Past MAX_CELLS cells
-    it raises OracleBudgetError unless cfg.force (oracle_cells).  Each
-    attempt is one recompute_rank call, whose seed depends only on the
-    canonical statement, its prime, cfg.seed and its attempt index.  In
-    the package, only ProofEngine.oracle calls it."""
+    Inconclusive with the best witness.  The attempts follow PLAN, one at
+    DEFAULT_PRIME and then one at FALLBACK_PRIME; the first that certifies
+    ends it.  `stop` runs only the plan's first `stop` attempts.  Past
+    MAX_CELLS cells it raises OracleBudgetError unless cfg.force
+    (oracle_cells).  Each attempt is one recompute_rank call, whose seed
+    depends only on the canonical statement, its prime, cfg.seed and its
+    attempt index.  In the package, only ProofEngine.oracle calls it."""
     cfg = cfg or FieldConfig()
     oracle_cells(st, cfg.force)
     attempts = []
-    for prime, attempt in cfg.plan[:stop]:
+    for prime, attempt in PLAN[:stop]:
         w = recompute_rank(st, prime, derive_seed(st.key(), prime, cfg.seed, attempt))
         attempts.append(w)
         if w.rank == w.target:

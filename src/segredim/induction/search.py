@@ -20,6 +20,7 @@ from typing import Iterator, Optional
 
 from ..config import RunConfig
 from ..ffrank import (
+    PLAN,
     OracleBudgetError,
     OracleResult,
     oracle_cells,
@@ -111,7 +112,7 @@ class ProofEngine:
 
     Each prove() call also has a cell budget when its root is admissible
     to the oracle: what the root's own call costs when inconclusive,
-    rows x cols x len(config.plan).  Every subgoal oracle outcome the search
+    rows x cols x len(PLAN).  Every subgoal oracle outcome the search
     consults spends rows x cols x attempts, once per canonical statement,
     remembered outcomes included and refusals free: the whole plan's
     attempts when it did not certify, whatever ran, and the attempts run
@@ -188,7 +189,7 @@ class ProofEngine:
         the OracleBudgetError that refused it, kept by canonical statement.
 
         A subgoal of the running search (any statement but its root) runs
-        the first attempt of the config's plan only: reading deficient
+        the first attempt of the oracle's plan only: reading deficient
         there just sends the search on to its next split.  A root, and any
         call outside prove(), gets the whole plan; a kept result with fewer
         attempts is not continued but replaced by a run of the whole plan
@@ -198,7 +199,7 @@ class ProofEngine:
         key = st.key()
         kept = self._oracles.get(key)
         subgoal = self._root_key not in (None, key)
-        want = 1 if subgoal else len(self.config.plan)
+        want = 1 if subgoal else len(PLAN)
         if kept is None or (isinstance(kept, OracleResult) and not kept.certified
                             and len(kept.attempts) < want):
             try:
@@ -213,7 +214,7 @@ class ProofEngine:
         the root's own oracle call costs when inconclusive.  None when the
         oracle refuses the root, whose search then has no cell budget."""
         try:
-            return oracle_cells(st, self.config.force) * len(self.config.plan)
+            return oracle_cells(st, self.config.force) * len(PLAN)
         except OracleBudgetError:
             return None
 
@@ -319,7 +320,7 @@ class ProofEngine:
         w = result.witness
         # charged by the plan, what a root runs, unless it certified early:
         # so where the budget stops does not depend on who ran the rest
-        runs = len(result.attempts) if result.certified else len(self.config.plan)
+        runs = len(result.attempts) if result.certified else len(PLAN)
         self._cells_spent += w.rows * w.cols * runs
         if self._cells_spent > self._cell_budget:
             raise _OverBudget

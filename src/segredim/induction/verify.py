@@ -72,7 +72,10 @@ def _witness_checks(node: CertNode, path: int) -> None:
         check_prime(w.prime)
     except ValueError as exc:
         _fail(path, f"witness modulus is not admissible: {exc}")
-    rank = recompute_rank(st, w.prime, w.seed).rank
+    try:
+        rank = recompute_rank(st, w.prime, w.seed).rank
+    except MemoryError:  # a forged witness can name any matrix size
+        _fail(path, f"witness matrix {w.rows}x{w.cols} cannot be allocated")
     _need(rank == w.rank, path,
           f"oracle re-run gives rank {rank}, witness says {w.rank}")
 

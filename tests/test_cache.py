@@ -75,16 +75,18 @@ def test_a_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
 
 
 def test_record_from_an_older_tool_version_misses(tmp_path, capsys):
-    # RunConfig(budget_nodes=2_000, retries=3).digest() as version 0.1.0
-    # computed it, before the digest covered the tool version.
-    # Same settings, but the two_factor leaf changed cert_refs since.
+    # The digest version 0.1.0 computed for a node budget of 2 000 and
+    # three attempts at the main prime, before the digest covered the tool
+    # version.  The two_factor leaf changed cert_refs since, and the attempt
+    # plan is fixed now (ffrank.PLAN), so no config of this version can
+    # serve the record.
     old = "e68af1522a226f62"
     path = tmp_path / "verdicts.ldjson"
     path.write_text(json.dumps(record(config_digest=old)) + "\n")
     assert VerdictCache(path).get(STATEMENT, old) is not None
-    assert RunConfig(budget_nodes=2_000, retries=3).digest() != old
-    assert main(["dim", "2,4,4", "7", "--retries", "3", "--budget-nodes",
-                 "2000", "--cache", str(path)]) == 0
+    assert RunConfig(budget_nodes=2_000).digest() != old
+    assert main(["dim", "2,4,4", "7", "--budget-nodes", "2000",
+                 "--cache", str(path)]) == 0
     assert "status: Evidence-Defective [oracle]" in capsys.readouterr().out
 
 
@@ -105,7 +107,9 @@ def test_record_from_version_0_2_0_misses(tmp_path, capsys):
 
 def test_config_digests_are_pinned():
     # the digests version 0.3.0 writes: a change of either re-keys every
-    # record a cache holds, so it needs a new tool version
+    # record a cache holds, so it needs a new tool version.  Both name the
+    # fixed attempt plan as prime 1000003 with retries 1, as when it was
+    # settable.
     assert RunConfig().digest() == "8dcbb7ccde4363ea"
-    assert RunConfig(seed=9, retries=3, budget_nodes=2000,
-                     force=True).digest() == "1f38bf9ab30d3cc7"
+    assert RunConfig(seed=9, budget_nodes=2000,
+                     force=True).digest() == "5592879465af29bd"

@@ -434,6 +434,26 @@ class TestTamperRejection:
             verify(doc)
         assert info.value.path == at
 
+    def test_witness_matrix_too_large_to_allocate(self, tmp_path, capsys):
+        # every witness field is consistent, but the matrix to recompute
+        # would take 350 TiB: its allocation fails at once, and that once
+        # ended verify in a MemoryError traceback
+        st = "T(2000,2000,2000;1;0,0,0)"
+        doc = {"version": "cert-v2", "statement": st, "verdict": True,
+               "nodes": [{"kind": "oracle", "statement": st,
+                          "witness": {"prime": DEFAULT_PRIME, "seed": 1,
+                                      "rows": 6003, "cols": 2001 ** 3,
+                                      "rank": 6001, "target": 6001}}]}
+        assert is_valid(doc) is False
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "verification failed: certificate node 0: witness matrix "
+            "6003x8012006001 cannot be allocated"]
+
     def test_witness_rank_above_matrix_size(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
         at = witness_index(doc)

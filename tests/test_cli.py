@@ -3,9 +3,11 @@
 import argparse
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
+from segredim import TOOL_VERSION
 from segredim.cli import _add_common_flags, main
 from segredim.formats import parse_statement
 
@@ -66,6 +68,18 @@ class TestDim:
         code, _, err = run(capsys, "dim", "2;3", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (("dim", "2;3", "4"), "unexpected trailing input at position 1"),
+        (("prove", "T(3,3"), "expected ';' at position 5"),
+        (("classify", "3,x"), "expected a non-negative integer at position 2"),
+    ])
+    def test_unparsable_input_is_one_error_line(self, capsys, argv, message):
+        # main turns a ParseError from any subcommand into one line, exit 2
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
 
 class TestProve:
     def test_true_writes_certificate(self, capsys, tmp_path):
@@ -113,7 +127,8 @@ class TestProve:
         assert code == 0
         assert "reason" not in json.loads(out)
 
-    # 4194301 is the fallback prime: its fallback attempt would re-run attempt 0
+    # once refused as inadmissible values of --prime; the oracle's primes
+    # are fixed now, so no value reaches it
     @pytest.mark.parametrize("prime", ["4294967311", "65521", "1000004", "x",
                                        "4194301"])
     def test_inadmissible_prime_is_a_usage_error(self, capsys, tmp_path, prime):
@@ -124,7 +139,7 @@ class TestProve:
                              "--out", str(out_file))
         assert code == 2
         assert "TRUE" not in out
-        assert "--prime" in err
+        assert f"unrecognized arguments: --prime {prime}" in err
         assert not out_file.exists()
 
     def test_evidence_is_the_roots_own(self, capsys, tmp_path, monkeypatch):
@@ -436,15 +451,23 @@ class TestGlobalFlags:
         _add_common_flags(parser)
         flags = {opt for action in parser._actions
                  for opt in action.option_strings}
-        assert flags == {"--prime", "--seed", "--retries", "--budget-nodes",
-                         "--cache", "--json", "--force"}
+        assert flags == {"--seed", "--budget-nodes", "--cache", "--json",
+                         "--force"}
 
-    @pytest.mark.parametrize("flag", ["--retries", "--budget-nodes"])
+    @pytest.mark.parametrize("flag,value", [("--prime", "1000033"),
+                                            ("--retries", "2")])
+    def test_plan_flags_are_gone(self, capsys, flag, value):
+        # the oracle's attempt plan is fixed (ffrank.PLAN)
+        code, out, err = run(capsys, "dim", "2,4,4", "7", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag} {value}" in err
+
+    @pytest.mark.parametrize("flag", ["--budget-nodes"])
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
     def test_counts_below_one_are_usage_errors(self, capsys, tmp_path,
                                                flag, value):
-        # --retries 0 used to end in a ValueError traceback with exit 1,
-        # --budget-nodes 0 in UNDETERMINED with exit 3
+        # --budget-nodes 0 used to end in UNDETERMINED with exit 3
         out_file = tmp_path / "c.json"
         code, out, err = run(capsys, "prove", "T(3,3,3;7)", flag, value,
                              "--out", str(out_file))
@@ -453,11 +476,11 @@ class TestGlobalFlags:
         assert f"argument {flag}" in err
         assert not out_file.exists()
 
-    @pytest.mark.parametrize("flag", ["--retries", "--budget-nodes"])
+    @pytest.mark.parametrize("flag", ["--budget-nodes"])
     def test_count_of_one_is_accepted(self, capsys, tmp_path, flag):
         code, out, _ = run(capsys, "prove", "T(2,2,2;3)", flag, "1",
                            "--out", str(tmp_path / "c.json"))
-        # one node and one attempt suffice for a base-format oracle leaf
+        # one node suffices for a base-format oracle leaf
         assert code == 0
         assert out.startswith("TRUE T(2,2,2;3;0,0,0) oracle=1")
 
@@ -466,3 +489,12 @@ class TestGlobalFlags:
         code, _, err = run(capsys, "dim", "3,3,3", "6", "--budget-cols", "4096")
         assert code == 2
         assert "--budget-cols" in err
+
+
+def test_package_version_is_the_tool_version():
+    # pyproject.toml and segredim.TOOL_VERSION are kept in step by hand; the
+    # tool version keys every cache record and is what --version prints
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == TOOL_VERSION

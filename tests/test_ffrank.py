@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from segredim.ffrank import (
     DEFAULT_PRIME,
-    DEFAULT_RETRIES,
     FALLBACK_PRIME,
     MAX_CELLS,
     MAX_PRIME,
@@ -16,9 +15,11 @@ from segredim.ffrank import (
     _PANEL,
     INCONCLUSIVE_NOTE,
     FieldConfig,
+    PLAN,
     OracleBudgetError,
     RankWitness,
     build_terracini_matrix,
+    check_prime,
     derive_seed,
     is_prime,
     rank_mod_p,
@@ -255,20 +256,26 @@ class TestOracle:
         assert res.witness.rank == 26 and res.witness.target == 27
 
     def test_deficit_retries_both_primes(self):
-        res = terracini_oracle(Statement.of((1, 1, 1, 1), 3),
-                               FieldConfig(retries=3))
+        res = terracini_oracle(Statement.of((1, 1, 1, 1), 3))
         assert not res.certified
         assert res.witness.rank == 14  # ambient 16, expected 15
-        primes = {w.prime for w in res.attempts}
-        assert primes == {DEFAULT_PRIME, FALLBACK_PRIME}
-        assert len(res.attempts) == 4  # retries on the main prime + fallback
+        assert len(res.attempts) == len(PLAN)  # the main prime, then fallback
         assert all(w.rank < w.target for w in res.attempts)
+        assert len({w.seed for w in res.attempts}) == 2  # fresh points each
 
     def test_default_plan_is_one_attempt_per_prime(self):
-        assert DEFAULT_RETRIES == FieldConfig().retries == 1
+        assert PLAN == ((DEFAULT_PRIME, 0), (FALLBACK_PRIME, 0))
         res = terracini_oracle(Statement.of((1, 1, 1, 1), 3))
         assert [w.prime for w in res.attempts] == [DEFAULT_PRIME, FALLBACK_PRIME]
         assert all(w.rank == 14 for w in res.attempts)
+
+    def test_plan_primes_are_admissible_and_distinct(self):
+        # what FieldConfig checked of its prime when the prime was settable:
+        # admissible for the exact kernel, and a fallback that does not
+        # re-run the first attempt
+        for prime, _ in PLAN:
+            assert check_prime(prime) == prime
+        assert len({prime for prime, _ in PLAN}) == len(PLAN)
 
     def test_inconclusive_note_states_the_bound(self):
         # T(1,1,1,1;3): target 15, k = 4, so r(k-1)/p = 45/1000003
@@ -316,10 +323,12 @@ class TestOracle:
 
     def test_overflowing_prime_refused(self):
         # 4294967311 once overflowed int64 and reported rank 48 of a
-        # 55x48 matrix whose true rank is at most 45
+        # 55x48 matrix whose true rank is at most 45; a witness may still
+        # name it, so the checks of that prime stay
         with pytest.raises(ValueError, match="too large"):
-            terracini_oracle(Statement.of((2, 3, 3), 5),
-                             FieldConfig(prime=4294967311))
+            check_prime(4294967311)
+        with pytest.raises(ValueError, match="outside"):
+            recompute_rank(Statement.of((2, 3, 3), 5), 4294967311, 0)
 
     def test_witness_json_round_trip(self):
         res = terracini_oracle(Statement.of((2, 2, 2), 4))

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from segredim.ffrank import FieldConfig, terracini_oracle
+from segredim.ffrank import terracini_oracle
 from segredim.formats import (
     Statement,
     ambient_dim,
@@ -146,7 +146,6 @@ class TestTwoFactor:
         # at most two positive factors, up to two P^0 slots, fibers anywhere;
         # every oracle outcome must equal the closed form, certified or not
         rng = random.Random(2006)
-        cfg = FieldConfig(retries=3)
         seen = {"false": 0, "one_positive": 0, "point_fibers": 0}
         mismatches = []
         for _ in range(600):
@@ -155,7 +154,7 @@ class TestTwoFactor:
             a = [rng.randint(0, 4) for _ in dims]
             st_ = Statement.of(dims, rng.randint(0, 5), a)
             dim = two_factor_dim(st_)
-            rank = max(w.rank for w in terracini_oracle(st_, cfg).attempts)
+            rank = max(w.rank for w in terracini_oracle(st_).attempts)
             if rank != dim:
                 mismatches.append((str(st_), dim, rank))
             seen["false"] += dim != target_dim(st_)

@@ -10,7 +10,7 @@ import pytest
 
 from segredim import RunConfig
 from segredim.classify import ScanReport, defective_scan, resolve_secant
-from segredim.ffrank import (DEFAULT_PRIME, FALLBACK_PRIME, FieldConfig,
+from segredim.ffrank import (DEFAULT_PRIME, FALLBACK_PRIME, PLAN,
                              OracleBudgetError, terracini_oracle)
 from segredim.formats import Statement, parse_statement
 from segredim.induction import ProofEngine, prove
@@ -143,13 +143,13 @@ class TestUndetermined:
         assert ProofEngine(RunConfig()).prove("T(3,3,3;6)").status is True
 
     BAD_SETTINGS = [("budget_nodes", v) for v in (0, -5, True, 2.0, "10", None)] + [
-        # accepted until the first oracle call raised a TypeError
-        ("retries", 2.0), ("retries", True), ("retries", 0),
         # a string seed drew seed 7's points under another cache digest
         ("seed", "7"), ("seed", False),
         ("force", "no"), ("force", 1),  # "no" turned forcing on
+        # fields of the attempt plan, fixed now (ffrank.PLAN): once values
+        # refused by their checks, now refused as unknown keywords
+        ("retries", 2.0), ("retries", True), ("retries", 0),
         ("prime", 5), ("prime", 1_000_003.0), ("prime", 1_000_001),
-        # the fallback prime: the plan's fallback attempt would re-run attempt 0
         ("prime", FALLBACK_PRIME),
     ]
 
@@ -158,7 +158,8 @@ class TestUndetermined:
     def test_budget_below_one_or_not_an_int_is_rejected(self, field, value):
         # a budget of 0 or -5 used to be accepted, and every search ended at
         # once with reason node_budget; each setting fails where it is built
-        with pytest.raises(ValueError, match=field):
+        error = TypeError if field in ("prime", "retries") else ValueError
+        with pytest.raises(error, match=field):
             RunConfig(**{field: value})
         assert RunConfig(budget_nodes=1).budget_nodes == 1
 
@@ -366,8 +367,7 @@ def record_oracle_cells(monkeypatch) -> dict:
     def recording(st, cfg=None, real=search.terracini_oracle, **kw):
         result = real(st, cfg, **kw)
         w = result.witness
-        runs = (len(result.attempts) if result.certified
-                else len((cfg or FieldConfig()).plan))
+        runs = len(result.attempts) if result.certified else len(PLAN)
         cells[st.key()] = w.rows * w.cols * runs
         return result
 
@@ -456,9 +456,9 @@ class TestCellBudget:
         root = parse_statement("T(10,10,10;43)")
         assert ProofEngine().cell_budget(root) is None
         forced = ProofEngine(RunConfig(force=True))
-        assert forced.cell_budget(root) == 1419 * 1331 * 2
-        assert ProofEngine(RunConfig(retries=3)).cell_budget(
-            parse_statement("T(10,10,2;16)")) == 400 * 363 * 4
+        assert forced.cell_budget(root) == 1419 * 1331 * len(PLAN)
+        assert ProofEngine().cell_budget(
+            parse_statement("T(10,10,2;16)")) == 400 * 363 * len(PLAN)
 
     def test_flagship_certificate_bytes_are_unchanged(self):
         # its root is refused, so its search has no cell budget
