@@ -29,15 +29,21 @@ from .formats import (Statement, ambient_dim, json_int, parameter_count,
 # most _PANEL, so each partial sum, in any order, is an integer of magnitude
 # at most _PANEL*(p-1)^2.  A prime p < MAX_PRIME satisfies
 # _PANEL*(p-1)^2 + (p-1) <= _EXACT: a freshly reduced entry can always take one
-# more update.  The int64 loop multiplies two residues below p, far inside
-# int64.
+# more update.  Inside a panel the GEMMs run over _SUB <= _PANEL terms, and
+# the ones a column takes before it is reduced again sum to fewer than
+# _PANEL terms, so the same bound covers them.  The int64 loop multiplies
+# two residues below p, far inside int64.
 _PANEL = 64
+_SUB = 16
 _EXACT = 1 << 52
 MAX_PRIME = math.isqrt(_EXACT // _PANEL)
 # Matrices up to this many columns run the int64 loop whole: below it the
 # blocked path's extra step per pivot (forward substitution) costs more than
-# the loop's full-width updates save (crossover measured on the scan grid's
-# Terracini matrices at about 160-190 columns, 2-core x86-64 with OpenBLAS).
+# the loop's full-width updates save.  Measured on the scan grid's Terracini
+# matrices, 2-core x86-64 with OpenBLAS: the crossover was at about 160-190
+# columns with one loop pass per panel, and at about 140-170 with the
+# sub-panels, within the noise of a matrix of a few ms.  192 is kept: one of
+# the 269 leaf matrices of the baseline scan has more than 160 columns.
 _LEAF_COLS = 3 * _PANEL
 _SOLVE_BASE = 16
 # Rows per chunk of the blocked path's trailing update and of the input's
@@ -327,23 +333,26 @@ def build_terracini_matrix(st: Statement, pts: PointSet) -> np.ndarray:
 
 
 def _eliminate(
-    a: np.ndarray, p: int
+    at: np.ndarray, p: int
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
-    """Row-reduce int64 residues in place by the per-column loop: only the
-    pivot row and multipliers are reduced each step.  The trailing block
-    takes at most one update of magnitude (p-1)^2 per column, which the
+    """Row-reduce A = at.T by the per-column loop, on int64 residues of
+    magnitude at most p-1 stored transposed: row c of `at` is column c of
+    A, so each step reads its pivot column and writes its multipliers as
+    one contiguous row.  Only the pivot row and multipliers are reduced each
+    step.  A trailing entry takes one update of magnitude at most (p-1)^2
+    per pivot, and there are at most min(at.shape) pivots, which the
     assertion keeps inside int64 (for p < MAX_PRIME and the at most
-    _LEAF_COLS columns the callers pass, with room to spare).
+    _LEAF_COLS of the leaf path or _SUB of a sub-panel, with room to spare).
 
     Each pivot column is reduced once: its residues give the pivot row (the
     first nonzero one), the pivot's inverse and the multipliers.
 
-    Leaves `a` as LAPACK's getrf does: each pivot row is scaled to 1 at its
-    pivot, and below each pivot sits the multiplier that cleared that entry.
-    Returns the rank, the pivot columns, the inverses of the pivots before
-    scaling, and the row swaps in the order made."""
-    rows, cols = a.shape
-    assert (p - 1) + cols * (p - 1) ** 2 < 1 << 63, (p, cols)
+    Leaves A as LAPACK's getrf does, in `at` transposed: each pivot row is
+    scaled to 1 at its pivot, and below each pivot sits the multiplier that
+    cleared that entry.  Returns the rank, the pivot columns, the inverses
+    of the pivots before scaling, and the row swaps in the order made."""
+    cols, rows = at.shape
+    assert (p - 1) + min(cols, rows) * (p - 1) ** 2 < 1 << 63, (p, at.shape)
     rank = 0
     pivots: list[int] = []
     inverses: list[int] = []
@@ -351,21 +360,21 @@ def _eliminate(
     for c in range(cols):
         if rank == rows:
             break
-        col = a[rank:, c] % p
+        col = at[c, rank:] % p
         nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
         piv = int(nz[0])
         if piv:
-            a[[rank, rank + piv]] = a[[rank + piv, rank]]
+            at[:, [rank, rank + piv]] = at[:, [rank + piv, rank]]
             col[[0, piv]] = col[[piv, 0]]
             swaps.append((rank, rank + piv))
         inv = pow(int(col[0]), p - 2, p)
-        a[rank, c:] = a[rank, c:] % p * inv % p
+        at[c:, rank] = at[c:, rank] % p * inv % p
         below = col[1:]
         if below.size:
-            a[rank + 1 :, c + 1 :] -= below[:, None] * a[rank, c + 1 :][None, :]
-            a[rank + 1 :, c] = below
+            at[c + 1 :, rank + 1 :] -= at[c + 1 :, rank, None] * below[None, :]
+            at[c, rank + 1 :] = below
         pivots.append(c)
         inverses.append(inv)
         rank += 1
@@ -404,23 +413,81 @@ def _solve_unit_lower(lower: np.ndarray, y: np.ndarray, p: int) -> None:
     _solve_unit_lower(lower[h:, h:], y[h:], p)
 
 
+def _swap_rows(x: np.ndarray, swaps: list[tuple[int, int]]) -> None:
+    """Apply the row swaps, in order, to x (any view), moving each row
+    that ends up elsewhere once."""
+    order = np.arange(len(x))
+    for i, j in swaps:
+        order[i], order[j] = order[j], order[i]
+    moved = np.flatnonzero(order != np.arange(len(x)))
+    x[moved] = x[order[moved]]
+
+
+def _factor_panel(
+    pt: np.ndarray, p: int
+) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
+    """What _eliminate(pt) returns, and the multipliers it leaves, for a
+    panel stored transposed in float64 (row c of pt is panel column c) with
+    entries of magnitude at most p-1, found in sub-panels of _SUB columns.
+    Each sub-panel is reduced, copied to int64 and row-reduced by
+    _eliminate; its row swaps also reach the panel's columns to its right
+    and the multipliers the sub-panels before it stored.  Its pivot rows
+    are then solved in the columns to its right, and the rows below them
+    get the Schur-complement update of those columns as one float64 GEMM of
+    inner dimension at most _SUB.  The updates a column takes before its
+    own sub-panel reduces it run over fewer than _PANEL pivots in all, so
+    it stays within _EXACT.  Right of each sub-panel the pivot rows keep
+    their unsolved entries, not the rows of U that _eliminate leaves there:
+    the blocked path reads only the multipliers."""
+    width, rows = pt.shape
+    rank = 0
+    pivots: list[int] = []
+    inverses: list[int] = []
+    swaps: list[tuple[int, int]] = []
+    for s in range(0, width, _SUB):
+        if rank == rows:
+            break
+        e = min(s + _SUB, width)
+        _reduce(pt[s:e, rank:], p)
+        sub = pt[s:e, rank:].astype(np.int64)
+        r, piv, inv, sw = _eliminate(sub, p)
+        if sw:
+            _swap_rows(pt[:, rank:].T, sw)
+        pt[s:e, rank:] = sub
+        pivots += [s + c for c in piv]
+        inverses += inv
+        swaps += [(rank + i, rank + j) for i, j in sw]
+        if r and e < width and rank + r < rows:
+            # the sub-panel's multipliers against its unscaled pivot rows,
+            # transposed, as in _blocked_rank
+            lower = pt[[s + c for c in piv], rank:]
+            lower *= np.array(inv, dtype=np.float64)[:, None]
+            _reduce(lower, p)
+            upper = pt[e:, rank : rank + r].T.copy()
+            _reduce(upper, p)
+            _solve_unit_lower(lower[:, :r].T, upper, p)
+            pt[e:, rank + r :] -= upper.T @ lower[:, r:]
+        rank += r
+    return rank, pivots, inverses, swaps
+
+
 def _blocked_rank(f: np.ndarray, p: int) -> int:
     """Rank by column panels of width _PANEL, overwriting f, a float64 array
-    of integers of magnitude at most p-1.  _eliminate finds each panel's
-    pivots in int64; the rows left below them get the Schur-complement update
-    of the columns to the right as float64 GEMMs over chunks of _CHUNK rows,
-    and the panel's columns are then dropped.  The trailing block is reduced,
-    in the same chunks, only when the next update could take it past
-    _EXACT."""
+    of integers of magnitude at most p-1.  Each panel is copied once,
+    transposed, and _factor_panel finds its pivots; the rows left below
+    them get the Schur-complement update of the columns to the right as
+    float64 GEMMs over chunks of _CHUNK rows, and the panel's columns are
+    then dropped.  The trailing block is reduced, in the same chunks, only
+    when the next update could take it past _EXACT."""
     rows, cols = f.shape
     step = (p - 1) ** 2  # growth of a trailing entry per unit of inner dimension
     bound = p - 1  # largest magnitude a trailing entry can have
     top = 0
     for c in range(0, cols, _PANEL):
         e = min(c + _PANEL, cols)
-        panel = f[top:, c:e].astype(np.int64)
-        panel %= p
-        r, pivots, inverses, swaps = _eliminate(panel, p)
+        panel = np.ascontiguousarray(f[top:, c:e].T)
+        _reduce(panel, p)
+        r, pivots, inverses, swaps = _factor_panel(panel, p)
         top += r
         if top == rows or e == cols:
             break
@@ -428,23 +495,22 @@ def _blocked_rank(f: np.ndarray, p: int) -> int:
             continue
         t = f[top - r :, e:]
         if swaps:
-            order = np.arange(len(t))
-            for i, j in swaps:
-                order[i], order[j] = order[j], order[i]
-            moved = np.flatnonzero(order != np.arange(len(t)))
-            t[moved] = t[order[moved]]
-        # Multipliers against the unscaled pivot rows: column k scaled by the
-        # k-th pivot inverse, so the triangle to solve has a unit diagonal.
-        lower = (panel[:, pivots] * np.array(inverses) % p).astype(np.float64)
+            _swap_rows(t, swaps)
+        # Multipliers against the unscaled pivot rows, transposed: row k
+        # scaled by the k-th pivot inverse, so the triangle to solve has a
+        # unit diagonal.
+        lower = panel[pivots]
+        lower *= np.array(inverses, dtype=np.float64)[:, None]
+        _reduce(lower, p)
         pivot_rows = t[:r]
         _reduce(pivot_rows, p)
-        _solve_unit_lower(lower[:r], pivot_rows, p)
+        _solve_unit_lower(lower[:, :r].T, pivot_rows, p)
         reduce = bound + r * step > _EXACT
         for i in range(r, len(t), _CHUNK):
             rest = t[i : i + _CHUNK]
             if reduce:
                 _reduce(rest, p)
-            rest -= lower[i : i + _CHUNK] @ pivot_rows
+            rest -= lower[:, i : i + _CHUNK].T @ pivot_rows
         bound = (p - 1 if reduce else bound) + r * step
     return top
 
@@ -477,7 +543,8 @@ def rank_mod_p(matrix: np.ndarray, p: int, *, overwrite: bool = False) -> int:
     The matrix is 2-D, of an integer dtype that casts safely to int64, or of
     a float dtype whose entries are finite integers; anything else raises
     ValueError.  A matrix of at most _LEAF_COLS columns is row-reduced whole
-    by the int64 loop; a wider one goes through _blocked_rank.
+    by the int64 loop, which reads its int64 copy as the transpose (the
+    rank is the same); a wider one goes through _blocked_rank.
 
     The matrix is left unchanged unless overwrite is true, which lets a
     C-contiguous, writeable float64 matrix serve as the blocked path's
@@ -498,7 +565,7 @@ def rank_mod_p(matrix: np.ndarray, p: int, *, overwrite: bool = False) -> int:
     if cols <= _LEAF_COLS:
         leaf = np.empty((rows, cols), dtype=np.int64)
         _residues(a, p, leaf)
-        return _eliminate(leaf, p)[0]
+        return _eliminate(leaf, p)[0]  # rank(A^T) = rank(A)
     in_place = (overwrite and a.dtype == np.float64
                 and a.flags.c_contiguous and a.flags.writeable)
     f = a if in_place else np.empty((rows, cols), dtype=np.float64)

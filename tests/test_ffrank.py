@@ -13,6 +13,8 @@ from segredim.ffrank import (
     _CHUNK,
     _LEAF_COLS,
     _PANEL,
+    _SUB,
+    _factor_panel,
     INCONCLUSIVE_NOTE,
     FieldConfig,
     PLAN,
@@ -137,6 +139,17 @@ def staircase(rows: int, cols: int, steps: int, p: int, seed: int) -> np.ndarray
     return x @ y % p  # exact: k * p^2 < 2^63 here
 
 
+def factor_first_panel(mat: np.ndarray, p: int):
+    """_factor_panel on the first panel of mat, as the blocked path hands
+    it over: transposed, in float64, reduced."""
+    pt = np.ascontiguousarray(mat[:, :_PANEL].T % p, dtype=np.float64)
+    return _factor_panel(pt, p)
+
+
+def panel_pivots(panel: np.ndarray, p: int) -> list[int]:
+    return factor_first_panel(panel, p)[1]
+
+
 class TestBlockedKernel:
     """Shapes past _LEAF_COLS columns take the panel-by-panel path."""
 
@@ -145,6 +158,8 @@ class TestBlockedKernel:
         # stays within 2^52 for every admissible prime
         assert _PANEL * (MAX_PRIME - 2) ** 2 + (MAX_PRIME - 2) <= 2 ** 52
         assert DEFAULT_PRIME < FALLBACK_PRIME < LARGEST_PRIME < MAX_PRIME
+        # a sub-panel's GEMM is one of those updates, over fewer terms
+        assert _SUB <= _PANEL
 
     @pytest.mark.parametrize("p", KERNEL_PRIMES)
     def test_pivots_spread_over_panels(self, p):
@@ -168,6 +183,56 @@ class TestBlockedKernel:
         # below the first panel's pivots: two full row chunks and a partial one
         taller = staircase(2 * _CHUNK + 100, _LEAF_COLS + 1, 18, p, seed=p % 991)
         assert rank_mod_p(taller, p) == reference_rank(taller, p)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_sub_panel_without_pivot(self, p):
+        # rank 70 of 80 rows; in every panel the second sub-panel is a
+        # combination of the first, nonzero but with no pivot left, and the
+        # third and fourth sub-panels still find theirs
+        rng = np.random.default_rng(p % 1000 + 1)
+        cols = _LEAF_COLS + 9
+        x = rng.integers(0, p, size=(80, 70), dtype=np.int64)
+        mat = x @ rng.integers(0, p, size=(70, cols), dtype=np.int64) % p
+        for c in range(0, cols - 2 * _SUB, _PANEL):
+            mix = rng.integers(0, p, size=(_SUB, _SUB), dtype=np.int64)
+            mat[:, c + _SUB : c + 2 * _SUB] = mat[:, c : c + _SUB] @ mix % p
+        assert panel_pivots(mat[:, :_PANEL], p) == (
+            list(range(_SUB)) + list(range(2 * _SUB, _PANEL)))
+        want = reference_rank(mat, p)
+        assert want == 70
+        assert rank_mod_p(mat, p) == want
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_late_sub_panel_swaps_carry_earlier_multipliers(self, p):
+        # rows 32-39 are combinations of rows 0-31 within the first panel,
+        # so once its first two sub-panels have their 32 pivots, the third
+        # takes its pivot rows from row 40 on; each swap must move the
+        # multipliers the first two sub-panels left in the rows it swaps
+        rng = np.random.default_rng(p % 1000 + 2)
+        x = rng.integers(0, p, size=(90, 75), dtype=np.int64)
+        mat = x @ rng.integers(0, p, size=(75, _LEAF_COLS + 9), dtype=np.int64) % p
+        mix = rng.integers(0, p, size=(8, 2 * _SUB), dtype=np.int64)
+        mat[2 * _SUB : 2 * _SUB + 8, :_PANEL] = mix @ mat[: 2 * _SUB, :_PANEL] % p
+        swaps = factor_first_panel(mat, p)[3]
+        assert any(i >= 2 * _SUB and j >= 2 * _SUB + 8 for i, j in swaps)
+        assert rank_mod_p(mat, p) == reference_rank(mat, p)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_rank_reaches_row_count_mid_panel(self, p):
+        # full row rank, reached inside the third sub-panel of the first
+        # panel and inside the second sub-panel of the second
+        rng = np.random.default_rng(p % 1000 + 3)
+        for rows in (2 * _SUB + 8, _PANEL + _SUB + 8):
+            mat = rng.integers(0, p, size=(rows, _LEAF_COLS + 9), dtype=np.int64)
+            assert rank_mod_p(mat, p) == reference_rank(mat, p) == rows
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    @pytest.mark.parametrize("steps", [21, 37])
+    def test_staircase_steps_off_the_sub_panel_grid(self, p, steps):
+        # each panel adds `steps` pivots, which end inside a sub-panel
+        mat = staircase(90, _LEAF_COLS + 9, steps, p, seed=p % 1000 + steps)
+        assert steps % _SUB
+        assert rank_mod_p(mat, p) == reference_rank(mat, p)
 
     def test_worst_case_accumulation_at_largest_prime(self):
         # Eight panels of pivot rows [0 .. I .. 0 | b] above two rows

@@ -6,10 +6,13 @@ generator call, built one float64 array slot by slot for all points at once
 and reduced it in place: the sampler draws each vector with its own call,
 the build stacks int64 blocks of all row_count generators, point by point,
 and the kernel reduces a float64 copy of its input with full-height
-trailing updates.  The live build keeps one basis of each tangent space out
-of those generators, and the per-column loop is checked against a
-pure-Python elimination.  Points and ranks, and so every witness and
-certificate, must not move, so the tests compare exact values.
+trailing updates, factoring each panel in one pass of the per-column loop
+where the live kernel takes it in sub-panels.  The loop reads its input
+transposed, so the references hand it transposed views.  The live build
+keeps one basis of each tangent space out of those generators, and the
+per-column loop is checked against a pure-Python elimination.  Points and
+ranks, and so every witness and certificate, must not move, so the tests
+compare exact values.
 """
 import random
 import tracemalloc
@@ -27,7 +30,9 @@ from segredim.ffrank import (
     _EXACT,
     _LEAF_COLS,
     _PANEL,
+    _SUB,
     _eliminate,
+    _factor_panel,
     _reduce,
     _solve_unit_lower,
     FieldConfig,
@@ -146,7 +151,7 @@ def ref_blocked_rank(matrix: np.ndarray, p: int) -> int:
     for c in range(0, cols, _PANEL):
         e = min(c + _PANEL, cols)
         panel = f[top:, c:e].astype(np.int64) % p
-        r, pivots, inverses, swaps = _eliminate(panel, p)
+        r, pivots, inverses, swaps = _eliminate(panel.T, p)  # reduces panel
         top += r
         if top == rows or e == cols:
             break
@@ -182,7 +187,7 @@ def ref_rank_mod_p(matrix: np.ndarray, p: int) -> int:
     if rows == 0 or cols == 0:
         return 0
     if cols <= _LEAF_COLS:
-        return _eliminate(a % p, p)[0]
+        return _eliminate((a % p).T, p)[0]
     return ref_blocked_rank(a, p)
 
 
@@ -408,10 +413,10 @@ def test_eliminate_matches_python_elimination(p):
         # prime rather than overflow silently; 7 columns still fit, exactly
         a = tricky_panel(rng, 2 * _PANEL, _PANEL, p)
         with pytest.raises(AssertionError):
-            _eliminate(a, p)
+            _eliminate(a.T, p)
         narrow = a[:, :7].copy()
         want = py_eliminate(narrow.tolist(), p)
-        assert _eliminate(narrow, p) == want[:4]
+        assert _eliminate(narrow.T, p) == want[:4]
         assert (narrow % p).tolist() == want[4]
         return
     seen = set()
@@ -421,13 +426,40 @@ def test_eliminate_matches_python_elimination(p):
         a = tricky_panel(rng, rows, cols, p)
         want = py_eliminate(a.tolist(), p)
         got = a.copy()
-        assert _eliminate(got, p) == want[:4]
+        assert _eliminate(got.T, p) == want[:4]
         assert (got % p).tolist() == want[4]
         rank, pivots, _, swaps, _ = want
         seen.add((cols == _PANEL, bool(swaps), rank < min(rows, cols),
                   len(pivots) < min(rows, cols)))
     assert {s[0] for s in seen} == {False, True}
     assert all(any(s[i] for s in seen) for i in (1, 2, 3))
+
+
+@pytest.mark.parametrize("p", [97, DEFAULT_PRIME, FALLBACK_PRIME])
+def test_panel_step_matches_the_single_loop(p):
+    # the sub-panel step returns what one pass of the loop over the whole
+    # panel returns, and leaves the same residues at and below each
+    # column's first row not yet holding a pivot: the pivots and
+    # multipliers, and zeros under the columns without a pivot
+    rng = np.random.default_rng(p % 991)
+    seen = set()
+    shapes = [(int(rng.integers(1, 3 * _PANEL)), int(rng.integers(1, _PANEL + 1)))
+              for _ in range(12)]
+    shapes += [(int(rng.integers(_PANEL, 3 * _PANEL)), _PANEL) for _ in range(6)]
+    shapes += [(40, _PANEL), (_PANEL, 2 * _SUB + 5), (3, _PANEL)]
+    for rows, cols in shapes:
+        a = tricky_panel(rng, rows, cols, p)
+        want = a.T.copy()
+        loop = _eliminate(want, p)
+        got = a.T.astype(np.float64)
+        assert _factor_panel(got, p) == loop, (rows, cols)
+        rank, pivots, _, swaps = loop
+        for c in range(cols):
+            done = sum(q < c for q in pivots)
+            assert (got[c, done:] % p).tolist() == (want[c, done:] % p).tolist()
+        seen.add((cols > _SUB, any(i >= _SUB for i, _ in swaps),
+                  rank == rows < cols))
+    assert all(any(s[i] for s in seen) for i in range(3))
 
 
 def test_statement_ranks_match_reference():
@@ -466,6 +498,19 @@ def test_matrix_ranks_match_reference(p):
         assert rank_mod_p(mat.astype(np.float64), p, overwrite=True) == want
         seen.add((cols > _LEAF_COLS, want == min(rows, cols)))
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("text, rank", [
+    ("T(3,3,3,3,3;64)", 1024), ("T(5,5,5,5;61)", 1281), ("T(1,1,15,15;31)", 1022)])
+def test_large_oracle_matrices_match_the_one_level_kernel(text, rank, p):
+    # the matrices of the first attempt of the oracle bench's statements,
+    # at both primes of the plan
+    st = parse_statement(text)
+    pts = sample_points(st, p, derive_seed(st.key(), p, 0, 0))
+    mat = build_terracini_matrix(st, pts)
+    assert ref_blocked_rank(mat, p) == rank
+    assert rank_mod_p(mat, p, overwrite=True) == rank
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
