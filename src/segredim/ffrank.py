@@ -454,13 +454,14 @@ def _factor_panel(
         if sw:
             _swap_rows(pt[:, rank:].T, sw)
         pt[s:e, rank:] = sub
-        pivots += [s + c for c in piv]
+        piv = [s + c for c in piv]
+        pivots += piv
         inverses += inv
         swaps += [(rank + i, rank + j) for i, j in sw]
         if r and e < width and rank + r < rows:
             # the sub-panel's multipliers against its unscaled pivot rows,
             # transposed, as in _blocked_rank
-            lower = pt[[s + c for c in piv], rank:]
+            lower = pt[piv, rank:]
             lower *= np.array(inv, dtype=np.float64)[:, None]
             _reduce(lower, p)
             upper = pt[e:, rank : rank + r].T.copy()

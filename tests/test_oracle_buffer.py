@@ -504,8 +504,8 @@ def test_matrix_ranks_match_reference(p):
 @pytest.mark.parametrize("text, rank", [
     ("T(3,3,3,3,3;64)", 1024), ("T(5,5,5,5;61)", 1281), ("T(1,1,15,15;31)", 1022)])
 def test_large_oracle_matrices_match_the_one_level_kernel(text, rank, p):
-    # the matrices of the first attempt of the oracle bench's statements,
-    # at both primes of the plan
+    # the matrices of the oracle bench's statements at each prime of the
+    # plan, as its runs at seed 0 build them
     st = parse_statement(text)
     pts = sample_points(st, p, derive_seed(st.key(), p, 0, 0))
     mat = build_terracini_matrix(st, pts)
