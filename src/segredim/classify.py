@@ -1,13 +1,16 @@
 """Per-format reports built on the catalog, the prover, and the oracle.
 
-Secant rows are resolved cheapest-first: closed-form catalog facts, then a
-proof search, then a direct modular rank computation.  Every entry point
-takes one ProofEngine, whose RunConfig holds the run's settings: the
-search's node budget, the oracle's field settings and the cache digest.
-A rank deficit observed by the oracle is reported as Evidence-Defective,
-never as proven Defective; only catalog families and falsity certificates
-promote a row to Defective, and only catalog families carry exact
-defective dimensions.
+Secant rows are resolved cheapest-first: the falsity catalog, then a
+proof search, then a direct modular rank computation.  The catalog holds
+only defective rows; every row it does not claim is settled by the
+search, or by the oracle when the search gives up, and every
+NonDefective row carries the certificate that settled it.  Every entry point takes one
+ProofEngine, whose RunConfig holds the run's settings: the search's node
+budget, the oracle's field settings and the cache digest.  A rank deficit
+observed by the oracle is reported as Evidence-Defective, never as proven
+Defective; only catalog families and falsity certificates promote a row
+to Defective, and only catalog families carry exact defective
+dimensions.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Optional, Union
 
 # unused here (ProofEngine.oracle is its one caller), but perfbench/spans.py
 # wraps terracini_oracle under this module's name
-from .ffrank import OracleBudgetError, terracini_oracle
+from .ffrank import OracleBudgetError, OracleResult, terracini_oracle
 from .formats import (
     Format,
     FormatLike,
@@ -27,6 +30,7 @@ from .formats import (
     expected_secant_dim,
 )
 from .induction import CertNode, ProofEngine
+from .induction import certificate as cert
 from .induction.rules import SMALL_FORMAT_DIMS, defective_family, known_false
 
 NONDEFECTIVE = "NonDefective"
@@ -112,11 +116,11 @@ class SecantProfile:
 class PowerBounds:
     """Secant windows for the k-th power of one projective factor.
 
-    For s up to nondefective_max the secant variety has the expected
-    dimension; from fill_min on it fills the ambient space.  The *_direct
-    flags mark (n, k) pairs whose window endpoints were confirmed by direct
-    rank computation instead of the inductive argument; the windows
-    themselves hold for every pair.
+    The source paper's generalisation of Catalisano-Geramita-Gimigliano:
+    for s up to nondefective_max the secant variety has the expected
+    dimension, and from fill_min on it fills the ambient space.  This is
+    the statement of the theorem, not a verdict source: the search
+    certifies every row it names (see the tests).
     """
 
     n: int
@@ -125,14 +129,6 @@ class PowerBounds:
     delta_k: int
     nondefective_max: int
     fill_min: int
-    nondef_direct: bool
-    fill_direct: bool
-
-
-_NONDEF_DIRECT = frozenset({(4, 4), (7, 4)})
-_FILL_DIRECT = frozenset({
-    (1, 5), (1, 6), (1, 7), (2, 4), (3, 4), (3, 5), (4, 4), (7, 4),
-})
 
 
 def tensor_power_bounds(n: int, k: int) -> PowerBounds:
@@ -149,8 +145,6 @@ def tensor_power_bounds(n: int, k: int) -> PowerBounds:
         delta_k=delta,
         nondefective_max=s_k - delta,
         fill_min=s_k - delta + n + 1,
-        nondef_direct=(n, k) in _NONDEF_DIRECT,
-        fill_direct=(n, k) in _FILL_DIRECT,
     )
 
 
@@ -162,59 +156,29 @@ def _positive_dims(fmt: Format) -> tuple[int, ...]:
     return tuple(sorted(n for n in fmt.dims if n > 0))
 
 
-def _nd(s: int, affine: int, rule: str, note: Optional[str] = None) -> ProfileRow:
-    return ProfileRow(s, affine, affine, affine, NONDEFECTIVE, 0,
-                      "catalog:" + rule, None, note)
-
-
 def _exact(s: int, affine: int, actual: int, rule: str) -> ProfileRow:
     return ProfileRow(s, affine, actual, actual, DEFECTIVE, affine - actual,
                       "catalog:" + rule)
 
 
 def _catalog_row(fmt: Format, s: int) -> Optional[ProfileRow]:
-    """Closed-form resolution of one secant row, or None if the catalog is
-    silent.  Defective rows without exact catalog dimensions come back with
-    lower=None; the caller measures them."""
-    affine, _ = expected_secant_dim(fmt, s)
+    """The catalog's defective row at s, or None for every other row, which
+    the search settles.  A small-format False entry comes back with
+    lower=None, and the caller measures it; a defective_family row with
+    lo < s < hi carries its exact span(s)."""
     pos = _positive_dims(fmt)
-    k = len(pos)
-    if k <= 1:
-        # a point, or a single projective space: every secant fills
-        return _nd(s, affine, "single-factor")
-    if s == 1:
-        # the first secant is the cone over the variety itself
-        return _nd(s, affine, "first-secant")
+    affine, _ = expected_secant_dim(fmt, s)
     if pos in SMALL_FORMAT_DIMS:
-        plain = Statement.of(pos, s, (0,) * k)
-        if known_false(plain) is None:
-            return _nd(s, affine, "small-format")
+        if known_false(Statement.of(pos, s, (0,) * len(pos))) is None:
+            return None
         return ProfileRow(s, affine, None, affine - 1, DEFECTIVE, None,
                           "catalog:small-format")
-    if k >= 3 and s <= 2:
-        return _nd(s, affine, "two-secants")
     family = defective_family(pos)
-    if family is not None:
-        name, lo, hi, span = family
-        low, bad = ("-low", "-range") if name == "unbalanced" else ("", "")
-        if s <= lo:
-            return _nd(s, affine, name + low)
-        if s < hi:
-            return _exact(s, affine, span(s), name + bad)
-        # hi is the typical rank, so everything from here on fills
-        return _nd(s, affine, name + "-fill")
-    # every format outside the families is balanced
-    if s <= pos[-1]:
-        return _nd(s, affine, "balanced-low")
-    if k >= 3 and len(set(pos)) == 1:
-        pb = tensor_power_bounds(pos[0], k)
-        if s <= pb.nondefective_max:
-            note = "window endpoint checked directly" if pb.nondef_direct else None
-            return _nd(s, affine, "power-window", note)
-        if s >= pb.fill_min:
-            note = "window endpoint checked directly" if pb.fill_direct else None
-            return _nd(s, affine, "power-window-fill", note)
-    return None
+    if family is None or not family[1] < s < family[2]:
+        return None
+    name, _, _, span = family
+    bad = "-range" if name == "unbalanced" else ""
+    return _exact(s, affine, span(s), name + bad)
 
 
 def _settle(st: Statement, engine: ProofEngine, cache):
@@ -223,10 +187,12 @@ def _settle(st: Statement, engine: ProofEngine, cache):
 
     Returns (verdict, proof, oracle).  A cache hit gives verdict and the
     record's root digest as proof, a certificate gives verdict and its
-    root node, unhashed; otherwise verdict is None and oracle is the
+    root node, unhashed; oracle is then None.  Otherwise oracle is the
     engine's oracle outcome (an OracleResult or OracleBudgetError), which
-    the search's last leaf usually asked for already.  Records are keyed
-    by the digest of the engine's config, the one that produces them.
+    the search's last leaf usually asked for already: if it certifies,
+    verdict is True and proof a one-node oracle certificate, which is not
+    recorded in the cache; if not, verdict is None.  Records are keyed by
+    the digest of the engine's config, the one that produces them.
     """
     digest = engine.config.digest()
     hit = cache.get(st, digest) if cache is not None else None
@@ -237,7 +203,10 @@ def _settle(st: Statement, engine: ProofEngine, cache):
         if cache is not None:
             cache.put(st, v.status, v.certificate, digest)
         return v.status, v.certificate.root, None
-    return None, None, engine.oracle(st)
+    oracle = engine.oracle(st)
+    if isinstance(oracle, OracleResult) and oracle.certified:
+        return True, CertNode(cert.ORACLE, st, witness=oracle.witness), oracle
+    return None, None, oracle
 
 
 def _measure(fmt: Format, s: int, row: ProfileRow,
@@ -269,8 +238,9 @@ def resolve_secant(fmt: FormatLike, s: int,
     st = Statement.of(f, s, (0,) * f.k).canonical()
     verdict, proof, oracle = _settle(st, engine, cache)
     if verdict is True:
+        source = "induction" if oracle is None else "oracle"
         return ProfileRow(s, affine, affine, affine, NONDEFECTIVE, 0,
-                          "induction", proof)
+                          source, proof)
     if verdict is False:
         row = ProfileRow(s, affine, None, affine - 1, DEFECTIVE, None,
                          "induction", proof)
@@ -278,8 +248,6 @@ def resolve_secant(fmt: FormatLike, s: int,
     if isinstance(oracle, OracleBudgetError):
         return ProfileRow(s, affine, None, affine, UNKNOWN, None, "oracle",
                           None, str(oracle))
-    if oracle.certified:
-        return ProfileRow(s, affine, affine, affine, NONDEFECTIVE, 0, "oracle")
     return ProfileRow(s, affine, oracle.witness.rank, affine,
                       EVIDENCE_DEFECTIVE, None, "oracle", None, oracle.note)
 
@@ -305,12 +273,17 @@ def secant_profile(fmt: FormatLike, max_s: Optional[int] = None,
 
     The typical rank is the least s whose row certifies the full ambient
     dimension.  If the sweep hits its cap without a certified fill the rank
-    is reported unknown.
+    is reported unknown.  Without max_s the cap is a margin past the
+    expected fill count, and at least a defective family's typical rank.
     """
     f = Format.of(fmt)
     engine = engine or ProofEngine()
     P = ambient_dim(f)
-    cap = max_s if max_s is not None else expected_fill_count(f) + _CAP_MARGIN
+    cap = max_s
+    if cap is None:
+        family = defective_family(_positive_dims(f))
+        cap = max(expected_fill_count(f) + _CAP_MARGIN,
+                  family[2] if family is not None else 0)
     rows: list[ProfileRow] = []
     rank: Optional[int] = None
     for s in range(1, cap + 1):
@@ -357,8 +330,8 @@ def render_profile(profile: SecantProfile) -> str:
 @dataclass(frozen=True)
 class TypicalRank:
     value: Optional[int]
-    status: str  # "catalog" | "certified" | "unknown"
-    source: str = ""
+    status: str  # "certified" (read off the profile's filling row) | "unknown"
+    source: str = "profile"
 
 
 _RANK_CROSS_CHECKS = {
@@ -370,23 +343,12 @@ _RANK_CROSS_CHECKS = {
 
 def typical_rank(fmt: FormatLike, engine: Optional[ProofEngine] = None,
                  cache=None) -> TypicalRank:
-    """Least s whose secant variety fills the ambient space."""
+    """Least s whose secant variety fills the ambient space: the secant
+    profile's certified typical rank, or unknown if its sweep found none."""
     f = Format.of(fmt)
-    pos = _positive_dims(f)
-    k = len(pos)
-    family = defective_family(pos)
-    if k <= 1:
-        result = TypicalRank(1, "catalog", "single-factor")
-    elif family is not None:
-        name, _, hi, _ = family
-        result = TypicalRank(hi, "catalog", name)
-    else:
-        profile = secant_profile(f, engine=engine, cache=cache)
-        if profile.typical_rank is not None:
-            result = TypicalRank(profile.typical_rank, "certified", "profile")
-        else:
-            result = TypicalRank(None, "unknown", "profile")
-    want = _RANK_CROSS_CHECKS.get(pos)
+    profile = secant_profile(f, engine=engine, cache=cache)
+    result = TypicalRank(profile.typical_rank, profile.typical_rank_status)
+    want = _RANK_CROSS_CHECKS.get(_positive_dims(f))
     if want is not None and result.value is not None and result.value != want:
         raise CatalogConsistencyError(
             f"typical rank of ({f}) computed as {result.value}, "
@@ -411,29 +373,14 @@ class PerfectCheck:
     note: Optional[str] = None
 
 
-def _odd_power_family(pos: tuple[int, ...]) -> bool:
-    # one factor of dimension k, plus k+1 factors of an odd dimension n
-    from collections import Counter
-    counts = Counter(pos)
-    if len(counts) == 1:
-        n = pos[0]
-        return n % 2 == 1 and len(pos) == n + 1
-    if len(counts) != 2:
-        return False
-    (d1, c1), (d2, c2) = sorted(counts.items(), key=lambda kv: kv[1])
-    if c1 != 1:
-        return False
-    n, k = d2, d1
-    return c2 == k + 1 and n % 2 == 1
-
-
 def perfect_check(fmt: FormatLike, engine: Optional[ProofEngine] = None,
                   cache=None) -> PerfectCheck:
     """Does some secant variety hit the ambient dimension exactly?
 
     Requires the numerical identity (1 + sum n) | prod(n + 1), then a proof
-    that the equiabundant statement is true.  Two closed families short cut
-    the proof; otherwise it goes catalog, search, oracle, like any row.
+    that the equiabundant statement is true: catalog, search, oracle, like
+    any row.  A format with at most one positive factor is Perfect without
+    a certificate, since it has no statement to prove.
     """
     f = Format.of(fmt)
     pos = _positive_dims(f)
@@ -447,21 +394,13 @@ def perfect_check(fmt: FormatLike, engine: Optional[ProofEngine] = None,
     if k <= 1:
         return PerfectCheck(PERFECT, s_star, source="catalog:single-factor")
     st = Statement.of(pos, s_star, (0,) * k).canonical()
-    if k >= 3 and len(set(pos)) == 1:
-        pb = tensor_power_bounds(pos[0], k)
-        if pb.delta_k == 0:
-            return PerfectCheck(PERFECT, s_star, st, "catalog:power-window")
-    if k >= 3 and _odd_power_family(pos):
-        return PerfectCheck(PERFECT, s_star, st, "catalog:odd-power-family")
-
     verdict, proof, oracle = _settle(st, engine or ProofEngine(), cache)
     if verdict is not None:
+        source = "induction" if oracle is None else "oracle"
         return PerfectCheck(PERFECT if verdict else NOT_PERFECT, s_star, st,
-                            "induction", _cert_ref(proof))
+                            source, _cert_ref(proof))
     if isinstance(oracle, OracleBudgetError):
         return PerfectCheck(UNKNOWN, s_star, st, "oracle", note=str(oracle))
-    if oracle.certified:
-        return PerfectCheck(PERFECT, s_star, st, "oracle")
     return PerfectCheck(
         UNKNOWN, s_star, st, "oracle",
         note=f"rank deficit observed ({oracle.witness.rank} < "
@@ -520,15 +459,16 @@ def defective_scan(k_max: int, n_max: int, r_max: int,
     is not certified nondefective.  One engine memoizes across the grid.
 
     Each format is proved from its critical row crit = min(P // (1 + sum n),
-    r_max), the largest scanned s that is still subabundant.  If the
-    crit-th secant is nondefective, its crit general tangent spaces are
+    r_max), the largest scanned s that is still subabundant.  If a secant
+    below the ambient is nondefective, its general tangent spaces are
     independent, so any fewer of them are too (Terracini's lemma): every
-    row below crit is nondefective.  So crit is resolved first; if it is
-    NonDefective, the rows below it get no search, oracle or cache
-    record, and a catalog row below it that is not NonDefective raises
-    CatalogConsistencyError.  Otherwise the rows below crit are resolved
-    one by one.  No row below crit can fill, so rows from crit on are
-    then resolved in order until one fills.
+    row below it is nondefective.  So crit is resolved first, and while
+    the row just resolved is not NonDefective the walk goes down one row;
+    the rows below the first NonDefective row it meets, the floor, get no
+    search, oracle or cache record, and a catalog row among them (the
+    catalog holds only defective rows) raises CatalogConsistencyError.
+    No row below crit can fill, so rows from the floor on are then listed
+    in ascending s, and those above crit resolved in order until one fills.
     With a cache, only the rows the scan proved are recorded.  `classify`
     (secant_profile) and `dim` (resolve_secant) still prove every row they
     print, since their output carries each row's cert_ref.
@@ -540,18 +480,19 @@ def defective_scan(k_max: int, n_max: int, r_max: int,
             f = Format.of(dims)
             P = ambient_dim(f)
             crit = min(P // (1 + sum(dims)), r_max)
-            crit_row = resolve_secant(f, crit, engine, cache)
-            start = 1
-            if crit_row.status == NONDEFECTIVE:
-                for s in range(1, crit):
-                    cat = _catalog_row(f, s)
-                    if cat is not None and cat.status != NONDEFECTIVE:
-                        raise CatalogConsistencyError(
-                            f"({f}) s={s} reads {cat.status} below its "
-                            f"nondefective critical row s={crit}")
-                start = crit  # every row below follows from crit
-            for s in range(start, r_max + 1):
-                row = (crit_row if s == crit
+            walked = {crit: resolve_secant(f, crit, engine, cache)}
+            floor = crit
+            while floor > 1 and walked[floor].status != NONDEFECTIVE:
+                floor -= 1
+                walked[floor] = resolve_secant(f, floor, engine, cache)
+            for s in range(1, floor):  # every row here follows from floor
+                cat = _catalog_row(f, s)
+                if cat is not None:
+                    raise CatalogConsistencyError(
+                        f"({f}) s={s} reads {cat.status} below its "
+                        f"nondefective row s={floor}")
+            for s in range(floor, r_max + 1):
+                row = (walked[s] if s in walked
                        else resolve_secant(f, s, engine, cache))
                 if row.status != NONDEFECTIVE:
                     hits.append(ScanHit(f, s, row.expected, row.lower,

@@ -15,8 +15,10 @@ from segredim.classify import (
     typical_rank,
 )
 from segredim.config import RunConfig
-from segredim.formats import Format, expected_secant_dim
-from segredim.induction import CertNode, ProofEngine
+from segredim.formats import Format, Statement, ambient_dim, expected_secant_dim
+from segredim.induction import Certificate, CertNode, ProofEngine
+from segredim.induction import certificate as cert
+from segredim.induction.verify import verify
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +53,20 @@ class TestResolveSecant:
         row = resolve_secant((9,), 3, engine=engine)
         assert row.status == "NonDefective"
         assert row.upper == 10
+
+    def test_oracle_fallback_row_has_a_certificate(self):
+        # one search node does not settle T(3,3,3;5); the fallback oracle
+        # does, and its one-node certificate verifies
+        engine = ProofEngine(RunConfig(budget_nodes=1))
+        row = resolve_secant((3, 3, 3), 5, engine)
+        assert (row.status, row.source) == ("NonDefective", "oracle")
+        assert row.proof.kind == cert.ORACLE
+        assert row.cert_ref == row.proof.digest[:12]
+        st = Statement.of((3, 3, 3), 5).canonical()
+        assert verify(Certificate(st, True, row.proof).dumps())
+        pc = perfect_check((2, 2, 4), engine)
+        assert (pc.status, pc.source) == ("Perfect", "oracle")
+        assert pc.cert_ref is not None
 
 
 class TestProfiles:
@@ -104,6 +120,21 @@ class TestPowerBounds:
                 assert b.fill_min - b.nondefective_max == n + 1
                 assert b.nondefective_max >= 0
 
+    @pytest.mark.parametrize("n,k", [
+        *((1, k) for k in range(3, 9)), *((2, k) for k in range(3, 7)),
+        (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 3), (6, 3), (7, 3),
+        (8, 3)])
+    def test_search_certifies_the_window(self, n, k):
+        # the paper's window is a theorem; the search proves every row of it
+        b = tensor_power_bounds(n, k)
+        fmt = (n,) * k
+        engine = ProofEngine()
+        for s in (*range(1, b.nondefective_max + 1), b.fill_min, b.fill_min + 1):
+            row = resolve_secant(fmt, s, engine)
+            assert (row.status, row.source) == ("NonDefective", "induction"), s
+            assert row.cert_ref is not None
+        assert row.lower == ambient_dim(fmt)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             tensor_power_bounds(3, 2)
@@ -124,7 +155,7 @@ class TestTypicalRank:
     def test_unbalanced_closed_form(self, engine):
         tr = typical_rank((1, 1, 9), engine=engine)
         assert tr.value == 4  # min(n_max + 1, product of the rest)
-        assert tr.status == "catalog"
+        assert tr.status == "certified"
 
 
 class TestPerfect:

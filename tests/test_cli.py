@@ -3,6 +3,9 @@
 import argparse
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -369,6 +372,13 @@ class TestClassify:
         assert "r(k-1)/p = 150/1000003" in noted[7]
         assert rows[6]["status"] == "Evidence-Defective"
 
+    def test_family_sweep_reaches_its_typical_rank(self, capsys):
+        # the sweep used to stop at the expected fill count plus a margin,
+        # below this unbalanced format's typical rank 15: "unknown", exit 3
+        code, out, _ = run(capsys, "classify", "14,14")
+        assert code == 0
+        assert out.splitlines()[-2] == "typical rank: 15 (certified)"
+
     def test_max_s_flag(self, capsys):
         code, out, _ = run(capsys, "classify", "2,2,2", "--max-s", "2", "--json")
         rows = [json.loads(line) for line in out.splitlines() if line.strip()]
@@ -498,3 +508,15 @@ def test_package_version_is_the_tool_version():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     with pyproject.open("rb") as f:
         assert tomllib.load(f)["project"]["version"] == TOOL_VERSION
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m segredim` from a checkout, with only src on the path
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "segredim", "dim", "2,3,3", "5", "--json"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["lower"] == 44

@@ -1,12 +1,14 @@
 """The one defective-family table, `rules.defective_family`, against the
-three readers it replaced and against the oracle.
+readers it replaced, against the search and against the oracle.
 
 The reference functions below are the per-reader family code that the
-table replaced: the family blocks of `classify._catalog_row`, the family
+table replaced: the catalog rows of `classify._catalog_row`, the family
 and unbalanced falsity leaves of `rules.known_false`, and the catalog
-branches of `classify.typical_rank`.  On a grid of formats, secant rows
-and fiber vectors, the table's readers must give the same rows, leaves
-and typical ranks, field by field.
+branches of `classify.typical_rank`.  The catalog now keeps only its
+defective rows: on a grid of formats, secant rows and fiber vectors, it
+must give the reference's defective rows and falsity leaves field by
+field, and every row and typical rank the reference takes from a
+theorem must be certified by the search instead.
 """
 import json
 from itertools import combinations_with_replacement, product
@@ -29,11 +31,17 @@ from segredim.formats import (
     unbalanced_span_dim,
     unbalanced_typical_rank,
 )
+from segredim.induction import ProofEngine
 from segredim.induction import certificate as cert
 from segredim.induction import rules
 from segredim.induction.rules import FalsityReason, defective_family
 
-_nd, _exact = classify._nd, classify._exact
+_exact = classify._exact
+
+
+def _nd(s, affine, rule):
+    return classify.ProfileRow(s, affine, affine, affine, classify.NONDEFECTIVE,
+                               0, "catalog:" + rule)
 
 
 # --- reference: the per-reader family code --------------------------------
@@ -83,11 +91,9 @@ def ref_catalog_row(fmt, s):
     if k >= 3 and len(set(pos)) == 1:
         pb = classify.tensor_power_bounds(pos[0], k)
         if s <= pb.nondefective_max:
-            note = "window endpoint checked directly" if pb.nondef_direct else None
-            return _nd(s, affine, "power-window", note)
+            return _nd(s, affine, "power-window")
         if s >= pb.fill_min:
-            note = "window endpoint checked directly" if pb.fill_direct else None
-            return _nd(s, affine, "power-window-fill", note)
+            return _nd(s, affine, "power-window-fill")
     return None
 
 
@@ -173,10 +179,13 @@ def _leaf(reason):
                       sort_keys=True)
 
 
-def test_catalog_rows_match_the_reference():
+def test_catalog_keeps_the_references_defective_rows():
     count = 0
     for f, s in grid_rows():
-        got, want = classify._catalog_row(f, s), ref_catalog_row(f, s)
+        want = ref_catalog_row(f, s)
+        if want is not None and want.status == classify.NONDEFECTIVE:
+            continue
+        got = classify._catalog_row(f, s)
         count += 1
         if want is None:
             assert got is None, (f, s)
@@ -185,7 +194,23 @@ def test_catalog_rows_match_the_reference():
         for name in ("s", "expected", "lower", "upper", "status", "defect",
                      "source", "proof", "note"):
             assert getattr(got, name) == getattr(want, name), (f, s, name)
-    assert count > 4_000
+    assert count > 3_000
+
+
+def test_search_certifies_the_references_nondefective_rows():
+    engine = ProofEngine()
+    count = 0
+    for f, s in grid_rows():
+        want = ref_catalog_row(f, s)
+        if want is None or want.status != classify.NONDEFECTIVE:
+            continue
+        assert classify._catalog_row(f, s) is None, (f, s)
+        row = classify.resolve_secant(f, s, engine)
+        assert (row.status, row.lower, row.upper, row.defect) == \
+            (want.status, want.lower, want.upper, want.defect), (f, s)
+        assert row.source == "induction" and row.cert_ref, (f, s)
+        count += 1
+    assert count > 2_000
 
 
 def test_falsity_leaves_match_the_reference():
@@ -203,19 +228,50 @@ def test_falsity_leaves_match_the_reference():
             (cert.TABLE_FALSE, "family:1,1,n,n")} <= kinds
 
 
-def test_typical_ranks_match_the_reference(monkeypatch):
-    # stand in for the profile sweep: only the catalog branches are compared
-    swept = classify.SecantProfile(Format((1,)), (), None, "unknown")
-    monkeypatch.setattr(classify, "secant_profile", lambda *a, **kw: swept)
-    catalog = 0
+def test_typical_ranks_match_the_reference():
+    # where the reference took the rank from a closed form, the profile
+    # must certify the same rank, and typical_rank reads it from there
+    engine = ProofEngine()
+    families = 0
     for f in grid_formats():
-        want = ref_typical_rank(f) or classify.TypicalRank(None, "unknown",
-                                                           "profile")
-        got = classify.typical_rank(f)
-        assert (got.value, got.status, got.source) == \
-            (want.value, want.status, want.source), f
-        catalog += want.status == "catalog"
-    assert catalog > 100
+        want = ref_typical_rank(f)
+        if want is None:
+            continue
+        profile = classify.secant_profile(f, engine=engine)
+        assert (profile.typical_rank, profile.typical_rank_status) == \
+            (want.value, "certified"), f
+        assert classify.typical_rank(f, engine) == \
+            classify.TypicalRank(want.value, "certified", "profile"), f
+        families += want.source != "single-factor"
+    assert families > 100
+
+
+def _certify_family_typical_ranks(grid) -> int:
+    """Check that typical_rank certifies the family's hi on every family
+    format of k factors of dimension 1..top, for each (k, top) in grid;
+    return how many formats were checked."""
+    engine = ProofEngine()
+    count = 0
+    for k, top in grid:
+        for dims in combinations_with_replacement(range(1, top + 1), k):
+            family = defective_family(dims)
+            if family is None:
+                continue
+            assert classify.typical_rank(dims, engine) == \
+                classify.TypicalRank(family[2], "certified"), dims
+            count += 1
+    return count
+
+
+def test_family_typical_ranks_are_certified():
+    # about 2 s; the profile's sweep used to stop short of some of these
+    assert _certify_family_typical_ranks(((2, 30), (3, 16), (4, 8))) == 626
+
+
+@pytest.mark.extended
+def test_family_typical_ranks_are_certified_up_to_30():
+    # about 2 min, most of it k = 3 with a factor of 17 or more
+    assert _certify_family_typical_ranks(((2, 30), (3, 30), (4, 8))) == 1160
 
 
 # --- the oracle -----------------------------------------------------------

@@ -94,8 +94,7 @@ def test_per_row_cache_serves_the_critical_row_scan(per_row):
     {4: None, 5: "defective"},      # above a catalog-silent row
 ], ids=["catalog_rows", "above_silent_row"])
 def test_defective_catalog_row_below_a_nondefective_crit(monkeypatch, fake):
-    # (3,3,3): P = 64, so crit = 6; the catalog gives s <= 4, and s = 6 is
-    # proved nondefective
+    # (3,3,3): P = 64, so crit = 6, which is proved nondefective
     real = classify._catalog_row
     target = Format.of((3, 3, 3))
 
@@ -112,3 +111,36 @@ def test_defective_catalog_row_below_a_nondefective_crit(monkeypatch, fake):
     monkeypatch.setattr(classify, "_catalog_row", doctored)
     with pytest.raises(CatalogConsistencyError, match=r"\(3,3,3\) s=\d"):
         defective_scan(3, 3, 10)
+
+
+def test_walk_resolves_nothing_below_the_first_nondefective_row(monkeypatch):
+    # (1,2,5) is unbalanced with defective range (3, 6): P = 36, so crit =
+    # 4 is defective, the walk meets NonDefective at s = 3, and s = 1, 2
+    # follow from it
+    target = Format.of((1, 2, 5))
+    resolved = []
+    real = classify.resolve_secant
+
+    def recording(f, s, *args):
+        if f == target:
+            resolved.append(s)
+        return real(f, s, *args)
+
+    monkeypatch.setattr(classify, "resolve_secant", recording)
+    report = defective_scan(3, 5, 30)
+    assert resolved == [4, 3, 5, 6]
+    assert [h.s for h in report.hits if h.format == target] == [4, 5]
+
+    monkeypatch.setattr(classify, "resolve_secant", real)
+    catalog = classify._catalog_row
+
+    def doctored(f, s):
+        if f == target and s == 2:
+            affine, _ = expected_secant_dim(f, s)
+            return classify._exact(s, affine, affine - 1, "fake")
+        return catalog(f, s)
+
+    monkeypatch.setattr(classify, "_catalog_row", doctored)
+    with pytest.raises(CatalogConsistencyError,
+                       match=r"\(1,2,5\) s=2 .* nondefective row s=3"):
+        defective_scan(3, 5, 30)

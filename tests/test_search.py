@@ -346,7 +346,7 @@ class TestOracleDoor:
 
         monkeypatch.setattr(ProofEngine, "prove", proving)
         defective_scan(3, 5, 30)
-        assert len(set(attempts)) == len(attempts) == 58
+        assert len(set(attempts)) == len(attempts) == 77
         # T(4,4,2;7) is a root that reads deficient; T(2,2,2;4) is a
         # catalog-defective row whose dimension the oracle measures
         measured = "T(2,2,2;4;0,0,0)"
