@@ -61,7 +61,8 @@ def _key_text(statement: Union[Statement, str]) -> str:
 
 
 class VerdictCache:
-    """Loads the whole file once; put() appends and flushes immediately."""
+    """Loads the whole file once; put() appends and flushes immediately,
+    unless the file already holds the same verdict and certificate."""
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
@@ -99,6 +100,8 @@ class VerdictCache:
             raise CacheConflictError(
                 f"cache conflict for {text}: stored {existing.verdict}, "
                 f"new {rec.verdict}")
+        if existing is not None and existing.cert_sha256 == rec.cert_sha256:
+            return existing  # the file holds this record already
         self._records[(text, config_digest)] = rec
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:

@@ -41,11 +41,6 @@ ALL_KINDS = SPLIT_KINDS | frozenset({
     FIBRATION_FALSE, TRIVIAL, TWO_FACTOR,
 })
 
-# kinds that always conclude False; the drop rules pass their child's
-# verdict through, a two_factor leaf concludes whether its exact dimension
-# reaches the target, and every other kind concludes True
-FALSE_KINDS = frozenset({TABLE_FALSE, UNBALANCED_FALSE, FIBRATION_FALSE})
-
 
 class CertificateFormatError(ValueError):
     """Raised when certificate JSON is structurally malformed."""

@@ -4,6 +4,10 @@ Each rule maps a statement to one or two child statements together with
 arithmetic side conditions.  The rules here are pure bookkeeping: they
 validate side conditions and construct children, but never search.  The
 falsity catalog (the known-defective configurations) also lives here.
+
+closed_leaf, drop_step and split_step build the certificate nodes, each
+as (verdict, CertNode); the verifier rebuilds every stored node through
+them.  The search builds its split nodes from split_mode directly.
 """
 from __future__ import annotations
 
@@ -23,6 +27,7 @@ from ..formats import (
     json_int,
 )
 from . import certificate as cert
+from .certificate import CertNode
 
 
 class RuleError(ValueError):
@@ -127,14 +132,33 @@ def split_mode(st: Statement, choice: SplitChoice):
     raise RuleError(f"children of {st} straddle abundance: {c1}, {c2}")
 
 
+def split_step(st: Statement, choice: SplitChoice,
+               children) -> tuple[bool, CertNode]:
+    """(True, split node) of `choice` over `children`, a (verdict, node)
+    pair per child; RuleError unless they are True proofs of the two
+    statements split_mode gives, in its order."""
+    mode, c1, c2 = split_mode(st, choice)
+    if len(children) != 2:
+        raise RuleError(f"{mode} must have 2 children, found {len(children)}")
+    (v1, n1), (v2, n2) = children
+    for idx, node, want in ((0, n1, c1), (1, n2, c2)):
+        if node.statement.key() != want.key():
+            raise RuleError(f"child {idx} is {node.statement}, "
+                            f"split arithmetic gives {want}")
+    if v1 is not True or v2 is not True:
+        raise RuleError(f"{mode} needs both children True")
+    return True, CertNode(mode, st, side_conditions=choice.describe(),
+                          children=(n1, n2))
+
+
 # ---------------------------------------------------------------------------
 # drops
 
-def find_zero_factor_slot(st: Statement, with_conditions: bool) -> Optional[int]:
-    for j, (n, a) in enumerate(zip(st.format.dims, st.a)):
-        if n == 0 and ((a > 0) if with_conditions else (a == 0)):
-            return j
-    return None
+def drop_slot(st: Statement) -> Optional[int]:
+    """The point factor a drop takes: the first without conditions, else
+    the first with some; None when st has no point factor."""
+    points = [j for j, n in enumerate(st.format.dims) if n == 0]
+    return min(points, key=lambda j: st.a[j] > 0, default=None)
 
 
 def drop_conditions(st: Statement, slot: int,
@@ -172,6 +196,37 @@ def drop_zero_factor(st: Statement, slot: int) -> Statement:
     dims = st.format.dims[:slot] + st.format.dims[slot + 1:]
     a = st.a[:slot] + st.a[slot + 1:]
     return Statement(Format(dims), st.s, a)
+
+
+def drop_child(st: Statement, slot: int) -> Statement:
+    """The statement a drop at point factor `slot` leaves: the slot removed
+    when it carries no conditions, its conditions dropped otherwise."""
+    _check_slot(st, slot)
+    if st.a[slot] == 0:
+        return drop_zero_factor(st, slot)
+    return drop_conditions(st, slot, require_subabundant=False)
+
+
+def drop_step(st: Statement, slot: int,
+              child: tuple[bool, CertNode]) -> Optional[tuple[bool, CertNode]]:
+    """(verdict, drop node) at `slot` over `child`, a (verdict, node) pair
+    proving drop_child(st, slot); the child's verdict passes through.
+
+    Removing an empty zero factor is an equivalence.  Dropping conditions
+    is one only below the ambient dimension, so None when a False child
+    sits below a superabundant statement: there the drop proves nothing.
+    """
+    verdict, node = child
+    want = drop_child(st, slot)
+    if node.statement.key() != want.key():
+        raise RuleError(f"child is {node.statement}, the drop gives {want}")
+    if st.a[slot] == 0:
+        kind, conds = cert.DROP_ZERO_FACTOR, {"slot": slot}
+    elif verdict is False and not is_subabundant(st):
+        return None
+    else:
+        kind, conds = cert.DROP_CONDITIONS, {"slot": slot, "dropped": st.a[slot]}
+    return verdict, CertNode(kind, st, side_conditions=conds, children=(node,))
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +285,6 @@ def two_factor_dim(st: Statement) -> Optional[int]:
     beta = min(c.s + a[0], n + 1)
     span = alpha * (n + 1) + (m + 1) * beta - alpha * beta
     return min(span + sum(a[2:]), (m + 1) * (n + 1))
-
-
-def two_factor_leaf(st: Statement) -> Optional[tuple[bool, dict]]:
-    """(verdict, side conditions) of st's two_factor leaf, or None when st
-    has three or more positive factors.  True iff the exact dimension
-    reaches the target; the search builds the leaf and the verifier
-    compares against it."""
-    dim = two_factor_dim(st)
-    if dim is None:
-        return None
-    return dim == target_dim(st), {"actual_affine_dim": dim}
 
 
 # ---------------------------------------------------------------------------
@@ -370,4 +414,25 @@ def known_false(st: Statement) -> Optional[FalsityReason]:
         reason = check(c)
         if reason is not None:
             return reason
+    return None
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+def closed_leaf(st: Statement) -> Optional[tuple[bool, CertNode]]:
+    """(verdict, leaf) of the first closed form that decides st: the exact
+    two_factor dimension, a falsity source, or a trivial truth; None when
+    none does."""
+    dim = two_factor_dim(st)
+    if dim is not None:
+        return dim == target_dim(st), CertNode(
+            cert.TWO_FACTOR, st, side_conditions={"actual_affine_dim": dim})
+    reason = known_false(st)
+    if reason is not None:
+        return False, CertNode(reason.kind, st, side_conditions=dict(reason.data),
+                               table_id=reason.table_id)
+    why = trivial_truth(st)
+    if why is not None:
+        return True, CertNode(cert.TRIVIAL, st, reason=why)
     return None

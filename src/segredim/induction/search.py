@@ -1,9 +1,10 @@
 """Memoized proof search over the reduction rules.
 
-Priority order per statement: the exact two_factor leaf for statements
-with at most two positive factors, falsity catalog, trivial truths, an
-oracle leaf for the small three-factor base formats, drop rules, splits,
-and finally a direct oracle leaf; both oracle leaves go through
+Priority order per statement: the closed-form leaf (rules.closed_leaf:
+the exact two_factor dimension for statements with at most two positive
+factors, the falsity catalog, trivial truths), an oracle leaf for the
+small three-factor base formats, a drop (rules.drop_step), splits, and
+finally a direct oracle leaf; both oracle leaves go through
 ProofEngine.oracle, which runs the first attempt of the oracle's plan for
 a subgoal and the whole plan for the root.  A search whose subgoal oracle
 calls cost more cells than the root's own call gives up its tree and takes
@@ -29,7 +30,6 @@ from ..ffrank import (
 from ..formats import (
     Statement,
     ambient_dim,
-    is_subabundant,
     parameter_count,
     parse_statement,
 )
@@ -239,20 +239,9 @@ class ProofEngine:
         return res
 
     def _resolve(self, st: Statement):
-        leaf = rules.two_factor_leaf(st)
+        leaf = rules.closed_leaf(st)
         if leaf is not None:
-            verdict, conds = leaf
-            return verdict, CertNode(cert.TWO_FACTOR, st, side_conditions=conds)
-
-        reason = rules.known_false(st)
-        if reason is not None:
-            return False, CertNode(reason.kind, st,
-                                   side_conditions=dict(reason.data),
-                                   table_id=reason.table_id)
-
-        why = rules.trivial_truth(st)
-        if why is not None:
-            return True, CertNode(cert.TRIVIAL, st, reason=why)
+            return leaf
 
         if st.format.k == 3 and max(st.format.dims) <= 2:
             # tiny ambient: an oracle run settles the small base formats
@@ -260,35 +249,15 @@ class ProofEngine:
             if res is not None:
                 return res
 
-        slot = rules.find_zero_factor_slot(st, with_conditions=False)
+        slot = rules.drop_slot(st)
         if slot is not None:
-            child = rules.drop_zero_factor(st, slot).canonical()
-            res = self._search(child)
-            if res is None:
-                return None
-            verdict, sub = res
-            node = CertNode(cert.DROP_ZERO_FACTOR, st,
-                            side_conditions={"slot": slot}, children=(sub,))
-            return verdict, node
-
-        slot = rules.find_zero_factor_slot(st, with_conditions=True)
-        if slot is not None:
-            child = rules.drop_conditions(st, slot,
-                                          require_subabundant=False).canonical()
-            res = self._search(child)
+            res = self._search(rules.drop_child(st, slot).canonical())
             if res is not None:
-                verdict, sub = res
-                conds = {"slot": slot, "dropped": st.a[slot]}
-                if verdict:
-                    # generic points extend any spanning set until the
-                    # ambient is filled, so child truth lifts untouched
-                    return True, CertNode(cert.DROP_CONDITIONS, st,
-                                          side_conditions=conds, children=(sub,))
-                if is_subabundant(st):
-                    return False, CertNode(cert.DROP_CONDITIONS, st,
-                                           side_conditions=conds, children=(sub,))
-            # superabundant with an inconclusive or false child: other
-            # rules may still apply
+                res = rules.drop_step(st, slot, res)
+            if res is not None or st.a[slot] == 0:
+                return res
+            # conditions that an inconclusive child, or a false one below a
+            # superabundant statement, cannot drop: other rules may apply
 
         node = self._try_splits(st)
         if node is not None:

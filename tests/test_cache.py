@@ -8,6 +8,7 @@ from segredim import RunConfig
 from segredim.cache import CacheRecord, VerdictCache
 from segredim.classify import resolve_secant
 from segredim.cli import main
+from segredim.induction import ProofEngine
 
 # T(2,4,4;7) is in the defective (2,n,n), n even, family; no search proves
 # it, so a served record is the only way to a NonDefective row
@@ -103,6 +104,26 @@ def test_record_from_version_0_2_0_misses(tmp_path, capsys):
     assert main(["dim", "2,4,4", "7", "--budget-nodes", "2000",
                  "--cache", str(path)]) == 0
     assert "status: Evidence-Defective [oracle]" in capsys.readouterr().out
+
+
+def test_repeated_prove_appends_one_record(tmp_path, capsys, monkeypatch):
+    # a record the file already holds is not appended again
+    path = tmp_path / "c.ldjson"
+    argv = ["prove", "T(3,3,3;5)", "--cache", str(path),
+            "--out", str(tmp_path / "cert.json")]
+    for _ in range(3):
+        assert main(argv) == 0
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1
+    sha = json.loads(lines[0])["cert_sha256"]
+    # a resumed dim reads the record instead of searching
+    monkeypatch.setattr(ProofEngine, "prove",
+                        lambda self, st: pytest.fail(f"searched {st}"))
+    capsys.readouterr()
+    assert main(["dim", "3,3,3", "5", "--json", "--cache", str(path)]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["status"], row["cert_ref"]) == ("NonDefective", sha[:12])
+    assert path.read_text().splitlines() == lines
 
 
 def test_config_digests_are_pinned():

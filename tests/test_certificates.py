@@ -8,7 +8,7 @@ import pytest
 
 from segredim.cli import main
 from segredim.ffrank import DEFAULT_PRIME, MAX_PRIME, terracini_oracle
-from segredim.formats import parse_statement
+from segredim.formats import is_subabundant, parse_statement
 from segredim.induction import (
     Certificate,
     CertificateFormatError,
@@ -346,7 +346,7 @@ class TestTamperRejection:
         honest = sc[field]
         sc[field] = bad
         with pytest.raises(VerificationError,
-                           match="catalog gives") as info:
+                           match="side_conditions") as info:
             verify(doc)
         assert info.value.path == 0
         del sc[field]
@@ -368,7 +368,7 @@ class TestTamperRejection:
                     doc = copy.deepcopy(honest)
                     doc["nodes"][at]["side_conditions"]["dropped"] = bad
                     with pytest.raises(VerificationError,
-                                       match="conditions, slot") as info:
+                                       match="its rule gives") as info:
                         verify(doc)
                     assert info.value.path == at
                 for bad in (float(sc["dropped"]), None, str(sc["dropped"])):
@@ -378,6 +378,46 @@ class TestTamperRejection:
                 doc = copy.deepcopy(honest)
                 del doc["nodes"][at]["side_conditions"]["dropped"]
                 self.check_rejected(doc, at=at)
+
+    @pytest.mark.parametrize("statement,kind,field,value", [
+        ("T(3,3,3;6)", "sub_split", "witness", None),  # an oracle leaf's
+        ("T(3,3,3;6)", "sub_split", "side_conditions", {"junk": 1}),
+        ("T(3,3,3;6)", "oracle", "reason", "one_tangent"),
+        ("T(3,3,3;6)", "oracle", "table_id", "small:1,1,1"),
+        ("T(3,3,3;6)", "oracle", "side_conditions", {"actual_affine_dim": 8}),
+        ("T(3,3,3;1)", "trivial", "table_id", "small:1,1,1"),
+        ("T(3,3,3;1)", "trivial", "side_conditions", {"slot": 0}),
+        ("T(2,3,3;5)", "table_false", "reason", "one_tangent"),
+    ])
+    def test_field_its_kind_does_not_use(self, statement, kind, field, value):
+        # each edit would give the same proof another root digest, and so
+        # another cert_ref
+        doc = json.loads(prove(statement).certificate.dumps())
+        at = [n["kind"] for n in doc["nodes"]].index(kind)
+        node = doc["nodes"][at]
+        if field == "witness":
+            value = doc["nodes"][witness_index(doc)]["witness"]
+        elif field == "side_conditions":
+            value = {**node.get(field, {}), **value}
+        node[field] = value
+        with pytest.raises(VerificationError, match=f"stored {field} ") as info:
+            verify(doc)
+        assert info.value.path == at
+
+    def test_false_drop_above_a_superabundant_statement(self):
+        # dropping conditions is an equivalence only below the ambient, so
+        # a False child proves nothing about a superabundant parent
+        st = parse_statement("T(1,1,1,0;1;0,0,2,1)")
+        v = prove(rules.drop_child(st, 3))
+        assert v.status is False and not is_subabundant(st)
+        assert rules.drop_step(st, 3, (False, v.certificate.root)) is None
+        node = CertNode(cert_mod.DROP_CONDITIONS, st, children=(v.certificate.root,),
+                        side_conditions={"slot": 3, "dropped": 1})
+        doc = json.loads(Certificate(st, False, node).dumps())
+        with pytest.raises(VerificationError,
+                           match="no False up from the superabundant") as info:
+            verify(doc)
+        assert info.value.path == root_index(doc)
 
     def test_split_kind_relabel(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
@@ -422,7 +462,8 @@ class TestTamperRejection:
                        "witness": {"prime": DEFAULT_PRIME, "seed": 0, "rows": 55,
                                    "cols": 48, "rank": 45, "target": 45}}],
         }
-        with pytest.raises(VerificationError, match="falsity catalog"):
+        with pytest.raises(VerificationError,
+                           match="contradicts the table_false leaf"):
             verify(doc)
 
     def test_witness_prime_beyond_exact_kernel(self, true_cert_doc):
@@ -500,15 +541,11 @@ class TestTamperRejection:
         st = parse_statement("T(3,2,1;1;2,0,0)")
         choice = rules.SplitChoice(1, (0, 1), (0, 1), ((0, 0, 0), (2, 0, 0)))
         kind, c1, c2 = rules.split_mode(st, choice)
-        reason = rules.known_false(c2)
-        verdict, conds = rules.two_factor_leaf(c1)
-        assert verdict is True
-        leaves = (CertNode(cert_mod.TWO_FACTOR, c1.canonical(),
-                           side_conditions=conds),
-                  CertNode(reason.kind, c2.canonical(),
-                           side_conditions=dict(reason.data)))
+        (verdict, leaf1), (_, leaf2) = (rules.closed_leaf(c.canonical())
+                                        for c in (c1, c2))
+        assert verdict is True and leaf1.kind == cert_mod.TWO_FACTOR
         node = CertNode(kind, st, side_conditions=choice.describe(),
-                        children=leaves)
+                        children=(leaf1, leaf2))
         for verdict in (True, False):
             doc = json.loads(Certificate(st, verdict, node).dumps())
             assert doc["nodes"][1]["kind"] == "fibration_false"
@@ -535,14 +572,14 @@ class TestTwoFactorLeaf:
             forged = copy.deepcopy(doc)
             forged["nodes"][0]["side_conditions"]["actual_affine_dim"] = bad
             with pytest.raises(VerificationError,
-                               match="closed form gives") as info:
+                               match="side_conditions") as info:
                 verify(forged)
             assert info.value.path == 0
         for conds in ({}, {"actual_affine_dim": honest, "extra": 1}):
             forged = copy.deepcopy(doc)
             forged["nodes"][0]["side_conditions"] = conds
             with pytest.raises(VerificationError,
-                               match="closed form gives") as info:
+                               match="side_conditions") as info:
                 verify(forged)
             assert info.value.path == 0
         # the verdict is the closed form's, not the certificate's claim
@@ -557,7 +594,7 @@ class TestTwoFactorLeaf:
                         side_conditions={"actual_affine_dim": 42})
         for verdict in (True, False):
             with pytest.raises(VerificationError,
-                               match="more than two positive factors") as info:
+                               match="no closed form decides") as info:
                 verify(Certificate(st, verdict, node))
             assert info.value.path == 0
 
@@ -569,7 +606,7 @@ class TestTwoFactorLeaf:
         forged = dataclasses.replace(w, rank=w.target)
         node = CertNode(cert_mod.ORACLE, st, witness=forged)
         with pytest.raises(VerificationError,
-                           match="contradicts the two-factor closed form"):
+                           match="contradicts the two_factor leaf"):
             verify(Certificate(st, True, node))
 
 
@@ -583,7 +620,7 @@ class TestIntegerFields:
         doc = copy.deepcopy(true_cert_doc)
         sc = doc["nodes"][-1]["side_conditions"]
         sc["slot"], sc["s_parts"] = 0.9, [3.5, 3.5]
-        with pytest.raises(VerificationError, match="malformed split") as info:
+        with pytest.raises(VerificationError, match="malformed sub_split") as info:
             verify(doc)
         assert info.value.path == 5
         for field, where in [("slot", None), ("n_parts", 0), ("s_parts", 1)]:
@@ -594,11 +631,11 @@ class TestIntegerFields:
                     sc[field] = bad
                 else:
                     sc[field][where] = bad
-                with pytest.raises(VerificationError, match="malformed split"):
+                with pytest.raises(VerificationError, match="malformed sub_split"):
                     verify(doc)
         doc = copy.deepcopy(true_cert_doc)
         doc["nodes"][-1]["side_conditions"]["a_parts"][0][0] = 0.0
-        with pytest.raises(VerificationError, match="malformed split"):
+        with pytest.raises(VerificationError, match="malformed sub_split"):
             verify(doc)
 
     def test_drop_slot(self, drop_cert_doc):

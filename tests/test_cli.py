@@ -259,8 +259,8 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(cert))
         assert code == 1
         assert "certificate OK" not in out
-        assert "certificate node 0: oracle leaf contradicts the falsity " \
-            "catalog" in err
+        assert "certificate node 0: oracle leaf contradicts the " \
+            "table_false leaf" in err
 
     def test_forged_witness_rank_fails_by_default(self, capsys, tmp_path):
         # T(2,4,4;7) is in no falsity catalog; its true rank is 74 of 75

@@ -11,7 +11,9 @@ field, and every row and typical rank the reference takes from a
 theorem must be certified by the search instead.
 """
 import json
+import re
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +312,32 @@ def test_unbalanced_against_the_oracle(asc):
     lo, hi, _ = _check_family(asc, "unbalanced")
     assert lo + 1 < hi  # the range is not empty
     assert (lo, hi) == unbalanced_defective_range(asc)
+
+
+BENCH_SCAN = (Path(__file__).parent.parent / "perfbench" / "reference"
+              / "scan_k3_n10_r60.txt")
+_LISTED = re.compile(r"  \(([\d,]+)\) s=(\d+): expected \d+, "
+                     r"certified (\d+), Defective")
+
+
+def test_the_oracle_never_refutes_a_listed_span():
+    # the benchmark scan's exact Defective rows, which test_golden checks
+    # against the scan itself: a certified rank above span(s) would
+    # refute the catalog; at seed 0 every rank reads span(s) exactly
+    engine = ProofEngine()
+    rows = 0
+    for line in BENCH_SCAN.read_text().splitlines():
+        found = _LISTED.fullmatch(line)
+        if found is None:
+            continue
+        asc, s = tuple(map(int, found[1].split(","))), int(found[2])
+        family = defective_family(asc)
+        if family is None:  # (2,2,2) s=4, a SMALL_FORMAT_FALSE row
+            assert asc in rules.SMALL_FORMAT_DIMS, line
+            continue
+        _, lo, hi, span = family
+        assert lo < s < hi and span(s) == int(found[3]), line
+        rank = engine.oracle(Statement.of(asc, s).canonical()).witness.rank
+        assert rank <= span(s), line
+        rows += 1
+    assert rows == 90

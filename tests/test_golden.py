@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from segredim.cli import main
+from segredim.induction.verify import verify
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,6 +89,12 @@ def test_prove_output_and_certificate(name, tmp_path, monkeypatch):
         assert not (tmp_path / cert_name).exists()
         return
     assert (tmp_path / cert_name).read_text() == want.read_text()
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.cert.json")),
+                         ids=lambda path: path.name)
+def test_committed_certificate_verifies(path):
+    assert verify(path.read_text())
 
 
 README = Path(__file__).parent.parent / "README.md"

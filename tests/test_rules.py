@@ -16,22 +16,28 @@ from segredim.formats import (
     parse_statement,
     target_dim,
 )
+from segredim.induction import certificate as cert
 from segredim.induction import rules
+from segredim.induction.certificate import CertNode
 from segredim.induction.rules import (
     RuleError,
     SplitChoice,
+    closed_leaf,
     drop_conditions,
     drop_zero_factor,
     known_false,
     split_children,
     trivial_truth,
     two_factor_dim,
-    two_factor_leaf,
 )
 
 
 def T(text):
     return parse_statement(text)
+
+
+def two_factor_node(st_, dim):
+    return CertNode(cert.TWO_FACTOR, st_, side_conditions={"actual_affine_dim": dim})
 
 
 class TestSplit:
@@ -136,9 +142,10 @@ class TestTrivial:
         # below three positive factors the two_factor leaf decides instead
         for text in ("T(2,3;0;0,0)", "T(5;2;1)", "T(2,3,0;1;0,0,0)",
                      "T(2,3,0;0;0,5,0)"):
-            assert trivial_truth(T(text)) is None
-            assert two_factor_leaf(T(text)) == (
-                True, {"actual_affine_dim": target_dim(T(text))})
+            st_ = T(text)
+            assert trivial_truth(st_) is None
+            assert closed_leaf(st_) == (
+                True, two_factor_node(st_, target_dim(st_)))
 
 
 class TestTwoFactor:
@@ -164,23 +171,25 @@ class TestTwoFactor:
         assert min(seen.values()) >= 50, seen
 
     def test_leaf_verdict_and_domain(self):
-        assert two_factor_leaf(T("T(3,3;0;2,2)")) == (
-            False, {"actual_affine_dim": 12})
-        assert two_factor_leaf(T("T(0,3,3;4;2,0,0)")) == (
-            True, {"actual_affine_dim": 16})
+        for text, verdict, dim in (("T(3,3;0;2,2)", False, 12),
+                                   ("T(0,3,3;4;2,0,0)", True, 16)):
+            st_ = T(text)
+            assert closed_leaf(st_) == (verdict, two_factor_node(st_, dim))
         # the matrix case: rank-s matrices of a 3x3 space span 9 - 1 at s=2
         assert two_factor_dim(T("T(2,2;2)")) == 8
         assert two_factor_dim(T("T(0,0;1;0,0)")) == 1
         for text in ("T(1,1,1;1)", "T(2,3,1,0;2;0,0,0,1)"):
             assert two_factor_dim(T(text)) is None
-            assert two_factor_leaf(T(text)) is None
+            leaf = closed_leaf(T(text))
+            assert leaf is None or leaf[1].kind != cert.TWO_FACTOR
 
     def test_catalog_leaves_two_factors_to_the_leaf(self):
         # once unbalanced_false (k = 2) and fibration_false (a P^0 slot)
         for text in ("T(2,2;2)", "T(2,2,0;2;0,0,0)", "T(2,1,0;0;1,1,0)",
                      "T(3,2,0;1;1,0,0)"):
             assert known_false(T(text)) is None, text
-            assert two_factor_leaf(T(text))[0] is False, text
+            verdict, leaf = closed_leaf(T(text))
+            assert (verdict, leaf.kind) == (False, cert.TWO_FACTOR), text
 
 
 class TestFalsityCatalog:
