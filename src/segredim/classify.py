@@ -20,7 +20,8 @@ from typing import Optional, Union
 
 # unused here (ProofEngine.oracle is its one caller), but perfbench/spans.py
 # wraps terracini_oracle under this module's name
-from .ffrank import OracleBudgetError, OracleResult, terracini_oracle
+from .ffrank import (OracleBudgetError, OracleResult, RankWitness,
+                     terracini_oracle)
 from .formats import (
     Format,
     FormatLike,
@@ -32,6 +33,7 @@ from .formats import (
 from .induction import CertNode, ProofEngine
 from .induction import certificate as cert
 from .induction.rules import SMALL_FORMAT_DIMS, defective_family, known_false
+from .induction.verify import evidence_holds
 
 NONDEFECTIVE = "NonDefective"
 DEFECTIVE = "Defective"
@@ -185,19 +187,29 @@ def _settle(st: Statement, engine: ProofEngine, cache):
     """Settle a canonical statement the catalog leaves open: the cache,
     then the engine's proof search, then its oracle.
 
-    Returns (verdict, proof, oracle).  A cache hit gives verdict and the
-    record's root digest as proof, a certificate gives verdict and its
-    root node, unhashed; oracle is then None.  Otherwise oracle is the
+    Returns (verdict, proof, oracle).  A decided cache hit gives verdict
+    and the record's root digest as proof, a certificate gives verdict and
+    its root node, unhashed; oracle is then None.  Otherwise oracle is the
     engine's oracle outcome (an OracleResult or OracleBudgetError), which
     the search's last leaf usually asked for already: if it certifies,
     verdict is True and proof a one-node oracle certificate, which is not
-    recorded in the cache; if not, verdict is None.  Records are keyed by
-    the digest of the engine's config, the one that produces them.
+    recorded in the cache; if not, verdict is None, and the cache records
+    the search's reason with the oracle's best witness, or with no witness
+    where the oracle refused the matrix.  Under the same digest such a
+    record is served as is, with no search, once it holds up (_served);
+    one that does not is a miss, and its row is settled afresh.  Records
+    are keyed by the digest of the engine's config, the one that produces
+    them.
     """
     digest = engine.config.digest()
     hit = cache.get(st, digest) if cache is not None else None
     if hit is not None:
-        return hit.verdict, hit.cert_sha256, None
+        if hit.verdict is not None:
+            return hit.verdict, hit.cert_sha256, None
+        oracle = _served(hit.witness, st, engine)
+        if oracle is not None:
+            return None, None, oracle
+        cache.discard(st, digest)
     v = engine.prove(st)
     if v.status is not None:
         if cache is not None:
@@ -206,7 +218,26 @@ def _settle(st: Statement, engine: ProofEngine, cache):
     oracle = engine.oracle(st)
     if isinstance(oracle, OracleResult) and oracle.certified:
         return True, CertNode(cert.ORACLE, st, witness=oracle.witness), oracle
+    if cache is not None:
+        witness = oracle.witness if isinstance(oracle, OracleResult) else None
+        cache.put(st, None, None, digest, reason=v.reason, witness=witness)
     return None, None, oracle
+
+
+def _served(witness: Optional[RankWitness], st: Statement,
+            engine: ProofEngine) -> Union[OracleResult, OracleBudgetError,
+                                          None]:
+    """The oracle outcome an undetermined record of `st` stands for, or
+    None when the record does not hold up.  No witness stands for the
+    refusal that engine.oracle answers by size alone, without a matrix.  A
+    witness must be an attempt of the engine's plan on a matrix the oracle
+    accepts, and it is rechecked, its rank recomputed (evidence_holds)."""
+    refused = engine.cell_budget(st) is None
+    if witness is None:
+        return engine.oracle(st) if refused else None
+    if refused or not evidence_holds(witness, engine.config.seed):
+        return None
+    return OracleResult(False, witness, (witness,))
 
 
 def _measure(fmt: Format, s: int, row: ProfileRow,
@@ -469,9 +500,12 @@ def defective_scan(k_max: int, n_max: int, r_max: int,
     catalog holds only defective rows) raises CatalogConsistencyError.
     No row below crit can fill, so rows from the floor on are then listed
     in ascending s, and those above crit resolved in order until one fills.
-    With a cache, only the rows the scan proved are recorded.  `classify`
-    (secant_profile) and `dim` (resolve_secant) still prove every row they
-    print, since their output carries each row's cert_ref.
+    With a cache, the rows the scan settles are recorded, undetermined
+    ones with their reason and best witness, and served on a resumed scan
+    after one witness recheck (see _settle); the rows below the floor are
+    not.  `classify` (secant_profile) and `dim` (resolve_secant) still
+    prove every row they print, since their output carries each row's
+    cert_ref.
     """
     engine = engine or ProofEngine()
     hits: list[ScanHit] = []

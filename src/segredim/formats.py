@@ -338,8 +338,15 @@ def _terms(sc: _Scanner, separators: str = ",") -> list[int]:
     return out
 
 
+def _need_text(text) -> None:
+    # a JSON list from a certificate or cache line would fail deep in _Scanner
+    if not isinstance(text, str):
+        raise TypeError(f"expected text to parse, got {text!r}")
+
+
 def parse_format(text: str) -> Format:
     """Parse "4,4,7", "2^5" or "3x3x3" (also the unicode multiplication sign)."""
+    _need_text(text)
     sc = _Scanner(text.replace("×", "x"))
     dims = _terms(sc, separators=",x")
     sc.done()
@@ -349,6 +356,7 @@ def parse_format(text: str) -> Format:
 def parse_statement(text: str) -> Statement:
     """Parse "T(dims; s)" or "T(dims; s; a-list)"; an omitted a-list means all
     zeros. Power terms like 2^5 are allowed in both lists."""
+    _need_text(text)
     sc = _Scanner(text)
     sc.expect("T")
     sc.expect("(")

@@ -12,6 +12,7 @@ them.  The search builds its split nodes from split_mode directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 from ..formats import (
@@ -341,12 +342,15 @@ def _small_false_keys() -> dict:
 _SMALL_FALSE_KEYS = _small_false_keys()
 
 
+@cache
 def defective_family(asc: tuple[int, ...]):
     """(name, lo, hi, span) of the closed-form defective family holding the
-    ascending positive dims `asc`, or None.  Its rows are defective exactly
-    for lo < s < hi, span(s) is their affine dimension, and hi is the
-    typical rank.  Families: hull-233 (P^2 x P^3 x P^3 at s = 5),
-    paired-square (P^1 x P^1 x P^n x P^n at s = 2n+1), unbalanced."""
+    ascending positive dims `asc`, or None; kept per tuple, since a scan
+    asks once per row of a format and known_false once per search node.
+    Its rows are defective exactly for lo < s < hi, span(s) is their
+    affine dimension, and hi is the typical rank.  Families: hull-233
+    (P^2 x P^3 x P^3 at s = 5), paired-square (P^1 x P^1 x P^n x P^n at
+    s = 2n+1), unbalanced."""
     if asc == (2, 3, 3):
         return "hull-233", 4, 6, lambda s: 44
     if len(asc) == 4 and asc[0] == asc[1] == 1 and asc[2] == asc[3]:

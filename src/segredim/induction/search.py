@@ -63,6 +63,11 @@ class Verdict:
     reason: Optional[str] = None
 
 
+# every Verdict.reason, in the order prove() tests them
+REASONS = ("node_budget", "cell_budget", "oracle_refused", "oracle_deficit",
+           "no_rule")
+
+
 class _Exhausted(Exception):
     pass
 

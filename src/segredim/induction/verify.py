@@ -7,14 +7,17 @@ conditions, children and their verdicts, and every field must equal the
 stored node's, so no node carries a field its kind does not use.  The
 rule's verdict is the node's, and the root's must be the certificate's.
 The error names the failing node's index in the certificate's node list.
+evidence_holds runs an oracle leaf's witness checks on the evidence that
+a cache record keeps for an undetermined statement.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import Union
+from typing import Optional, Union
 
-from ..ffrank import check_prime, recompute_rank, row_count
-from ..formats import ambient_dim, json_int, target_dim
+from ..ffrank import (PLAN, RankWitness, check_prime, derive_seed,
+                      recompute_rank, row_count)
+from ..formats import Statement, ambient_dim, json_int, target_dim
 from . import certificate as cert
 from . import rules
 from .certificate import Certificate, CertNode
@@ -39,15 +42,17 @@ def _need(condition: bool, path: int, message: str) -> None:
         _fail(path, message)
 
 
-def _witness_checks(node: CertNode, path: int) -> None:
-    """Check a True rank-witness leaf: its fields against the statement,
-    then its rank, recomputed from the witness's prime and seed."""
-    w = node.witness
+def _witness_checks(st: Statement, w: Optional[RankWitness], path: int,
+                    certifies: bool = True) -> None:
+    """Check a rank witness `w` of statement `st`: that no closed form
+    decides st, the witness's fields against st, then its rank, recomputed
+    from the witness's prime and seed.  An oracle leaf's witness certifies,
+    reaching its target; evidence (a cache record's) falls short of it."""
     _need(w is not None, path, "missing rank witness")
-    st = node.statement
     leaf = rules.closed_leaf(st)
-    if leaf is not None and leaf[0] is False:
-        _fail(path, f"{node.kind} leaf contradicts the {leaf[1].kind} leaf "
+    if leaf is not None:
+        how = "contradicts" if leaf[0] is False else "duplicates"
+        _fail(path, f"{cert.ORACLE} leaf {how} the {leaf[1].kind} leaf "
                     f"of {st}")
     _need(w.rank <= min(w.rows, w.cols), path,
           f"witness rank {w.rank} exceeds the {w.rows}x{w.cols} matrix")
@@ -57,8 +62,12 @@ def _witness_checks(node: CertNode, path: int) -> None:
           f"witness cols {w.cols} != ambient {ambient_dim(st.format)}")
     _need(w.target == target_dim(st), path,
           f"witness target {w.target} != expected dimension {target_dim(st)}")
-    _need(w.rank == w.target, path,
-          f"witness rank {w.rank} does not certify the target {w.target}")
+    if certifies:
+        _need(w.rank == w.target, path,
+              f"witness rank {w.rank} does not certify the target {w.target}")
+    else:
+        _need(w.rank < w.target, path,
+              f"witness rank {w.rank} shows no deficit below {w.target}")
     try:
         check_prime(w.prime)
     except ValueError as exc:
@@ -69,6 +78,22 @@ def _witness_checks(node: CertNode, path: int) -> None:
         _fail(path, f"witness matrix {w.rows}x{w.cols} cannot be allocated")
     _need(rank == w.rank, path,
           f"oracle re-run gives rank {rank}, witness says {w.rank}")
+
+
+def evidence_holds(w: RankWitness, seed: int) -> bool:
+    """True when `w` is an attempt that the oracle's plan (ffrank.PLAN)
+    runs for its statement under master seed `seed`, and it passes an
+    oracle leaf's witness checks, its rank recomputed, except that it must
+    fall short of its target."""
+    key = w.statement.key()
+    if (w.prime, w.seed) not in {(prime, derive_seed(key, prime, seed, attempt))
+                                 for prime, attempt in PLAN}:
+        return False
+    try:
+        _witness_checks(w.statement, w, 0, certifies=False)
+    except VerificationError:
+        return False
+    return True
 
 
 def _rebuild(node: CertNode, below: list):
@@ -133,7 +158,7 @@ def _check_node(node: CertNode, path: int, below: list) -> bool:
           f"side_conditions {node.side_conditions} hold a number that is "
           f"not a JSON integer")
     if node.kind == cert.ORACLE:
-        _witness_checks(node, path)
+        _witness_checks(node.statement, node.witness, path)
     return verdict
 
 

@@ -1,14 +1,19 @@
 """Verdict cache records: what a line must hold to be served."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from segredim import RunConfig
+from segredim import TOOL_VERSION, RunConfig
 from segredim.cache import CacheRecord, VerdictCache
 from segredim.classify import resolve_secant
 from segredim.cli import main
+from segredim.ffrank import (DEFAULT_PRIME, RankWitness, derive_seed,
+                             recompute_rank)
+from segredim.formats import parse_statement
 from segredim.induction import ProofEngine
+from segredim.induction.verify import evidence_holds
 
 # T(2,4,4;7) is in the defective (2,n,n), n even, family; no search proves
 # it, so a served record is the only way to a NonDefective row
@@ -134,3 +139,166 @@ def test_config_digests_are_pinned():
     assert RunConfig().digest() == "8dcbb7ccde4363ea"
     assert RunConfig(seed=9, budget_nodes=2000,
                      force=True).digest() == "5592879465af29bd"
+
+
+# --- undetermined records ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def cold():
+    """The row and the witness a fresh engine gives (2,4,4) at s = 7."""
+    result = ProofEngine().oracle(parse_statement(STATEMENT))
+    assert not result.certified
+    return resolve_secant((2, 4, 4), 7), result.witness
+
+
+def undetermined(witness, /, **fields) -> dict:
+    out = {"statement": STATEMENT, "verdict": None, "reason": "oracle_deficit",
+           "witness": None if witness is None else witness.to_json(),
+           "tool_version": TOOL_VERSION,
+           "timestamp": "2026-10-01T00:00:00+00:00", "config_digest": DIGEST}
+    out.update(fields)
+    return out
+
+
+def count_searches(monkeypatch) -> list:
+    """Count ProofEngine.prove calls, by statement."""
+    calls = []
+    inner = ProofEngine.prove
+
+    def counted(self, st):
+        calls.append(str(st))
+        return inner(self, st)
+    monkeypatch.setattr(ProofEngine, "prove", counted)
+    return calls
+
+
+def test_undetermined_record_is_served_without_a_search(tmp_path, cold,
+                                                        monkeypatch):
+    row, witness = cold
+    assert (row.status, row.lower) == ("Evidence-Defective", 74)
+    path = tmp_path / "verdicts.ldjson"
+    resolve_secant((2, 4, 4), 7, cache=VerdictCache(path))
+    [line] = path.read_text().splitlines()
+    written = json.loads(line)  # with no cert_sha256 key
+    assert written == undetermined(witness, timestamp=written["timestamp"])
+    searches = count_searches(monkeypatch)
+    served = resolve_secant((2, 4, 4), 7, cache=VerdictCache(path))
+    assert served == row  # the note, with its prime, included
+    assert searches == []
+    assert path.read_text().splitlines() == [line]
+
+
+@pytest.mark.parametrize("case", [
+    "null verdict with cert_sha256", "unknown reason", "reason not text",
+    "witness of another statement", "witness statement not text",
+    "rank reaches target", "rank above target", "witness not an object"])
+def test_malformed_undetermined_line_is_skipped(tmp_path, cold, case,
+                                                monkeypatch):
+    row, witness = cold
+    w = witness.to_json()
+    data = {
+        "null verdict with cert_sha256": undetermined(
+            witness, cert_sha256="a" * 64),
+        "unknown reason": undetermined(witness, reason="out_of_luck"),
+        "reason not text": undetermined(witness, reason=["no_rule"]),
+        "witness of another statement": undetermined(
+            witness, witness={**w, "statement": "T(4,4,2;6;0,0,0)"}),
+        "witness statement not text": undetermined(
+            witness, witness={**w, "statement": [4, 4, 2]}),
+        "rank reaches target": undetermined(
+            witness, witness={**w, "rank": w["target"]}),
+        "rank above target": undetermined(
+            witness, witness={**w, "rank": w["target"] + 1}),
+        "witness not an object": undetermined(witness, witness=[1, 2]),
+    }[case]
+    with pytest.raises((ValueError, TypeError)):
+        CacheRecord.from_json(data)
+    cache = cache_with(tmp_path, json.dumps(data))
+    assert len(cache) == 0
+    searches = count_searches(monkeypatch)
+    assert resolve_secant((2, 4, 4), 7, cache=cache) == row
+    assert searches == [STATEMENT]
+
+
+def _replanned(witness: RankWitness, prime: int, master_seed: int):
+    """An honest attempt of the statement outside its engine's plan."""
+    seed = derive_seed(STATEMENT, prime, master_seed, 0)
+    return recompute_rank(witness.statement, prime, seed)
+
+
+@pytest.mark.parametrize("case", ["prime outside the plan",
+                                  "seed of another master seed",
+                                  "rank that does not recompute",
+                                  "refusal the size rule now accepts"])
+def test_record_that_does_not_hold_up_is_a_miss(tmp_path, cold, case,
+                                                monkeypatch):
+    row, witness = cold
+    forged = {
+        "prime outside the plan": _replanned(witness, 1_000_033, 0),
+        "seed of another master seed": _replanned(witness, DEFAULT_PRIME, 1),
+        "rank that does not recompute": RankWitness.from_json(
+            {**witness.to_json(), "rank": witness.rank - 1}),
+        "refusal the size rule now accepts": None,
+    }[case]
+    # each forged witness is sound evidence of its own deficit
+    assert forged is None or forged.rank < forged.target
+    line = json.dumps(undetermined(forged))
+    cache = cache_with(tmp_path, line)
+    assert len(cache) == 1
+    searches = count_searches(monkeypatch)
+    fresh = resolve_secant((2, 4, 4), 7, cache=cache)
+    # the note names the plan's prime, 1000003, and never a forged one
+    assert fresh == row
+    assert "150/1000003" in fresh.note
+    assert searches == [STATEMENT]
+    lines = cache.path.read_text().splitlines()
+    assert lines[0] == line and len(lines) == 2
+    assert json.loads(lines[1])["witness"] == witness.to_json()
+    assert VerdictCache(cache.path).get(STATEMENT, DIGEST).witness == witness
+
+
+@pytest.mark.parametrize("decided_first", [True, False])
+def test_decided_line_beats_undetermined_one(tmp_path, cold, decided_first,
+                                             monkeypatch):
+    lines = [json.dumps(record()), json.dumps(undetermined(cold[1]))]
+    if not decided_first:
+        lines.reverse()
+    cache = cache_with(tmp_path, *lines)
+    assert len(cache) == 1
+    assert cache.get(STATEMENT, DIGEST).verdict is True
+    searches = count_searches(monkeypatch)
+    row = resolve_secant((2, 4, 4), 7, cache=cache)
+    assert (row.status, row.source, row.cert_ref) == (
+        "NonDefective", "induction", "a" * 12)
+    assert searches == []
+
+
+def test_undetermined_put_never_downgrades_or_repeats(tmp_path, cold):
+    _, witness = cold
+    path = tmp_path / "verdicts.ldjson"
+    cache = VerdictCache(path)
+    first = cache.put(STATEMENT, None, None, DIGEST, reason="oracle_deficit",
+                      witness=witness)
+    again = cache.put(STATEMENT, None, None, DIGEST, reason="node_budget")
+    assert again is first
+    assert len(path.read_text().splitlines()) == 1
+    # a decided put replaces the undetermined record: no conflict
+    certificate = SimpleNamespace(root=SimpleNamespace(digest="b" * 64))
+    decided = cache.put(STATEMENT, False, certificate, DIGEST)
+    assert cache.put(STATEMENT, None, None, DIGEST, reason="oracle_deficit",
+                     witness=witness) is decided
+    assert len(path.read_text().splitlines()) == 2
+    held = VerdictCache(path).get(STATEMENT, DIGEST)
+    assert (held.verdict, held.cert_sha256) == (False, "b" * 64)
+
+
+def test_evidence_on_a_statement_a_closed_form_decides(cold):
+    # T(3,3,2;5) is the hull-233 falsity leaf's; its honest deficit is no
+    # evidence the cache may serve, since the catalog decides the row
+    st = parse_statement("T(3,3,2;5)").canonical()
+    witness = ProofEngine().oracle(st).witness
+    assert witness.rank < witness.target
+    assert not evidence_holds(witness, 0)
+    assert evidence_holds(cold[1], 0)
+    assert not evidence_holds(cold[1], 1)

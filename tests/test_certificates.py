@@ -8,7 +8,7 @@ import pytest
 
 from segredim.cli import main
 from segredim.ffrank import DEFAULT_PRIME, MAX_PRIME, terracini_oracle
-from segredim.formats import is_subabundant, parse_statement
+from segredim.formats import Statement, is_subabundant, parse_statement
 from segredim.induction import (
     Certificate,
     CertificateFormatError,
@@ -478,13 +478,15 @@ class TestTamperRejection:
     def test_witness_matrix_too_large_to_allocate(self, tmp_path, capsys):
         # every witness field is consistent, but the matrix to recompute
         # would take 350 TiB: its allocation fails at once, and that once
-        # ended verify in a MemoryError traceback
-        st = "T(2000,2000,2000;1;0,0,0)"
+        # ended verify in a MemoryError traceback.  s = 2, since no closed
+        # form decides it: an oracle leaf on the trivial s = 1 is rejected
+        # before its matrix is built
+        st = "T(2000,2000,2000;2;0,0,0)"
         doc = {"version": "cert-v2", "statement": st, "verdict": True,
                "nodes": [{"kind": "oracle", "statement": st,
                           "witness": {"prime": DEFAULT_PRIME, "seed": 1,
-                                      "rows": 6003, "cols": 2001 ** 3,
-                                      "rank": 6001, "target": 6001}}]}
+                                      "rows": 12006, "cols": 2001 ** 3,
+                                      "rank": 12002, "target": 12002}}]}
         assert is_valid(doc) is False
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
@@ -493,7 +495,7 @@ class TestTamperRejection:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "verification failed: certificate node 0: witness matrix "
-            "6003x8012006001 cannot be allocated"]
+            "12006x8012006001 cannot be allocated"]
 
     def test_witness_rank_above_matrix_size(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
@@ -608,6 +610,27 @@ class TestTwoFactorLeaf:
         with pytest.raises(VerificationError,
                            match="contradicts the two_factor leaf"):
             verify(Certificate(st, True, node))
+
+    @pytest.mark.parametrize("text, kind", [("T(3,3,3;1)", "trivial"),
+                                            ("T(1,3;2)", "two_factor")])
+    def test_oracle_leaf_on_a_statement_a_closed_form_proves(self, text,
+                                                             kind):
+        # the honest witness reaches its target, but the statement has its
+        # closed-form leaf: an oracle leaf there is a second way to the
+        # same verdict, and the error names the leaf, not the drop above it
+        leaf = oracle_leaf(text)
+        assert rules.closed_leaf(leaf.statement)[0] is True
+        below = leaf.statement
+        st = Statement.of(below.format.dims + (0,), below.s, below.a + (0,))
+        verdict, root = rules.drop_step(st, below.format.k, (True, leaf))
+        doc = json.loads(Certificate(st, verdict, root).dumps())
+        assert [n["kind"] for n in doc["nodes"]] == ["oracle",
+                                                     "drop_zero_factor"]
+        with pytest.raises(VerificationError,
+                           match=f"oracle leaf duplicates the {kind} leaf"
+                           ) as info:
+            verify(doc)
+        assert info.value.path == 0
 
 
 class TestIntegerFields:

@@ -13,6 +13,8 @@ import pytest
 from segredim import TOOL_VERSION
 from segredim.cli import _add_common_flags, main
 from segredim.formats import parse_statement
+from segredim.induction import ProofEngine
+import segredim.induction.verify as verify_mod
 
 
 def run(capsys, *argv):
@@ -322,6 +324,23 @@ class TestVerify:
         assert err.startswith("verification failed: malformed certificate: ")
         assert "utf-8" in err
 
+    @pytest.mark.parametrize("statement", [[1, 2], 7, None, {"s": 4}])
+    def test_statement_that_is_not_text_fails(self, capsys, tmp_path,
+                                              statement):
+        # a JSON list once reached the statement scanner and ended verify
+        # in an AttributeError traceback
+        cert = tmp_path / "c.json"
+        cert.write_text(json.dumps({
+            "version": "cert-v2", "statement": "T(3,3,3;1)", "verdict": True,
+            "nodes": [{"kind": "trivial", "statement": statement,
+                       "reason": "s_le_1"}]}))
+        code, out, err = run(capsys, "verify", str(cert))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("verification failed: malformed certificate: "
+                              "node 0: bad header: ")
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
@@ -444,6 +463,55 @@ class TestScan:
             lines.append(len(cache.read_text().splitlines()))
         assert outs[0] == outs[1] == outs[2]
         assert 0 < lines[0] and lines[1] == lines[2] == 2 * lines[0]
+
+
+    def test_resumed_scan_serves_undetermined_rows(self, capsys, tmp_path,
+                                                   monkeypatch):
+        # the grid holds the Evidence-Defective (2,4,4) row at s = 7: the
+        # resumed scan serves its record after one witness recheck and
+        # searches nothing, with the cold scan's bytes
+        cache = tmp_path / "cache.ldjson"
+        args = ("scan", "--k", "3", "--max-n", "4", "--max-r", "12",
+                "--cache", str(cache))
+        cold = run(capsys, *args)
+        assert "(2,4,4) s=7: expected 75, certified 74, Evidence-Defective" \
+            in cold[1]
+        records = [json.loads(line) for line in cache.read_text().splitlines()]
+        witnesses = sorted(r["statement"] for r in records
+                           if r["verdict"] is None and r["witness"] is not None)
+        assert "T(4,4,2;7;0,0,0)" in witnesses
+        rechecks = _count_rechecks(monkeypatch)
+        monkeypatch.setattr(ProofEngine, "prove",
+                            lambda self, st: pytest.fail(f"searched {st}"))
+        assert run(capsys, *args) == cold
+        assert sorted(rechecks) == witnesses
+        assert len(cache.read_text().splitlines()) == len(records)
+
+    def test_resumed_dim_serves_a_refusal(self, capsys, tmp_path,
+                                          monkeypatch):
+        cache = tmp_path / "cache.ldjson"
+        args = ("dim", "10,10,10", "43", "--cache", str(cache))
+        cold = run(capsys, *args)
+        assert cold[0] == 3 and "status: Unknown [oracle]" in cold[1]
+        rechecks = _count_rechecks(monkeypatch)
+        monkeypatch.setattr(ProofEngine, "prove",
+                            lambda self, st: pytest.fail(f"searched {st}"))
+        assert run(capsys, *args) == cold
+        assert rechecks == []
+        assert len(cache.read_text().splitlines()) == 1
+
+
+def _count_rechecks(monkeypatch) -> list:
+    """Wrap the verifier's rank recomputation; the list it returns gets
+    the statement key of each call."""
+    calls = []
+    inner = verify_mod.recompute_rank
+
+    def counted(st, prime, seed):
+        calls.append(st.key())
+        return inner(st, prime, seed)
+    monkeypatch.setattr(verify_mod, "recompute_rank", counted)
+    return calls
 
 
 class TestGlobalFlags:
