@@ -231,7 +231,8 @@ def _served(witness: Optional[RankWitness], st: Statement,
     None when the record does not hold up.  No witness stands for the
     refusal that engine.oracle answers by size alone, without a matrix.  A
     witness must be an attempt of the engine's plan on a matrix the oracle
-    accepts, and it is rechecked, its rank recomputed (evidence_holds)."""
+    accepts, the first of its rank, as a fresh oracle keeps it, and it is
+    rechecked, its rank recomputed (evidence_holds)."""
     refused = engine.cell_budget(st) is None
     if witness is None:
         return engine.oracle(st) if refused else None

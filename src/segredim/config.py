@@ -10,7 +10,7 @@ from .ffrank import DEFAULT_PRIME, MAX_CELLS, FieldConfig
 
 DEFAULT_BUDGET_NODES = 50_000
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 
 CERT_VERSION = "cert-v2"
 

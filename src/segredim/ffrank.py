@@ -24,15 +24,18 @@ from .formats import (Statement, ambient_dim, json_int, parameter_count,
 
 # Exactness of rank_mod_p.  float64 holds every integer of magnitude at most
 # 2^53.  The kernel keeps each float64 entry it stores at magnitude at most
-# _EXACT = 2^52, so that reducing it (_reduce) is itself exact.  Every GEMM
-# multiplies residues of magnitude at most p-1 over an inner dimension of at
-# most _PANEL, so each partial sum, in any order, is an integer of magnitude
-# at most _PANEL*(p-1)^2.  A prime p < MAX_PRIME satisfies
-# _PANEL*(p-1)^2 + (p-1) <= _EXACT: a freshly reduced entry can always take one
-# more update.  Inside a panel the GEMMs run over _SUB <= _PANEL terms, and
-# the ones a column takes before it is reduced again sum to fewer than
-# _PANEL terms, so the same bound covers them.  The int64 loop multiplies
-# two residues below p, far inside int64.
+# _EXACT = 2^52, so that reducing it (_reduce) is itself exact.  Its one
+# blocked elimination, _factor, runs at two widths: blocks of _PANEL columns,
+# each factored in blocks of _SUB.  At either width it reduces each block
+# before factoring it, and the multipliers and pivot rows before they meet in
+# a GEMM, so every GEMM multiplies residues of magnitude at most p-1 and adds
+# at most (p-1)^2 per pivot to an entry, over an inner dimension of at most
+# _PANEL.  A prime p < MAX_PRIME satisfies _PANEL*(p-1)^2 + (p-1) <= _EXACT,
+# so a freshly reduced entry can always take one more update; _factor counts
+# the pivots a trailing entry has taken since it was last reduced and reduces
+# it first when the next update could take it past _EXACT.  That one rule
+# covers both widths (inside a _PANEL-wide block it never fires).  The int64
+# loop multiplies two residues below p, far inside int64.
 _PANEL = 64
 _SUB = 16
 _EXACT = 1 << 52
@@ -42,8 +45,10 @@ MAX_PRIME = math.isqrt(_EXACT // _PANEL)
 # the loop's full-width updates save.  Measured on the scan grid's Terracini
 # matrices, 2-core x86-64 with OpenBLAS: the crossover was at about 160-190
 # columns with one loop pass per panel, and at about 140-170 with the
-# sub-panels, within the noise of a matrix of a few ms.  192 is kept: one of
-# the 269 leaf matrices of the baseline scan has more than 160 columns.
+# sub-panels, within the noise of a matrix of a few ms.  192 is kept: of the
+# 336 rank calls of the bench scan (scan --k 3 --max-n 10 --max-r 60), 325
+# are leaves, one of them wider than 160 columns; the other 11 are 210-400
+# columns wide.
 _LEAF_COLS = 3 * _PANEL
 _SOLVE_BASE = 16
 # Rows per chunk of the blocked path's trailing update and of the input's
@@ -342,7 +347,8 @@ def _eliminate(
     step.  A trailing entry takes one update of magnitude at most (p-1)^2
     per pivot, and there are at most min(at.shape) pivots, which the
     assertion keeps inside int64 (for p < MAX_PRIME and the at most
-    _LEAF_COLS of the leaf path or _SUB of a sub-panel, with room to spare).
+    _LEAF_COLS of the leaf path or _SUB of _factor's narrow blocks, with
+    room to spare).
 
     Each pivot column is reduced once: its residues give the pivot row (the
     first nonzero one), the pivot's inverse and the multipliers.
@@ -361,7 +367,7 @@ def _eliminate(
         if rank == rows:
             break
         col = at[c, rank:] % p
-        nz = np.flatnonzero(col)
+        nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         piv = int(nz[0])
@@ -423,97 +429,71 @@ def _swap_rows(x: np.ndarray, swaps: list[tuple[int, int]]) -> None:
     x[moved] = x[order[moved]]
 
 
-def _factor_panel(
-    pt: np.ndarray, p: int
+def _factor(
+    at: np.ndarray, p: int, widths: tuple[int, ...]
 ) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
-    """What _eliminate(pt) returns, and the multipliers it leaves, for a
-    panel stored transposed in float64 (row c of pt is panel column c) with
-    entries of magnitude at most p-1, found in sub-panels of _SUB columns.
-    Each sub-panel is reduced, copied to int64 and row-reduced by
-    _eliminate; its row swaps also reach the panel's columns to its right
-    and the multipliers the sub-panels before it stored.  Its pivot rows
-    are then solved in the columns to its right, and the rows below them
-    get the Schur-complement update of those columns as one float64 GEMM of
-    inner dimension at most _SUB.  The updates a column takes before its
-    own sub-panel reduces it run over fewer than _PANEL pivots in all, so
-    it stays within _EXACT.  Right of each sub-panel the pivot rows keep
-    their unsolved entries, not the rows of U that _eliminate leaves there:
-    the blocked path reads only the multipliers."""
-    width, rows = pt.shape
+    """What _eliminate(at) returns, and the multipliers it leaves, for
+    A = at.T stored transposed in float64 (row c of `at` is column c of A)
+    with entries of magnitude at most p-1, found in blocks of widths[0]
+    columns.  Each block is copied contiguously, reduced and factored by
+    _factor(block, p, widths[1:]), or by _eliminate on an int64 copy once
+    no widths are left.  Its row swaps reach every column of A, so they
+    also move the multipliers the blocks before it left, and its own
+    multipliers are written back.  Its pivot rows are then solved in the
+    columns to its right, and the rows below them get the Schur-complement
+    update of those columns as float64 GEMMs over chunks of _CHUNK rows;
+    the trailing columns are reduced first, in the same chunks, only when
+    the update could take them past _EXACT.  Right of each block the pivot
+    rows hold their rows of U unscaled (L^-1 times their entries), not the
+    scaled ones that _eliminate leaves there: only the multipliers are
+    read."""
+    cols, rows = at.shape
+    width, inner = widths[0], widths[1:]
+    step = (p - 1) ** 2  # growth of a trailing entry per unit of inner dimension
+    bound = p - 1  # largest magnitude a trailing entry can have
+    row_major = at.strides[0] < at.strides[1]  # A's rows are contiguous
     rank = 0
     pivots: list[int] = []
     inverses: list[int] = []
     swaps: list[tuple[int, int]] = []
-    for s in range(0, width, _SUB):
+    for c in range(0, cols, width):
         if rank == rows:
             break
-        e = min(s + _SUB, width)
-        _reduce(pt[s:e, rank:], p)
-        sub = pt[s:e, rank:].astype(np.int64)
-        r, piv, inv, sw = _eliminate(sub, p)
+        e = min(c + width, cols)
+        block = at[c:e, rank:].copy()
+        _reduce(block, p)
+        if inner:
+            r, piv, inv, sw = _factor(block, p, inner)
+        else:
+            block = block.astype(np.int64)
+            r, piv, inv, sw = _eliminate(block, p)
         if sw:
-            _swap_rows(pt[:, rank:].T, sw)
-        pt[s:e, rank:] = sub
-        piv = [s + c for c in piv]
-        pivots += piv
+            _swap_rows(at[:, rank:].T, sw)
+        at[c:e, rank:] = block
+        pivots += [c + q for q in piv]
         inverses += inv
         swaps += [(rank + i, rank + j) for i, j in sw]
-        if r and e < width and rank + r < rows:
-            # the sub-panel's multipliers against its unscaled pivot rows,
-            # transposed, as in _blocked_rank
-            lower = pt[piv, rank:]
+        if r and e < cols and rank + r < rows:
+            # Multipliers against the unscaled pivot rows, transposed: row k
+            # scaled by the k-th pivot inverse, so the triangle to solve has
+            # a unit diagonal.
+            lower = block[piv].astype(np.float64, copy=False)
             lower *= np.array(inv, dtype=np.float64)[:, None]
             _reduce(lower, p)
-            upper = pt[e:, rank : rank + r].T.copy()
+            upper = at[e:, rank : rank + r].T  # the pivot rows right of the block
             _reduce(upper, p)
             _solve_unit_lower(lower[:, :r].T, upper, p)
-            pt[e:, rank + r :] -= upper.T @ lower[:, r:]
+            reduce = bound + r * step > _EXACT
+            for i in range(r, rows - rank, _CHUNK):
+                rest = at[e:, rank + i : rank + i + _CHUNK]
+                if reduce:
+                    _reduce(rest, p)
+                chunk = lower[:, i : i + _CHUNK]
+                # the product in the layout of the entries it updates
+                rest -= (chunk.T @ upper).T if row_major else upper.T @ chunk
+            bound = (p - 1 if reduce else bound) + r * step
         rank += r
     return rank, pivots, inverses, swaps
-
-
-def _blocked_rank(f: np.ndarray, p: int) -> int:
-    """Rank by column panels of width _PANEL, overwriting f, a float64 array
-    of integers of magnitude at most p-1.  Each panel is copied once,
-    transposed, and _factor_panel finds its pivots; the rows left below
-    them get the Schur-complement update of the columns to the right as
-    float64 GEMMs over chunks of _CHUNK rows, and the panel's columns are
-    then dropped.  The trailing block is reduced, in the same chunks, only
-    when the next update could take it past _EXACT."""
-    rows, cols = f.shape
-    step = (p - 1) ** 2  # growth of a trailing entry per unit of inner dimension
-    bound = p - 1  # largest magnitude a trailing entry can have
-    top = 0
-    for c in range(0, cols, _PANEL):
-        e = min(c + _PANEL, cols)
-        panel = np.ascontiguousarray(f[top:, c:e].T)
-        _reduce(panel, p)
-        r, pivots, inverses, swaps = _factor_panel(panel, p)
-        top += r
-        if top == rows or e == cols:
-            break
-        if r == 0:
-            continue
-        t = f[top - r :, e:]
-        if swaps:
-            _swap_rows(t, swaps)
-        # Multipliers against the unscaled pivot rows, transposed: row k
-        # scaled by the k-th pivot inverse, so the triangle to solve has a
-        # unit diagonal.
-        lower = panel[pivots]
-        lower *= np.array(inverses, dtype=np.float64)[:, None]
-        _reduce(lower, p)
-        pivot_rows = t[:r]
-        _reduce(pivot_rows, p)
-        _solve_unit_lower(lower[:, :r].T, pivot_rows, p)
-        reduce = bound + r * step > _EXACT
-        for i in range(r, len(t), _CHUNK):
-            rest = t[i : i + _CHUNK]
-            if reduce:
-                _reduce(rest, p)
-            rest -= lower[:, i : i + _CHUNK].T @ pivot_rows
-        bound = (p - 1 if reduce else bound) + r * step
-    return top
 
 
 def _residues(a: np.ndarray, p: int, out: np.ndarray) -> None:
@@ -545,10 +525,11 @@ def rank_mod_p(matrix: np.ndarray, p: int, *, overwrite: bool = False) -> int:
     a float dtype whose entries are finite integers; anything else raises
     ValueError.  A matrix of at most _LEAF_COLS columns is row-reduced whole
     by the int64 loop, which reads its int64 copy as the transpose (the
-    rank is the same); a wider one goes through _blocked_rank.
+    rank is the same); a wider one by _factor, in blocks of _PANEL columns
+    and those in blocks of _SUB.
 
     The matrix is left unchanged unless overwrite is true, which lets a
-    C-contiguous, writeable float64 matrix serve as the blocked path's
+    C-contiguous, writeable float64 matrix serve as _factor's
     working buffer (its contents are then undefined): the oracle's one copy."""
     if not 2 <= p < MAX_PRIME:
         raise ValueError(
@@ -571,7 +552,7 @@ def rank_mod_p(matrix: np.ndarray, p: int, *, overwrite: bool = False) -> int:
                 and a.flags.c_contiguous and a.flags.writeable)
     f = a if in_place else np.empty((rows, cols), dtype=np.float64)
     _residues(a, p, f)
-    return _blocked_rank(f, p)
+    return _factor(f.T, p, (_PANEL, _SUB))[0]
 
 
 def terracini_oracle(st: Statement, cfg: FieldConfig | None = None, *,

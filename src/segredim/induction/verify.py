@@ -43,11 +43,13 @@ def _need(condition: bool, path: int, message: str) -> None:
 
 
 def _witness_checks(st: Statement, w: Optional[RankWitness], path: int,
-                    certifies: bool = True) -> None:
+                    certifies: bool = True, earlier=()) -> None:
     """Check a rank witness `w` of statement `st`: that no closed form
     decides st, the witness's fields against st, then its rank, recomputed
     from the witness's prime and seed.  An oracle leaf's witness certifies,
-    reaching its target; evidence (a cache record's) falls short of it."""
+    reaching its target; evidence (a cache record's) falls short of it.
+    Each attempt (prime, seed) in `earlier` must recompute to a lower
+    rank."""
     _need(w is not None, path, "missing rank witness")
     leaf = rules.closed_leaf(st)
     if leaf is not None:
@@ -78,19 +80,27 @@ def _witness_checks(st: Statement, w: Optional[RankWitness], path: int,
         _fail(path, f"witness matrix {w.rows}x{w.cols} cannot be allocated")
     _need(rank == w.rank, path,
           f"oracle re-run gives rank {rank}, witness says {w.rank}")
+    for prime, seed in earlier:
+        rank = recompute_rank(st, prime, seed).rank
+        _need(rank < w.rank, path, f"the earlier attempt at prime {prime} "
+                                   f"reads rank {rank}, witness says {w.rank}")
 
 
 def evidence_holds(w: RankWitness, seed: int) -> bool:
     """True when `w` is an attempt that the oracle's plan (ffrank.PLAN)
-    runs for its statement under master seed `seed`, and it passes an
-    oracle leaf's witness checks, its rank recomputed, except that it must
-    fall short of its target."""
+    runs for its statement under master seed `seed`, the first of its rank
+    (as a fresh oracle keeps it, every earlier attempt of the plan must
+    recompute to a lower rank), and it passes an oracle leaf's witness
+    checks, its rank recomputed, except that it must fall short of its
+    target."""
     key = w.statement.key()
-    if (w.prime, w.seed) not in {(prime, derive_seed(key, prime, seed, attempt))
-                                 for prime, attempt in PLAN}:
+    plan = [(prime, derive_seed(key, prime, seed, attempt))
+            for prime, attempt in PLAN]
+    if (w.prime, w.seed) not in plan:
         return False
     try:
-        _witness_checks(w.statement, w, 0, certifies=False)
+        _witness_checks(w.statement, w, 0, certifies=False,
+                        earlier=plan[:plan.index((w.prime, w.seed))])
     except VerificationError:
         return False
     return True

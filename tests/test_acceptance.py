@@ -26,7 +26,8 @@ from segredim.formats import Statement, abundance, ambient_dim, is_balanced, \
     unbalanced_span_dim
 from segredim.induction import ProofEngine, VerificationError, prove
 from segredim.induction.verify import verify
-from segredim.induction.rules import SMALL_FORMAT_FALSE
+from segredim.induction.rules import (SMALL_FORMAT_DIMS, SMALL_FORMAT_FALSE,
+                                      _fibration_false)
 
 
 _CAPSYS = None
@@ -147,9 +148,10 @@ def test_defective_format_scan(tmp_path):
 def test_small_format_truth_tables():
     # Exhaustive sweep of the four smallest formats over every tangent and
     # fiber configuration whose parameter count stays within the ambient
-    # dimension: catalog membership must coincide with the prover verdict.
-    # The lone listed configuration beyond that bound is checked on its own;
-    # past the bound, extra deficient configurations exist that no published
+    # dimension: catalog membership (the table, or the fibration rule for
+    # what it derives) must coincide with the prover verdict.  The lone
+    # listed configuration beyond that bound is checked on its own; past
+    # the bound, extra deficient configurations exist that no published
     # list covers, so the sweep stops at the natural boundary.
     with report("small format truth tables", 120.0):
         table_keys = {Statement.of(d, s, a).key()
@@ -157,7 +159,8 @@ def test_small_format_truth_tables():
                       for s, a in entries}
         engine = ProofEngine()
         total = 0
-        for dims in sorted(SMALL_FORMAT_FALSE):
+        derived = []
+        for dims in sorted(SMALL_FORMAT_DIMS):
             ambient = ambient_dim(dims)
             per = 1 + sum(dims)
             weights = [n + 1 for n in dims]
@@ -169,23 +172,31 @@ def test_small_format_truth_tables():
                         continue
                     st = Statement.of(dims, s, a)
                     verdict = engine.prove(st)
+                    fibration = _fibration_false(st.canonical()) is not None
                     listed = st.key() in table_keys
-                    assert verdict.status is (False if listed else True), st
+                    assert not (listed and fibration), st
+                    assert verdict.status is (False if listed or fibration
+                                              else True), st
+                    if fibration:
+                        derived.append(st)
                     assert verify(verdict.certificate) is True
                     total += 1
                 s += 1
         assert total > 600
 
-        # Every listed configuration is deficient, including the one whose
-        # parameter count exceeds the ambient dimension, and the deficit is
-        # visible to the oracle on every attempt.
-        for dims, entries in SMALL_FORMAT_FALSE.items():
-            for s, a in entries:
-                st = Statement.of(dims, s, a)
-                assert engine.prove(st).status is False, st
-                result = terracini_oracle(st, FieldConfig(force=True))
-                assert not result.certified, st
-                assert all(att.rank < att.target for att in result.attempts)
+        assert len({st.key() for st in derived}) == 19  # up to symmetry
+
+        # Every false configuration is deficient, including the listed one
+        # whose parameter count exceeds the ambient dimension, and the
+        # deficit is visible to the oracle on every attempt.
+        listed = [Statement.of(dims, s, a)
+                  for dims, entries in SMALL_FORMAT_FALSE.items()
+                  for s, a in entries]
+        for st in listed + derived:
+            assert engine.prove(st).status is False, st
+            result = terracini_oracle(st, FieldConfig(force=True))
+            assert not result.certified, st
+            assert all(att.rank < att.target for att in result.attempts)
 
 
 def test_power_format_windows():

@@ -9,10 +9,12 @@ from segredim import TOOL_VERSION, RunConfig
 from segredim.cache import CacheRecord, VerdictCache
 from segredim.classify import resolve_secant
 from segredim.cli import main
-from segredim.ffrank import (DEFAULT_PRIME, RankWitness, derive_seed,
-                             recompute_rank)
+from segredim import ffrank
+from segredim.ffrank import (DEFAULT_PRIME, FALLBACK_PRIME, RankWitness,
+                             derive_seed, recompute_rank)
 from segredim.formats import parse_statement
 from segredim.induction import ProofEngine
+from segredim.induction import verify
 from segredim.induction.verify import evidence_holds
 
 # T(2,4,4;7) is in the defective (2,n,n), n even, family; no search proves
@@ -132,13 +134,15 @@ def test_repeated_prove_appends_one_record(tmp_path, capsys, monkeypatch):
 
 
 def test_config_digests_are_pinned():
-    # the digests version 0.3.0 writes: a change of either re-keys every
+    # the digests version 0.4.0 writes: a change of either re-keys every
     # record a cache holds, so it needs a new tool version.  Both name the
     # fixed attempt plan as prime 1000003 with retries 1, as when it was
-    # settable.
-    assert RunConfig().digest() == "8dcbb7ccde4363ea"
+    # settable.  0.3.0 wrote 8dcbb7ccde4363ea and 5592879465af29bd; 0.4.0
+    # gives the 19 small-format statements that _fibration_false derives
+    # fibration_false leaves in place of table_false ones.
+    assert RunConfig().digest() == "cb8e3efccd9e3b5e"
     assert RunConfig(seed=9, budget_nodes=2000,
-                     force=True).digest() == "5592879465af29bd"
+                     force=True).digest() == "d7fea50a838d9df3"
 
 
 # --- undetermined records ---------------------------------------------------
@@ -230,7 +234,8 @@ def _replanned(witness: RankWitness, prime: int, master_seed: int):
 @pytest.mark.parametrize("case", ["prime outside the plan",
                                   "seed of another master seed",
                                   "rank that does not recompute",
-                                  "refusal the size rule now accepts"])
+                                  "refusal the size rule now accepts",
+                                  "fallback attempt of the first's rank"])
 def test_record_that_does_not_hold_up_is_a_miss(tmp_path, cold, case,
                                                 monkeypatch):
     row, witness = cold
@@ -240,6 +245,9 @@ def test_record_that_does_not_hold_up_is_a_miss(tmp_path, cold, case,
         "rank that does not recompute": RankWitness.from_json(
             {**witness.to_json(), "rank": witness.rank - 1}),
         "refusal the size rule now accepts": None,
+        # honest, but a fresh oracle keeps the first attempt of rank 74
+        "fallback attempt of the first's rank": _replanned(
+            witness, FALLBACK_PRIME, 0),
     }[case]
     # each forged witness is sound evidence of its own deficit
     assert forged is None or forged.rank < forged.target
@@ -302,3 +310,23 @@ def test_evidence_on_a_statement_a_closed_form_decides(cold):
     assert not evidence_holds(witness, 0)
     assert evidence_holds(cold[1], 0)
     assert not evidence_holds(cold[1], 1)
+
+
+def test_fallback_evidence_holds_only_above_the_first_attempt(cold,
+                                                              monkeypatch):
+    # the fallback attempt is the witness a fresh oracle keeps only when
+    # the first attempt reads a lower rank
+    _, witness = cold
+    fallback = _replanned(witness, FALLBACK_PRIME, 0)
+    assert (witness.prime, fallback.rank) == (DEFAULT_PRIME, witness.rank)
+    assert not evidence_holds(fallback, 0)
+    real = ffrank.recompute_rank
+
+    def first_lower(st, prime, seed):
+        w = real(st, prime, seed)
+        if prime == DEFAULT_PRIME:
+            w = RankWitness.from_json({**w.to_json(), "rank": w.rank - 1})
+        return w
+    monkeypatch.setattr(verify, "recompute_rank", first_lower)
+    assert evidence_holds(fallback, 0)
+    assert not evidence_holds(witness, 0)  # no longer recomputes

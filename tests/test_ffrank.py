@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from segredim import ffrank
 from segredim.ffrank import (
     DEFAULT_PRIME,
     FALLBACK_PRIME,
@@ -14,7 +15,7 @@ from segredim.ffrank import (
     _LEAF_COLS,
     _PANEL,
     _SUB,
-    _factor_panel,
+    _factor,
     INCONCLUSIVE_NOTE,
     FieldConfig,
     PLAN,
@@ -140,10 +141,10 @@ def staircase(rows: int, cols: int, steps: int, p: int, seed: int) -> np.ndarray
 
 
 def factor_first_panel(mat: np.ndarray, p: int):
-    """_factor_panel on the first panel of mat, as the blocked path hands
-    it over: transposed, in float64, reduced."""
+    """_factor at sub-panel width on the first panel of mat, as the outer
+    level hands a block over: transposed, in float64, reduced."""
     pt = np.ascontiguousarray(mat[:, :_PANEL].T % p, dtype=np.float64)
-    return _factor_panel(pt, p)
+    return _factor(pt, p, (_SUB,))
 
 
 class TestBlockedKernel:
@@ -231,16 +232,17 @@ class TestBlockedKernel:
         assert rank_mod_p(mat, p) == reference_rank(mat, p)
 
     def test_worst_case_accumulation_at_largest_prime(self):
-        # Eight panels of pivot rows [0 .. I .. 0 | b] above two rows
-        # [m m .. m | c], with m near p and b near p/2.  Each panel adds
-        # _PANEL products near p^2/2 to c, so left unreduced c would pass
-        # 2^53 by the fifth panel.  c makes the exact result 0 mod p, so a
-        # rounded update would show as one more pivot.
+        # Ten panels of pivot rows [0 .. I .. 0 | b] above two rows
+        # [m m .. m | c], with m and b just below p/2, the largest
+        # magnitude a reduced residue keeps.  Each panel adds _PANEL
+        # products near p^2/4 to c, so left unreduced c would pass 2^53 by
+        # the ninth panel.  c makes the exact result 0 mod p, so a rounded
+        # update would show as one more pivot.
         p = LARGEST_PRIME
-        panels = 8
+        panels = 10
         n = panels * _PANEL
         rng = np.random.default_rng(3)
-        m = rng.integers(p - 1024, p, size=_PANEL)
+        m = rng.integers(p // 2 - 1024, p // 2, size=_PANEL)
         b = rng.integers(p // 2 - 1024, p // 2, size=_PANEL)
         mat = np.zeros((n + 2, n + 3), dtype=np.int64)
         for j in range(panels):
@@ -262,6 +264,29 @@ class TestBlockedKernel:
         repeats = (2 * _CHUNK + 88) // 2
         tall = np.vstack([mat[:n]] + [mat[n:]] * repeats)
         assert rank_mod_p(tall, p) == n
+
+    def test_each_block_is_factored_reduced(self, monkeypatch):
+        # The premise of the exactness argument: every block reaches its
+        # factorisation with entries of magnitude at most p-1, at both
+        # widths, also once the trailing columns have taken the updates
+        # of several panels of pivots.
+        p = LARGEST_PRIME
+        rng = np.random.default_rng(4)
+        mat = rng.integers(0, p, size=(4 * _PANEL + 10, 5 * _PANEL + 3), dtype=np.int64)
+        widths = []
+
+        def reduced(real):
+            def call(at, q, *rest):
+                assert np.abs(at).max() <= q - 1
+                widths.append(rest[0][0] if rest else 1)
+                return real(at, q, *rest)
+            return call
+
+        monkeypatch.setattr(ffrank, "_factor", reduced(ffrank._factor))
+        monkeypatch.setattr(ffrank, "_eliminate", reduced(ffrank._eliminate))
+        assert rank_mod_p(mat, p) == len(mat)
+        assert set(widths) == {_PANEL, _SUB, 1}
+        assert widths.count(1) == -(-len(mat) // _SUB)  # 16 pivots each
 
     def test_inexact_modulus_refused(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from segredim.ffrank import (
     _PANEL,
     _SUB,
     _eliminate,
-    _factor_panel,
+    _factor,
     _reduce,
     _solve_unit_lower,
     FieldConfig,
@@ -452,7 +452,7 @@ def test_panel_step_matches_the_single_loop(p):
         want = a.T.copy()
         loop = _eliminate(want, p)
         got = a.T.astype(np.float64)
-        assert _factor_panel(got, p) == loop, (rows, cols)
+        assert _factor(got, p, (_SUB,)) == loop, (rows, cols)
         rank, pivots, _, swaps = loop
         for c in range(cols):
             done = sum(q < c for q in pivots)
@@ -460,6 +460,50 @@ def test_panel_step_matches_the_single_loop(p):
         seen.add((cols > _SUB, any(i >= _SUB for i, _ in swaps),
                   rank == rows < cols))
     assert all(any(s[i] for s in seen) for i in range(3))
+
+
+def late_swap_matrix(rng: np.random.Generator, rows: int, cols: int, p: int):
+    """A matrix 2-4 panels wide whose first two panels have rank t, off the
+    sub-panel grid, held by its first t rows; rows t to t+7 are zero up to
+    the first columns of the third panel, so that panel takes its first
+    pivots from row t+8 on.  Column 70 is zero, and entries are residues of
+    magnitude below p, some negative, as tricky_panel's."""
+    t = 2 * _PANEL - 21
+    x = rng.integers(0, p, size=(rows, t), dtype=np.int64)
+    x[t : t + 8] = 0
+    a = rng.integers(0, p, size=(rows, cols), dtype=np.int64)
+    a[:, : 2 * _PANEL] = x @ rng.integers(0, p, size=(t, 2 * _PANEL)) % p
+    a[t : t + 8, 2 * _PANEL : 2 * _PANEL + 5] = 0
+    a[:, 70] = 0
+    a -= p * (rng.random(a.shape) < 0.3) * (a != 0)
+    return a, t
+
+
+@pytest.mark.parametrize("p", [97, DEFAULT_PRIME, FALLBACK_PRIME])
+@pytest.mark.parametrize("row_major", [True, False])
+def test_two_level_factor_matches_the_single_loop(p, row_major):
+    # _factor at both widths, as rank_mod_p calls it, returns what one
+    # pass of the loop over the whole matrix returns, and leaves the same
+    # residues at and below each column's first row not yet holding a
+    # pivot.  A is handed over as rank_mod_p hands it (the transpose of a
+    # row-major array) and as a transposed copy.
+    rng = np.random.default_rng(p % 983)
+    seen = set()
+    shapes = [(2 * _PANEL + 40, 2 * _PANEL + 9), (3 * _PANEL + 20, 3 * _PANEL + 30),
+              (3 * _PANEL - 8, 4 * _PANEL), (2 * _PANEL + 30, 4 * _PANEL)]
+    for rows, cols in shapes:
+        a, t = late_swap_matrix(rng, rows, cols, p)
+        want = a.T.copy()
+        loop = _eliminate(want, p)
+        got = a.astype(np.float64).T if row_major else a.T.astype(np.float64)
+        assert _factor(got, p, (_PANEL, _SUB)) == loop, (rows, cols)
+        rank, pivots, _, swaps = loop
+        for c in range(cols):
+            done = sum(q < c for q in pivots)
+            assert (got[c, done:] % p).tolist() == (want[c, done:] % p).tolist()
+        assert 70 not in pivots and sum(q < 2 * _PANEL for q in pivots) == t
+        seen.add((rank == rows, (t, t + 8) in swaps))
+    assert seen == {(False, True), (True, True)}
 
 
 def test_statement_ranks_match_reference():

@@ -194,22 +194,36 @@ class TestTwoFactor:
 
 class TestFalsityCatalog:
     def test_small_format_table_sizes(self):
-        # complete per-format lists: 2, 5, 13, 10 entries
+        # per-format lists of what _fibration_false does not derive: of the
+        # 2, 5, 13 and 10 false statements once listed, 0, 0, 5 and 6
         sizes = {k: len(v) for k, v in rules.SMALL_FORMAT_FALSE.items()}
-        assert sizes == {(1, 1, 1): 2, (1, 1, 2): 5, (1, 2, 2): 13,
-                         (2, 2, 2): 10}
+        assert sizes == {(1, 2, 2): 5, (2, 2, 2): 6}
+        assert rules.SMALL_FORMAT_DIMS == {(1, 1, 1), (1, 1, 2), (1, 2, 2),
+                                           (2, 2, 2)}
+        for dims, entries in rules.SMALL_FORMAT_FALSE.items():
+            for s, a in entries:
+                c = Statement.of(dims, s, a).canonical()
+                assert rules._fibration_false(c) is None, c
 
     def test_listed_cases_fire(self):
-        cases = [
-            "T(1,1,1;0;0,1,3)", "T(1,1,1;1;0,0,2)",
-            "T(1,1,2;0;1,5,0)", "T(1,1,2;1;0,3,0)",
-            "T(1,2,2;2;0,0,2)", "T(1,2,2;1;5,0,0)", "T(1,2,2;0;7,0,1)",
-            "T(2,2,2;4;0,0,0)", "T(2,2,2;3;0,1,1)", "T(2,2,2;0;0,1,7)",
-            "T(2,2,2;1;0,1,5)",
-        ]
-        for text in cases:
+        # each false statement has one source: the table, or the
+        # fibration rule for the entries it derives
+        cases = {
+            "T(1,1,1;0;0,1,3)": "fibration_false",
+            "T(1,1,1;1;0,0,2)": "fibration_false",
+            "T(1,1,2;0;1,5,0)": "fibration_false",
+            "T(1,1,2;1;0,3,0)": "fibration_false",
+            "T(1,2,2;2;0,0,2)": "table_false",
+            "T(1,2,2;1;5,0,0)": "fibration_false",
+            "T(1,2,2;0;7,0,1)": "fibration_false",
+            "T(2,2,2;4;0,0,0)": "table_false",
+            "T(2,2,2;3;0,1,1)": "table_false",
+            "T(2,2,2;0;0,1,7)": "fibration_false",
+            "T(2,2,2;1;0,1,5)": "table_false",
+        }
+        for text, kind in cases.items():
             reason = known_false(T(text))
-            assert reason is not None and reason.kind == "table_false", text
+            assert reason is not None and reason.kind == kind, text
 
     def test_catalog_is_permutation_invariant(self):
         assert known_false(T("T(2,1,1;0;3,1,0)")) is not None  # (1,1,2;0;0,1,3)
