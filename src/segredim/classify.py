@@ -15,6 +15,7 @@ dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations_with_replacement
 from typing import Optional, Union
 
@@ -153,8 +154,10 @@ def tensor_power_bounds(n: int, k: int) -> PowerBounds:
 # --- catalog rows ---------------------------------------------------------
 
 
+@cache
 def _positive_dims(fmt: Format) -> tuple[int, ...]:
-    # point factors never change secant dimensions
+    # point factors never change secant dimensions; kept per format, since a
+    # scan asks once per row
     return tuple(sorted(n for n in fmt.dims if n > 0))
 
 
@@ -169,10 +172,10 @@ def _catalog_row(fmt: Format, s: int) -> Optional[ProfileRow]:
     lower=None, and the caller measures it; a defective_family row with
     lo < s < hi carries its exact span(s)."""
     pos = _positive_dims(fmt)
-    affine, _ = expected_secant_dim(fmt, s)
     if pos in SMALL_FORMAT_DIMS:
         if known_false(Statement.of(pos, s, (0,) * len(pos))) is None:
             return None
+        affine, _ = expected_secant_dim(fmt, s)
         return ProfileRow(s, affine, None, affine - 1, DEFECTIVE, None,
                           "catalog:small-format")
     family = defective_family(pos)
@@ -180,7 +183,7 @@ def _catalog_row(fmt: Format, s: int) -> Optional[ProfileRow]:
         return None
     name, _, _, span = family
     bad = "-range" if name == "unbalanced" else ""
-    return _exact(s, affine, span(s), name + bad)
+    return _exact(s, expected_secant_dim(fmt, s)[0], span(s), name + bad)
 
 
 def _settle(st: Statement, engine: ProofEngine, cache):

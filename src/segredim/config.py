@@ -22,6 +22,10 @@ class RunConfig(FieldConfig):
 
     budget_nodes: int = DEFAULT_BUDGET_NODES
 
+    # not a field (no annotation): None until digest() sets it, so that a
+    # scan hashes its config once, not once per row it settles
+    _digest = None
+
     def __post_init__(self):
         super().__post_init__()
         # every search runs under this budget; the CLI's --budget-nodes
@@ -34,7 +38,10 @@ class RunConfig(FieldConfig):
         """Hash of every setting that can change a verdict, the oracle's
         cell cap included, of the certificate format that cert_refs depend
         on, and of the tool version, since a new rule changes cert_refs
-        without changing any setting; cache records carry it."""
+        without changing any setting; cache records carry it.  Worked out
+        once per instance, which is frozen."""
+        if self._digest is not None:
+            return self._digest
         payload = {
             "tool_version": TOOL_VERSION,
             "cert_version": CERT_VERSION,
@@ -48,4 +55,6 @@ class RunConfig(FieldConfig):
             "force": self.force,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        digest = hashlib.sha256(blob).hexdigest()[:16]
+        object.__setattr__(self, "_digest", digest)
+        return digest

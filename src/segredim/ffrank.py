@@ -7,6 +7,14 @@ fiber row, so it has parameter_count rows. A full-rank outcome certifies
 the statement (a nonzero minor mod p is a nonzero integer minor, so the generic
 characteristic-zero rank is at least the observed one); a rank deficit is
 evidence only and is never treated as a disproof.
+
+Each attempt first puts its first tangent points on the coordinate frame
+(_specialize): point t takes the basis vector e_t in every factor with
+n_i >= t, as GL(V_0) x ... x GL(V_{k-1}) moves n_i + 1 generic points of
+factor i.  A tangent row at such a point is then a unit vector, and the
+attempt projects it out with its column (_project) before the kernel sees
+the rest: the rank is the number of columns so removed plus the rank of
+what is left.
 """
 
 from __future__ import annotations
@@ -51,8 +59,9 @@ MAX_PRIME = math.isqrt(_EXACT // _PANEL)
 # columns wide.
 _LEAF_COLS = 3 * _PANEL
 _SOLVE_BASE = 16
-# Rows per chunk of the blocked path's trailing update and of the input's
-# first reduction, so that no temporary is as tall as the matrix.
+# Rows per chunk of the blocked path's trailing update, of the input's first
+# reduction and of _project's compaction, so that no temporary is as tall as
+# the matrix.
 _CHUNK = 256
 
 DEFAULT_PRIME = 1_000_003
@@ -61,11 +70,15 @@ FALLBACK_PRIME = 4_194_301
 # Terracini matrix is a product of k-1 point coordinates, so an r x r minor
 # has degree at most r(k-1) in them, and by Schwartz-Zippel a statement of
 # full rank r reads deficient at one random attempt with probability at most
-# r(k-1)/p: under 0.3 % even for T(10,10,10;43) at DEFAULT_PRIME.  A miss
-# loses a certificate and never forges one, so one attempt at DEFAULT_PRIME
-# and one at FALLBACK_PRIME are the whole plan.  Only a verdict needs the
-# guard: the search runs the whole plan for its root and the first attempt
-# only for each split subgoal (ProofEngine.oracle).
+# r(k-1)/p: under 0.3 % even for T(10,10,10;43) at DEFAULT_PRIME.  The bound
+# survives _specialize.  The group action keeps the rank of a point set and
+# moves a generic one onto the frame, so some r x r minor is still a nonzero
+# polynomial in the coordinates left random, of degree at most r(k-1) in
+# them; and any point set gives a lower bound, so a full rank still
+# certifies.  A miss loses a certificate and never forges one, so one
+# attempt at DEFAULT_PRIME and one at FALLBACK_PRIME are the whole plan.
+# Only a verdict needs the guard: the search runs the whole plan for its
+# root and the first attempt only for each split subgoal (ProofEngine.oracle).
 PLAN = ((DEFAULT_PRIME, 0), (FALLBACK_PRIME, 0))
 MAX_CELLS = 200_000  # the oracle's one budget; FieldConfig.force overrides it
 
@@ -500,17 +513,22 @@ def _residues(a: np.ndarray, p: int, out: np.ndarray) -> None:
     """Write into out (int64 or float64, the shape of a; it may be a itself)
     integers congruent to the entries of a, of magnitude at most p-1, in
     chunks of _CHUNK rows so that no temporary is as tall as a.  A float
-    entry that is not a finite integer raises ValueError: np.fmod is exact at
-    any magnitude, keeps the sign of its argument, and turns inf and nan into
-    nan, which the integrality test rejects."""
+    chunk already in [0, p), as the oracle's matrices are, is kept as it is;
+    any other goes through np.fmod, which is exact at any magnitude, keeps
+    the sign of its argument, and turns inf and nan into nan.  A float entry
+    that is not a finite integer raises ValueError: the integrality test
+    rejects nan and fractions either way."""
     for i in range(0, len(a), _CHUNK):
         chunk, dest = a[i : i + _CHUNK], out[i : i + _CHUNK]
         if a.dtype.kind != "f":
             np.remainder(chunk, p, out=dest, dtype=np.int64)
             continue
-        with np.errstate(invalid="ignore"):
-            r = np.fmod(chunk, p, dtype=np.float64,
-                        out=dest if dest.dtype == np.float64 else None)
+        if chunk.min() >= 0 and chunk.max() < p:  # false for inf and nan
+            r = dest if out is a else chunk  # already residues: no fmod
+        else:
+            with np.errstate(invalid="ignore"):
+                r = np.fmod(chunk, p, dtype=np.float64,
+                            out=dest if dest.dtype == np.float64 else None)
         if not np.array_equal(r, np.rint(r)):
             raise ValueError("rank_mod_p needs integer entries, got a "
                              "non-finite or non-integral float")
@@ -577,11 +595,77 @@ def terracini_oracle(st: Statement, cfg: FieldConfig | None = None, *,
     return OracleResult(False, max(attempts, key=lambda w: w.rank), tuple(attempts))
 
 
+def _specialize(pts: PointSet) -> None:
+    """Put the first tangent points on the coordinate frame, in place:
+    point t takes e_t in each factor with t <= n_i.  Every other coordinate
+    keeps its draw, the P^0 factor's scalar of a point t > 0 among them."""
+    for x in pts.tangent:
+        on = min(x.shape)
+        x[:on] = np.eye(on, x.shape[1], dtype=x.dtype)
+
+
+def _unit_head(st: Statement) -> int:
+    """How many leading rows of the matrix built at specialized points
+    _project examines: those of the tangent points off the frame in at
+    most one positive factor.  A point t on the frame has only unit rows;
+    one off it in factor i alone, unit rows in its block of slot i, and
+    rows in its other blocks that removals can leave unit.  A later point
+    is off the frame in two positive factors, so each of its rows keeps a
+    random vector.  Each tangent point has 1 + sum n_i rows, and the fiber
+    rows come after them."""
+    pos = sorted(n for n in st.format.dims if n)
+    points = st.s if len(pos) < 2 else min(st.s, pos[1] + 1)
+    return points * (1 + sum(pos))
+
+
+def _project(out: np.ndarray, head: int) -> tuple[int, np.ndarray]:
+    """Remove each unit row (one nonzero entry) among the first `head` rows
+    of `out` with its column, and again while rows there become unit as
+    columns go, with the rows there that are left zero.  Returns the number
+    of columns removed, which adds to the rank of what is left, and what is
+    left: a C-contiguous view of out's own buffer, into which the kept rows
+    and columns are compacted in chunks of _CHUNK rows.  Chunk i goes to the
+    buffer's entries before those of its kept rows, and kept rows are read
+    in order, so no chunk overwrites a row still to be read."""
+    rows, cols = out.shape
+    nonzero = out[:head] != 0
+    count = nonzero.sum(axis=1)
+    gone = np.zeros(cols, dtype=bool)
+    live = np.ones(len(nonzero), dtype=bool)
+    while True:
+        unit = np.flatnonzero(live & (count == 1))
+        if not unit.size:
+            break
+        cut = np.zeros(cols, dtype=bool)  # two unit rows can share one
+        cut[(nonzero[unit] & ~gone).argmax(axis=1)] = True
+        gone |= cut
+        live[unit] = False
+        count -= nonzero[:, cut].sum(axis=1)
+    live &= count > 0
+    removed = int(gone.sum())
+    if live.all() and not removed:
+        return 0, out
+    keep = np.concatenate((np.flatnonzero(live), np.arange(len(live), rows)))
+    kept = np.flatnonzero(~gone)
+    flat = out.reshape(-1)
+    width = len(kept)
+    for i in range(0, len(keep), _CHUNK):
+        chunk = out[np.ix_(keep[i : i + _CHUNK], kept)]
+        flat[i * width : i * width + chunk.size] = chunk.reshape(-1)
+    return removed, flat[: len(keep) * width].reshape(len(keep), width)
+
+
 def recompute_rank(st: Statement, prime: int, seed: int) -> RankWitness:
     """One attempt from (prime, seed): terracini_oracle runs each of its
-    plan through it, and verifiers re-run a recorded one."""
+    plan through it, and verifiers re-run a recorded one.  The points are
+    those sample_points draws, with the first on the frame (_specialize),
+    and the rank that of build_terracini_matrix at them: the unit rows it
+    projects out (_project) plus rank_mod_p of the rest."""
     pts = sample_points(st, prime, seed)
-    # no name keeps the matrix: it is freed before the next attempt builds
-    rank = rank_mod_p(build_terracini_matrix(st, pts), prime, overwrite=True)
+    _specialize(pts)
+    # no name outlives the call: the matrix is freed before the next
+    # attempt builds
+    removed, rest = _project(build_terracini_matrix(st, pts), _unit_head(st))
+    rank = removed + rank_mod_p(rest, prime, overwrite=True)
     return RankWitness(st.canonical(), prime, seed, row_count(st),
                        ambient_dim(st.format), rank, target_dim(st))

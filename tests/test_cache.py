@@ -145,6 +145,18 @@ def test_config_digests_are_pinned():
                      force=True).digest() == "d7fea50a838d9df3"
 
 
+def test_digest_is_worked_out_once_per_config(monkeypatch):
+    # a scan settles hundreds of rows under one config; the kept digest
+    # takes no part in ==, hash or repr
+    cfg = RunConfig(seed=4)
+    fresh = RunConfig(seed=4)
+    want = cfg.digest()
+    monkeypatch.setattr("segredim.config.json.dumps",
+                        lambda *a, **k: pytest.fail("digest hashed again"))
+    assert cfg.digest() == want
+    assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+
+
 # --- undetermined records ---------------------------------------------------
 
 
