@@ -108,11 +108,12 @@ class VerdictCache:
         self._records: dict[tuple[str, str], CacheRecord] = {}
         if self.path.exists():
             # each line decodes on its own, so one that is not UTF-8
-            # (UnicodeDecodeError is a ValueError) is skipped like the rest
+            # (UnicodeDecodeError is a ValueError) or is nested past what
+            # json can parse is skipped like the rest
             for line in self.path.read_bytes().splitlines():
                 try:
                     rec = CacheRecord.from_json(json.loads(line.decode()))
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError, RecursionError):
                     continue
                 key = (rec.statement, rec.config_digest)
                 held = self._records.get(key)

@@ -36,7 +36,8 @@ class Format:
     def __post_init__(self) -> None:
         if len(self.dims) < 1:
             raise ValueError("a format needs at least one factor")
-        if any(not isinstance(n, int) or n < 0 for n in self.dims):
+        # type(n) is int, as in json_int: a bool is no dimension
+        if any(type(n) is not int or n < 0 for n in self.dims):
             raise ValueError(f"factor dimensions must be non-negative integers: {self.dims!r}")
 
     @classmethod
@@ -83,13 +84,13 @@ class Statement:
     _key = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.s, int) or self.s < 0:
+        if type(self.s) is not int or self.s < 0:  # no bool, as in Format
             raise ValueError(f"tangent point count must be a non-negative integer: {self.s!r}")
         if len(self.a) != self.format.k:
             raise ValueError(
                 f"fiber count vector has length {len(self.a)}, format has {self.format.k} factors"
             )
-        if any(not isinstance(x, int) or x < 0 for x in self.a):
+        if any(type(x) is not int or x < 0 for x in self.a):
             raise ValueError(f"fiber counts must be non-negative integers: {self.a!r}")
 
     @classmethod

@@ -186,8 +186,10 @@ class Certificate:
     def loads(text: str) -> "Certificate":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # JSONDecodeError, or an int past the digit limit
             raise CertificateFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise CertificateFormatError("JSON nested too deeply") from None
         return Certificate.from_json(data)
 
     def leaf_counts(self) -> dict:

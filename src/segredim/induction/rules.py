@@ -7,7 +7,10 @@ falsity catalog (the known-defective configurations) also lives here.
 
 closed_leaf, drop_step and split_step build the certificate nodes, each
 as (verdict, CertNode); the verifier rebuilds every stored node through
-them.  The search builds its split nodes from split_mode directly.
+them.  The search builds its split nodes from split_mode directly.  Each
+rule has one child builder: split_children for a split, and drop_child
+for both drop kinds, which removes a point factor without conditions or
+zeroes the conditions of one that has some.
 """
 from __future__ import annotations
 
@@ -162,50 +165,20 @@ def drop_slot(st: Statement) -> Optional[int]:
     return min(points, key=lambda j: st.a[j] > 0, default=None)
 
 
-def drop_conditions(st: Statement, slot: int,
-                    require_subabundant: bool = True) -> Statement:
-    """Zero out the fiber count at a zero-dimensional slot.
-
-    With subabundance this is a truth equivalence: the dropped items are
-    generic points and, below the ambient dimension, generic points impose
-    independent conditions.  Without subabundance only the forward
-    direction survives (child true implies parent true, since generic
-    points keep adding dimensions until the ambient space is filled), and
-    the caller must opt in via require_subabundant=False.
-
-    A slot that already carries no conditions has nothing to drop, so the
-    statement comes back unchanged.
-    """
+def drop_child(st: Statement, slot: int) -> Statement:
+    """The statement a drop at point factor `slot` leaves: the slot's
+    conditions zeroed when it carries some, else the slot removed, which
+    tensoring with a one-dimensional space allows; drop_step says what
+    either proves."""
     _check_slot(st, slot)
     if st.format.dims[slot] != 0:
         raise RuleError(f"slot {slot} of {st} is not a point factor")
-    if st.a[slot] == 0:
-        return st
-    if require_subabundant and not is_subabundant(st):
-        raise RuleError(f"{st} is superabundant; dropping conditions is one-way")
-    return Statement(st.format, st.s, st.a[:slot] + (0,) + st.a[slot + 1:])
-
-
-def drop_zero_factor(st: Statement, slot: int) -> Statement:
-    """Remove a slot with dimension 0 and no conditions.  Tensoring with a
-    one-dimensional space changes nothing: full equivalence."""
-    _check_slot(st, slot)
-    if st.format.dims[slot] != 0 or st.a[slot] != 0:
-        raise RuleError(f"slot {slot} of {st} is not an empty zero factor")
+    if st.a[slot]:
+        return Statement(st.format, st.s, st.a[:slot] + (0,) + st.a[slot + 1:])
     if st.format.k < 2:
         raise RuleError("cannot drop the only factor")
     dims = st.format.dims[:slot] + st.format.dims[slot + 1:]
-    a = st.a[:slot] + st.a[slot + 1:]
-    return Statement(Format(dims), st.s, a)
-
-
-def drop_child(st: Statement, slot: int) -> Statement:
-    """The statement a drop at point factor `slot` leaves: the slot removed
-    when it carries no conditions, its conditions dropped otherwise."""
-    _check_slot(st, slot)
-    if st.a[slot] == 0:
-        return drop_zero_factor(st, slot)
-    return drop_conditions(st, slot, require_subabundant=False)
+    return Statement(Format(dims), st.s, st.a[:slot] + st.a[slot + 1:])
 
 
 def drop_step(st: Statement, slot: int,
@@ -213,9 +186,15 @@ def drop_step(st: Statement, slot: int,
     """(verdict, drop node) at `slot` over `child`, a (verdict, node) pair
     proving drop_child(st, slot); the child's verdict passes through.
 
-    Removing an empty zero factor is an equivalence.  Dropping conditions
-    is one only below the ambient dimension, so None when a False child
-    sits below a superabundant statement: there the drop proves nothing.
+    This is the one place that decides what a drop proves.  Removing a
+    point factor without conditions is an equivalence.  The conditions a
+    point factor carries are generic points of the Segre variety, and
+    below the ambient dimension generic points impose independent
+    conditions, so dropping them is an equivalence for a subabundant
+    statement.  Above it only the forward direction holds (generic points
+    keep adding dimensions until they fill the ambient), so None when a
+    False child sits below a superabundant statement: there the drop
+    proves nothing.
     """
     verdict, node = child
     want = drop_child(st, slot)

@@ -338,9 +338,11 @@ class ProofEngine:
             seen.add(sig)
             Q = P // (n_i + 1)
             others = [j for j in range(k) if j != i and a[j] > 0]
-            weights = [dims[j] + 1 for j in others]
-            counts = [a[j] for j in others]
-            cap = sum(c * w for c, w in zip(counts, weights))
+            # child 1's rows: (a[i] + s)(n1 + 1) whatever the split, then
+            # N - n_i more per tangent point it takes and dims[j] + 1 per
+            # fiber point at slot j; the tangent share walks first
+            counts = [s] + [a[j] for j in others]
+            weights = [N - n_i] + [dims[j] + 1 for j in others]
             # near-even halves first, mirroring the worked reductions
             for n1 in range(n_i // 2, n_i):
                 n2 = n_i - 1 - n1
@@ -349,32 +351,17 @@ class ProofEngine:
                     lo, hi = max(0, L - P2), P1
                 else:
                     lo, hi = P1, L - P2
-                if lo > hi:
-                    continue
-                ratio = (n1 + 1) / (n_i + 1)
-                # child 1's rows before fibers: s1 tangent rows of weight
-                # 1 + (N - n_i) + n1 and a[i] + s - s1 rows of weight n1 + 1,
-                # so they grow by d per s1; the fibers add 0..cap on top
-                d = N - n_i
                 base = (a[i] + s) * (n1 + 1)
-                if d:
-                    s1_lo = max(0, _ceil_div(lo - cap - base, d))
-                    s1_hi = min(s, (hi - base) // d)
-                elif lo - cap <= base <= hi:
-                    s1_lo, s1_hi = 0, s
-                else:
-                    continue
-                for s1 in _outward(s1_lo, s1_hi, round(s * ratio)):
-                    fixed = base + s1 * d
-                    c_lo, c_hi = lo - fixed, hi - fixed
-                    for xs in self._fiber_splits(counts, weights, c_lo, c_hi, ratio):
-                        a1 = [0] * k
-                        a2 = [0] * k
-                        for j, x in zip(others, xs):
-                            a1[j] = x
-                            a2[j] = a[j] - x
-                        yield rules.SplitChoice(i, (n1, n2), (s1, s - s1),
-                                                (tuple(a1), tuple(a2)))
+                ratio = (n1 + 1) / (n_i + 1)
+                for s1, *xs in self._fiber_splits(counts, weights, lo - base,
+                                                  hi - base, ratio):
+                    a1 = [0] * k
+                    a2 = [0] * k
+                    for j, x in zip(others, xs):
+                        a1[j] = x
+                        a2[j] = a[j] - x
+                    yield rules.SplitChoice(i, (n1, n2), (s1, s - s1),
+                                            (tuple(a1), tuple(a2)))
 
     @staticmethod
     def _fiber_splits(counts, weights, c_lo, c_hi, ratio) -> Iterator[tuple]:
@@ -385,30 +372,37 @@ class ProofEngine:
         keeps the window reachable: the sum so far may not pass c_hi, and
         with every later slot at full count it must still reach c_lo.  Each
         value left out would have yielded nothing, so the assignments and
-        their order are those of the unrestricted walk.  Every sum is a
-        multiple of gcd(weights), so the window is first narrowed to such
-        multiples; an empty window yields nothing.
+        their order are those of the unrestricted walk.  What the slots
+        from t on add is a multiple of the gcd of their weights, so each
+        level first narrows the window left to such multiples and returns
+        when that window is empty or out of reach.  A zero weight leaves
+        the window as it is and walks its whole count.
         """
-        g = math.gcd(*weights) or 1     # gcd() of no weights is 0
-        c_lo, c_hi = _ceil_div(c_lo, g) * g, c_hi // g * g
+        # the most slots t.. can add, and the gcd of their weights
         suffix = [0] * (len(counts) + 1)
+        gcds = [0] * (len(counts) + 1)
         for t in range(len(counts) - 1, -1, -1):
             suffix[t] = suffix[t + 1] + counts[t] * weights[t]
-        if c_lo > c_hi or c_hi < 0 or c_lo > suffix[0]:
-            return
+            gcds[t] = math.gcd(gcds[t + 1], weights[t])
 
-        def rec(t: int, acc: int) -> Iterator[tuple]:
+        def rec(t: int, c_lo: int, c_hi: int) -> Iterator[tuple]:
+            g = gcds[t] or 1        # no weights, or only zero ones
+            c_lo, c_hi = _ceil_div(c_lo, g) * g, c_hi // g * g
+            if c_lo > c_hi or c_hi < 0 or c_lo > suffix[t]:
+                return
             if t == len(counts):
                 yield ()
                 return
             w = weights[t]
-            lo = max(0, _ceil_div(c_lo - acc - suffix[t + 1], w))
-            hi = min(counts[t], (c_hi - acc) // w)
+            lo, hi = 0, counts[t]
+            if w:
+                lo = max(0, _ceil_div(c_lo - suffix[t + 1], w))
+                hi = min(hi, c_hi // w)
             for x in _outward(lo, hi, round(counts[t] * ratio)):
-                for rest in rec(t + 1, acc + x * w):
+                for rest in rec(t + 1, c_lo - x * w, c_hi - x * w):
                     yield (x,) + rest
 
-        yield from rec(0, 0)
+        yield from rec(0, c_lo, c_hi)
 
 
 def prove(statement, run_config: Optional[RunConfig] = None) -> Verdict:

@@ -82,6 +82,18 @@ def test_a_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
     assert "NonDefective [induction]" in capsys.readouterr().out
 
 
+def test_a_line_nested_too_deep_is_skipped(tmp_path, capsys):
+    # json.loads gives up on this line with a RecursionError
+    deep = "[" * 200_000 + "]" * 200_000
+    cache = cache_with(tmp_path, json.dumps(record(verdict=False)), deep,
+                       json.dumps(record()))
+    assert len(cache) == 1
+    assert cache.get(STATEMENT, DIGEST).verdict is True
+    path = str(tmp_path / "verdicts.ldjson")
+    assert main(["dim", "2,4,4", "7", "--cache", path]) == 0
+    assert "NonDefective [induction]" in capsys.readouterr().out
+
+
 def test_record_from_an_older_tool_version_misses(tmp_path, capsys):
     # The digest version 0.1.0 computed for a node budget of 2 000 and
     # three attempts at the main prime, before the digest covered the tool

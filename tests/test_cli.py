@@ -324,6 +324,19 @@ class TestVerify:
         assert err.startswith("verification failed: malformed certificate: ")
         assert "utf-8" in err
 
+    @pytest.mark.parametrize("text", [
+        "[" * 200_000 + "]" * 200_000,          # json.loads: RecursionError
+        '{"version": ' + "1" * 5_000 + "}",     # past int's digit limit
+    ], ids=["nested", "long-int"])
+    def test_json_that_python_cannot_read_fails(self, capsys, tmp_path, text):
+        cert = tmp_path / "c.json"
+        cert.write_text(text)
+        code, out, err = run(capsys, "verify", str(cert))
+        assert code == 1
+        assert "certificate OK" not in out
+        assert err.startswith("verification failed: malformed certificate: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("statement", [[1, 2], 7, None, {"s": 4}])
     def test_statement_that_is_not_text_fails(self, capsys, tmp_path,
                                               statement):

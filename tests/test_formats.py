@@ -225,6 +225,19 @@ class TestIntegerArguments:
         assert all(type(x) is int for x in st_.format.dims + st_.a + (st_.s,))
         assert Format.of(dims) == Format((2, 3, 3))
 
+    def test_bools_are_rejected(self):
+        # a bool is an int to isinstance; this statement used to prove
+        # under the key T(2,2,2;True;0,False,0)
+        for bad in [lambda: Format((2, True, 2)),
+                    lambda: Statement(Format((2, 2, 2)), True, (0, 0, 0)),
+                    lambda: Statement(Format((2, 2, 2)), 1, (0, False, 0))]:
+            with pytest.raises(ValueError, match="non-negative integer"):
+                bad()
+        # the constructors' normalising forms turn a bool into its int
+        st_ = Statement.of((2, 2, 2), True, (0, False, 0))
+        assert st_.key() == Statement.of((2, 2, 2), 1).key()
+        assert Format.of((2, True)).dims == (2, 1)
+
 
 class TestGrammar:
     def test_parse_format_variants(self):

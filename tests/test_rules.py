@@ -23,8 +23,7 @@ from segredim.induction.rules import (
     RuleError,
     SplitChoice,
     closed_leaf,
-    drop_conditions,
-    drop_zero_factor,
+    drop_child,
     known_false,
     split_children,
     trivial_truth,
@@ -91,44 +90,42 @@ class TestSplit:
 class TestDrops:
     def test_drop_zero_factor_removes_slot(self):
         st_ = T("T(0,2,3;4;0,1,0)")
-        out = drop_zero_factor(st_, 0)
+        out = drop_child(st_, 0)
         assert out.format.dims == (2, 3) and out.a == (1, 0)
 
     def test_drop_zero_factor_needs_empty_slot(self):
-        with pytest.raises(RuleError):
-            drop_zero_factor(T("T(0,2,3;4;1,0,0)"), 0)
-        with pytest.raises(RuleError):
-            drop_zero_factor(T("T(2,3;1;0,0)"), 0)
+        # a point factor with conditions loses them, not the slot
+        st_ = T("T(0,2,3;4;1,0,0)")
+        assert drop_child(st_, 0).format == st_.format
+        # and a positive factor is no point factor
+        with pytest.raises(RuleError, match="not a point factor"):
+            drop_child(T("T(2,3;1;0,0)"), 0)
+        with pytest.raises(RuleError, match="not a point factor"):
+            drop_child(st_, 1)
 
     def test_drop_last_factor_forbidden(self):
-        with pytest.raises(RuleError):
-            drop_zero_factor(T("T(0;2;0)"), 0)
+        with pytest.raises(RuleError, match="only factor"):
+            drop_child(T("T(0;2;0)"), 0)
+        # the only factor can still lose its conditions
+        assert drop_child(T("T(0;2;3)"), 0).a == (0,)
 
     def test_drop_conditions_zeroes_the_slot(self):
-        st_ = T("T(0,2,3,3;5;4,0,0,0)")
-        # superabundant: equivalence direction refused by default
-        with pytest.raises(RuleError):
-            drop_conditions(st_, 0)
-        out = drop_conditions(st_, 0, require_subabundant=False)
-        assert out.a == (0, 0, 0, 0) and out.format == st_.format
-
-    def test_drop_conditions_subabundant_allowed(self):
-        st_ = T("T(0,3,3;1;2,0,0)")  # 7+2 = 9 <= 16
-        assert is_subabundant(st_)
-        out = drop_conditions(st_, 0)
-        assert out.a == (0, 0, 0)
+        # on either side of abundance: drop_step decides what it proves
+        for text in ("T(0,2,3,3;5;4,0,0,0)", "T(0,3,3;1;2,0,0)"):
+            st_ = T(text)
+            out = drop_child(st_, 0)
+            assert out.a == (0,) * st_.format.k and out.format == st_.format
+            assert out.s == st_.s
+        assert not is_subabundant(T("T(0,2,3,3;5;4,0,0,0)"))
+        assert is_subabundant(T("T(0,3,3;1;2,0,0)"))  # 7+2 = 9 <= 16
 
     def test_slots_out_of_range_rejected(self):
         # a negative slot used to index from the end and pass
         for slot in (-3, -1, 3, 7):
             with pytest.raises(RuleError, match="out of range"):
-                drop_zero_factor(T("T(0,2,3;4;0,1,0)"), slot)
+                drop_child(T("T(0,2,3;4;0,1,0)"), slot)
             with pytest.raises(RuleError, match="out of range"):
-                drop_conditions(T("T(0,3,3;1;2,0,0)"), slot)
-
-    def test_drop_conditions_identity_when_nothing_to_drop(self):
-        st_ = T("T(0,2,3;4;0,1,0)")
-        assert drop_conditions(st_, 0) == st_
+                drop_child(T("T(0,3,3;1;2,0,0)"), slot)
 
 
 class TestTrivial:

@@ -11,7 +11,8 @@ from typing import Iterator
 
 from hypothesis import given, settings, strategies as st
 
-from segredim.formats import Statement, ambient_dim, parameter_count
+from segredim.formats import (Statement, ambient_dim, parameter_count,
+                              parse_statement)
 from segredim.induction import ProofEngine, search
 from segredim.induction import rules
 
@@ -111,9 +112,10 @@ def ref_fiber_splits(counts, weights, c_lo, c_hi, ratio) -> Iterator[tuple]:
 def fiber_problems(draw):
     n = draw(st.integers(0, 4))
     counts = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-    # a common factor above 1 exercises the gcd tightening of the window
+    # a common factor above 1 exercises the gcd tightening of the window;
+    # a zero weight is the tangent share of a single positive factor
     g = draw(st.integers(1, 4))
-    weights = [g * w for w in draw(st.lists(st.integers(1, 6),
+    weights = [g * w for w in draw(st.lists(st.integers(0, 6),
                                             min_size=n, max_size=n))]
     cap = sum(c * w for c, w in zip(counts, weights))
     # windows reaching below 0 and past cap, and empty ones (c_lo > c_hi)
@@ -144,6 +146,10 @@ def test_fiber_splits_edge_windows():
     assert list(fs([0, 3], [5, 2], 2, 4, 0.5)) == [(0, 2), (0, 1)]
     assert list(fs([1, 1], [3, 3], 7, 9, 0.5)) == []
     assert list(fs([1, 1], [3, 3], -5, -1, 0.5)) == []
+    # a zero weight walks its whole count while the window holds 0
+    assert list(fs([3], [0], 0, 5, 0.5)) == [(2,), (3,), (1,), (0,)]
+    assert list(fs([3], [0], 1, 5, 0.5)) == []
+    assert list(fs([2, 1], [0, 4], 3, 4, 0.5)) == [(1, 1), (2, 1), (0, 1)]
 
 
 def test_split_choices_match_the_full_walk():
@@ -161,6 +167,14 @@ def test_split_choices_match_the_full_walk():
         assert got == list(ref_split_choices(statement)), str(statement)
         nonempty += bool(got)
     assert nonempty > 100
+    # one positive factor: the tangent share has weight 0 and walks all
+    # of 0..s whenever the window can be reached
+    for text in ("T(7,0,0;5;0,2,3)", "T(7,0,0;5;0,0,0)", "T(6,0,0,0;9;1,0,2,2)",
+                 "T(10,0,0;3;4,1,1)", "T(1,0,0;2;0,1,0)"):
+        statement = parse_statement(text).canonical()
+        got = list(engine._split_choices(statement))
+        assert got == list(ref_split_choices(statement)), text
+        assert got, text
 
 
 def test_flagship_walks_only_feasible_values(monkeypatch):
