@@ -3,8 +3,9 @@
 Secant rows are resolved cheapest-first: the falsity catalog, then a
 proof search, then a direct modular rank computation.  The catalog holds
 only defective rows; every row it does not claim is settled by the
-search, or by the oracle when the search gives up, and every
-NonDefective row carries the certificate that settled it.  Every entry point takes one
+search, or by the oracle when the search gives up (_settle), and every
+NonDefective row carries the certificate that settled it.  A row's
+source names the layer that decided it.  Every entry point takes one
 ProofEngine, whose RunConfig holds the run's settings: the search's node
 budget, the oracle's field settings and the cache digest.  A rank deficit
 observed by the oracle is reported as Evidence-Defective, never as proven
@@ -74,7 +75,12 @@ class ProfileRow:
 
     @property
     def cert_ref(self) -> Optional[str]:
-        return _cert_ref(self.proof)
+        """First 12 hex digits of the proof's root digest (a Merkle hash
+        of the whole certificate)."""
+        proof = self.proof
+        if proof is None:
+            return None
+        return (proof if isinstance(proof, str) else proof.digest)[:12]
 
     def record(self, fmt: Format) -> dict:
         out = {
@@ -89,14 +95,6 @@ class ProfileRow:
         if self.note:
             out["note"] = self.note
         return out
-
-
-def _cert_ref(proof: Union[CertNode, str, None]) -> Optional[str]:
-    """First 12 hex digits of a proof's root digest (a Merkle hash of the
-    whole certificate); `proof` is the root node or that digest."""
-    if proof is None:
-        return None
-    return (proof if isinstance(proof, str) else proof.digest)[:12]
 
 
 @dataclass(frozen=True)
@@ -186,45 +184,72 @@ def _catalog_row(fmt: Format, s: int) -> Optional[ProfileRow]:
     return _exact(s, expected_secant_dim(fmt, s)[0], span(s), name + bad)
 
 
-def _settle(st: Statement, engine: ProofEngine, cache):
-    """Settle a canonical statement the catalog leaves open: the cache,
+def _settle(st: Statement, engine: ProofEngine, cache) -> ProfileRow:
+    """The row of a canonical statement the catalog leaves open: the cache,
     then the engine's proof search, then its oracle.
 
-    Returns (verdict, proof, oracle).  A decided cache hit gives verdict
-    and the record's root digest as proof, a certificate gives verdict and
-    its root node, unhashed; oracle is then None.  Otherwise oracle is the
-    engine's oracle outcome (an OracleResult or OracleBudgetError), which
-    the search's last leaf usually asked for already: if it certifies,
-    verdict is True and proof a one-node oracle certificate, which is not
-    recorded in the cache; if not, verdict is None, and the cache records
-    the search's reason with the oracle's best witness, or with no witness
-    where the oracle refused the matrix.  Under the same digest such a
-    record is served as is, with no search, once it holds up (_served);
-    one that does not is a miss, and its row is settled afresh.  Records
-    are keyed by the digest of the engine's config, the one that produces
-    them.
+    The source is read off what decided the row: `cache` for a decided
+    cache record, whose root digest is then the proof; `oracle` for a
+    one-node oracle certificate and for an undetermined row; `induction`
+    for any other certificate.  A certificate's root node is kept
+    unhashed.  A False row is Defective with no lower bound, which
+    resolve_secant measures.
+
+    A search that ends undetermined leaves the row to the engine's oracle
+    outcome.  Only the reasons node_budget and no_rule can make that a
+    fresh oracle run; after any other, the search's root leaf ran the
+    whole plan and its kept outcome is read back.  On the bench scan grid
+    (k<=3, n<=10, s<=60) no search stops at either, and this call
+    certifies none of the 411 rows settled here.  A certified outcome is
+    the one-node oracle certificate the root leaf also writes, and is not
+    recorded in the cache.  Otherwise the row is Evidence-Defective, with
+    the best rank and the oracle's note, or Unknown after a refusal, and
+    the cache records the search's reason with the best witness, or with
+    none after a refusal.  Records are keyed by the digest of the engine's
+    config.  Under the same digest such a record is served as is, with no
+    search, once it holds up (_served); one that does not is a miss, and
+    its row is settled afresh.
     """
+    s = st.s
+    affine, _ = expected_secant_dim(st.format, s)
+
+    def decided(verdict: bool, proof: Union[CertNode, str]) -> ProfileRow:
+        source = ("cache" if isinstance(proof, str) else
+                  "oracle" if proof.kind == cert.ORACLE else "induction")
+        if verdict:
+            return ProfileRow(s, affine, affine, affine, NONDEFECTIVE, 0,
+                              source, proof)
+        return ProfileRow(s, affine, None, affine - 1, DEFECTIVE, None,
+                          source, proof)
+
     digest = engine.config.digest()
     hit = cache.get(st, digest) if cache is not None else None
+    oracle = None
     if hit is not None:
         if hit.verdict is not None:
-            return hit.verdict, hit.cert_sha256, None
+            return decided(hit.verdict, hit.cert_sha256)
         oracle = _served(hit.witness, st, engine)
-        if oracle is not None:
-            return None, None, oracle
-        cache.discard(st, digest)
-    v = engine.prove(st)
-    if v.status is not None:
+        if oracle is None:
+            cache.discard(st, digest)
+    if oracle is None:
+        v = engine.prove(st)
+        if v.status is not None:
+            if cache is not None:
+                cache.put(st, v.status, v.certificate, digest)
+            return decided(v.status, v.certificate.root)
+        oracle = engine.oracle(st)
+        if isinstance(oracle, OracleResult) and oracle.certified:
+            return decided(True, CertNode(cert.ORACLE, st,
+                                          witness=oracle.witness))
         if cache is not None:
-            cache.put(st, v.status, v.certificate, digest)
-        return v.status, v.certificate.root, None
-    oracle = engine.oracle(st)
-    if isinstance(oracle, OracleResult) and oracle.certified:
-        return True, CertNode(cert.ORACLE, st, witness=oracle.witness), oracle
-    if cache is not None:
-        witness = oracle.witness if isinstance(oracle, OracleResult) else None
-        cache.put(st, None, None, digest, reason=v.reason, witness=witness)
-    return None, None, oracle
+            witness = (oracle.witness if isinstance(oracle, OracleResult)
+                       else None)
+            cache.put(st, None, None, digest, reason=v.reason, witness=witness)
+    if isinstance(oracle, OracleBudgetError):
+        return ProfileRow(s, affine, None, affine, UNKNOWN, None, "oracle",
+                          None, str(oracle))
+    return ProfileRow(s, affine, oracle.witness.rank, affine,
+                      EVIDENCE_DEFECTIVE, None, "oracle", None, oracle.note)
 
 
 def _served(witness: Optional[RankWitness], st: Statement,
@@ -244,13 +269,19 @@ def _served(witness: Optional[RankWitness], st: Statement,
     return OracleResult(False, witness, (witness,))
 
 
-def _measure(fmt: Format, s: int, row: ProfileRow,
+def _measure(fmt: Format, row: ProfileRow,
              engine: ProofEngine) -> ProfileRow:
-    """Fill in the oracle-measured dimension of a proven-defective row."""
-    res = engine.oracle(Statement.of(fmt, s, (0,) * fmt.k))
+    """Fill in the oracle-measured dimension of a proven-defective row.  A
+    certified rank above the row's upper bound refutes the falsity claim
+    behind it, and raises CatalogConsistencyError."""
+    res = engine.oracle(Statement.of(fmt, row.s, (0,) * fmt.k))
     if isinstance(res, OracleBudgetError):
         return row
     best = res.witness.rank
+    if best > row.upper:
+        raise CatalogConsistencyError(
+            f"({fmt}) s={row.s} certifies rank {best}, above the upper "
+            f"bound {row.upper} that {row.source} claims")
     defect = row.expected - best if best == row.upper else None
     return ProfileRow(row.s, row.expected, best, row.upper, DEFECTIVE, defect,
                       row.source, row.proof, row.note)
@@ -259,32 +290,16 @@ def _measure(fmt: Format, s: int, row: ProfileRow,
 def resolve_secant(fmt: FormatLike, s: int,
                    engine: Optional[ProofEngine] = None,
                    cache=None) -> ProfileRow:
-    """Resolve one secant row: catalog, then proof search, then oracle."""
+    """Resolve one secant row: the catalog, else _settle.  A Defective row
+    with no lower bound, from the small-format catalog or a False
+    certificate, then gets the dimension the oracle measures."""
     f = Format.of(fmt)
     engine = engine or ProofEngine()
-    affine, _ = expected_secant_dim(f, s)
-
-    row = _catalog_row(f, s)
-    if row is not None:
-        if row.status == DEFECTIVE and row.lower is None:
-            return _measure(f, s, row, engine)
-        return row
-
-    st = Statement.of(f, s, (0,) * f.k).canonical()
-    verdict, proof, oracle = _settle(st, engine, cache)
-    if verdict is True:
-        source = "induction" if oracle is None else "oracle"
-        return ProfileRow(s, affine, affine, affine, NONDEFECTIVE, 0,
-                          source, proof)
-    if verdict is False:
-        row = ProfileRow(s, affine, None, affine - 1, DEFECTIVE, None,
-                         "induction", proof)
-        return _measure(f, s, row, engine)
-    if isinstance(oracle, OracleBudgetError):
-        return ProfileRow(s, affine, None, affine, UNKNOWN, None, "oracle",
-                          None, str(oracle))
-    return ProfileRow(s, affine, oracle.witness.rank, affine,
-                      EVIDENCE_DEFECTIVE, None, "oracle", None, oracle.note)
+    row = _catalog_row(f, s) or _settle(
+        Statement.of(f, s, (0,) * f.k).canonical(), engine, cache)
+    if row.status == DEFECTIVE and row.lower is None:
+        return _measure(f, row, engine)
+    return row
 
 
 # --- profiles -------------------------------------------------------------
@@ -429,17 +444,11 @@ def perfect_check(fmt: FormatLike, engine: Optional[ProofEngine] = None,
     if k <= 1:
         return PerfectCheck(PERFECT, s_star, source="catalog:single-factor")
     st = Statement.of(pos, s_star, (0,) * k).canonical()
-    verdict, proof, oracle = _settle(st, engine or ProofEngine(), cache)
-    if verdict is not None:
-        source = "induction" if oracle is None else "oracle"
-        return PerfectCheck(PERFECT if verdict else NOT_PERFECT, s_star, st,
-                            source, _cert_ref(proof))
-    if isinstance(oracle, OracleBudgetError):
-        return PerfectCheck(UNKNOWN, s_star, st, "oracle", note=str(oracle))
-    return PerfectCheck(
-        UNKNOWN, s_star, st, "oracle",
-        note=f"rank deficit observed ({oracle.witness.rank} < "
-             f"{oracle.witness.target}); not a proof of imperfection")
+    row = _settle(st, engine or ProofEngine(), cache)
+    status = {NONDEFECTIVE: PERFECT, DEFECTIVE: NOT_PERFECT}.get(row.status,
+                                                                  UNKNOWN)
+    return PerfectCheck(status, s_star, st, row.source, row.cert_ref,
+                        row.note)
 
 
 # --- defective scan -------------------------------------------------------

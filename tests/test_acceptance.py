@@ -2,7 +2,7 @@
 
 Every test prints one bracketed pass/fail line with its wall time, so a
 full run reads like a checklist.  Each also enforces its documented time
-budget.  The two tests marked "extended" run for minutes and are excluded
+budget.  The tests marked "extended" run for minutes and are excluded
 by default; enable them with `pytest -m extended`.
 """
 
@@ -27,7 +27,7 @@ from segredim.formats import Statement, abundance, ambient_dim, is_balanced, \
 from segredim.induction import ProofEngine, VerificationError, prove
 from segredim.induction.verify import verify
 from segredim.induction.rules import (SMALL_FORMAT_DIMS, SMALL_FORMAT_FALSE,
-                                      _fibration_false)
+                                      _fibration_false, defective_family)
 
 
 _CAPSYS = None
@@ -143,6 +143,41 @@ def test_defective_format_scan(tmp_path):
             found.setdefault(hit.s, set()).add(hit.format.dims)
         assert found == expected
         assert len(cache) > 0
+
+
+def _outside_the_families(k_max, n_max, r_max):
+    """The scan's Unknown rows, and its hits that lie neither in a
+    defective_family range nor in Strassen's row (2,n,n), n even,
+    s = 3n/2 + 1, on a fresh engine that runs every oracle matrix."""
+    report = defective_scan(k_max, n_max, r_max,
+                            engine=ProofEngine(RunConfig(force=True)))
+    assert report.hits
+    unknown = [h for h in report.hits if h.status == "Unknown"]
+    outside = []
+    for h in report.hits:
+        dims = tuple(sorted(h.format.dims))
+        family = defective_family(dims)
+        strassen = (len(dims) == 3 and dims[0] == 2 and dims[1] == dims[2]
+                    and dims[1] % 2 == 0 and h.s == 3 * dims[1] // 2 + 1)
+        if not (strassen or family is not None and family[1] < h.s < family[2]):
+            outside.append(h)
+    return unknown, outside
+
+
+def test_defective_rows_lie_in_the_known_families():
+    # The source paper's closing conjecture, on grids: every defective row
+    # the scan finds is a known family's, and every row is settled.
+    with report("conjecture grids", 60.0):
+        for grid in ((3, 12, 70), (4, 7, 140), (5, 4, 200)):
+            assert _outside_the_families(*grid) == ([], []), grid
+
+
+@pytest.mark.extended
+def test_extended_defective_rows_lie_in_the_known_families():
+    # the larger grids; the last one peaks near 420 MB
+    with report("extended conjecture grids", 600.0):
+        for grid in ((6, 3, 250), (3, 16, 130), (4, 9, 260)):
+            assert _outside_the_families(*grid) == ([], []), grid
 
 
 def test_small_format_truth_tables():

@@ -42,7 +42,7 @@ def test_well_typed_record_is_served(tmp_path):
     assert len(cache) == 1
     row = resolve_secant((2, 4, 4), 7, cache=cache)
     assert (row.status, row.source, row.cert_ref) == (
-        "NonDefective", "induction", "a" * 12)
+        "NonDefective", "cache", "a" * 12)
 
 
 @pytest.mark.parametrize("verdict", [1, 0, "false", "true", None, 1.0, [True]])
@@ -79,7 +79,7 @@ def test_a_line_that_is_not_utf8_is_skipped(tmp_path, capsys):
     assert len(cache) == 1
     assert cache.get(STATEMENT, DIGEST).verdict is True
     assert main(["dim", "2,4,4", "7", "--cache", str(path)]) == 0
-    assert "NonDefective [induction]" in capsys.readouterr().out
+    assert "NonDefective [cache]" in capsys.readouterr().out
 
 
 def test_a_line_nested_too_deep_is_skipped(tmp_path, capsys):
@@ -91,7 +91,7 @@ def test_a_line_nested_too_deep_is_skipped(tmp_path, capsys):
     assert cache.get(STATEMENT, DIGEST).verdict is True
     path = str(tmp_path / "verdicts.ldjson")
     assert main(["dim", "2,4,4", "7", "--cache", path]) == 0
-    assert "NonDefective [induction]" in capsys.readouterr().out
+    assert "NonDefective [cache]" in capsys.readouterr().out
 
 
 def test_record_from_an_older_tool_version_misses(tmp_path, capsys):
@@ -302,7 +302,7 @@ def test_decided_line_beats_undetermined_one(tmp_path, cold, decided_first,
     searches = count_searches(monkeypatch)
     row = resolve_secant((2, 4, 4), 7, cache=cache)
     assert (row.status, row.source, row.cert_ref) == (
-        "NonDefective", "induction", "a" * 12)
+        "NonDefective", "cache", "a" * 12)
     assert searches == []
 
 

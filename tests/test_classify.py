@@ -1,12 +1,15 @@
 """Secant profiles, typical ranks, power-format windows, and the scanner."""
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+from segredim import classify
 from segredim.cache import VerdictCache
 from segredim.classify import (
+    CatalogConsistencyError,
     defective_scan,
     perfect_check,
     resolve_secant,
@@ -18,6 +21,8 @@ from segredim.config import RunConfig
 from segredim.formats import Format, Statement, ambient_dim, expected_secant_dim
 from segredim.induction import Certificate, CertNode, ProofEngine
 from segredim.induction import certificate as cert
+from segredim.induction import rules
+from segredim.induction.rules import FalsityReason
 from segredim.induction.verify import verify
 
 
@@ -67,6 +72,31 @@ class TestResolveSecant:
         pc = perfect_check((2, 2, 4), engine)
         assert (pc.status, pc.source) == ("Perfect", "oracle")
         assert pc.cert_ref is not None
+
+    # a falsity claim on the true T(3,3,3;5), whose oracle certifies rank 50
+    FORGED = Statement.of((3, 3, 3), 5)
+
+    def forge(self, monkeypatch, module):
+        real = module.known_false
+        monkeypatch.setattr(module, "known_false", lambda st: (
+            FalsityReason(cert.TABLE_FALSE, "forged")
+            if st.key() == self.FORGED.key() else real(st)))
+
+    def test_measured_rank_refutes_a_catalog_falsity_row(self, monkeypatch):
+        monkeypatch.setattr(classify, "SMALL_FORMAT_DIMS",
+                            classify.SMALL_FORMAT_DIMS | {(3, 3, 3)})
+        self.forge(monkeypatch, classify)
+        with pytest.raises(CatalogConsistencyError,
+                           match="rank 50, above the upper bound 49 that "
+                                 "catalog:small-format claims"):
+            resolve_secant((3, 3, 3), 5, ProofEngine())
+
+    def test_measured_rank_refutes_a_false_certificate(self, monkeypatch):
+        self.forge(monkeypatch, rules)
+        with pytest.raises(CatalogConsistencyError,
+                           match="rank 50, above the upper bound 49 that "
+                                 "induction claims"):
+            resolve_secant((3, 3, 3), 5, ProofEngine())
 
 
 class TestProfiles:
@@ -131,7 +161,8 @@ class TestPowerBounds:
         engine = ProofEngine()
         for s in (*range(1, b.nondefective_max + 1), b.fill_min, b.fill_min + 1):
             row = resolve_secant(fmt, s, engine)
-            assert (row.status, row.source) == ("NonDefective", "induction"), s
+            kind = "oracle" if row.proof.kind == cert.ORACLE else "induction"
+            assert (row.status, row.source) == ("NonDefective", kind), s
             assert row.cert_ref is not None
         assert row.lower == ambient_dim(fmt)
 
@@ -186,7 +217,7 @@ class TestPerfect:
         monkeypatch.setattr(fresh, "prove", None)  # a search would fail
         again = perfect_check((2, 2, 4), engine=fresh,
                               cache=VerdictCache(cache.path))
-        assert again == first
+        assert again == dataclasses.replace(first, source="cache")
 
 
     def test_cert_v1_era_record_is_not_served(self, tmp_path):

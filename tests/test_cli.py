@@ -57,6 +57,18 @@ class TestDim:
         assert rec["status"] == "Evidence-Defective"
         assert "r(k-1)/p = 150/1000003" in rec["note"]
 
+    @pytest.mark.parametrize("fmt,s,statement", [
+        ("6,6,6", "18", "T(6,6,6;18;0,0,0)"), ("2,2,2", "3", "T(2,2,2;3;0,0,0)")])
+    def test_a_one_node_oracle_proof_reads_oracle(self, capsys, tmp_path, fmt,
+                                                  s, statement):
+        code, out, _ = run(capsys, "dim", fmt, s)
+        assert code == 0
+        assert "status: NonDefective [oracle]" in out
+        # the row names the layer its certificate's one node comes from
+        code, out, _ = run(capsys, "prove", statement,
+                           "--out", str(tmp_path / "c.json"))
+        assert (code, out) == (0, f"TRUE {statement} oracle=1\n")
+
     def test_dim_reads_the_record_prove_wrote(self, capsys, tmp_path):
         # rows search under --budget-nodes like prove does, so both key
         # their records by one digest
