@@ -12,15 +12,17 @@ Each attempt first puts its first tangent points on the coordinate frame
 (_specialize): point t takes the basis vector e_t in every factor with
 n_i >= t, as GL(V_0) x ... x GL(V_{k-1}) moves n_i + 1 generic points of
 factor i.  A tangent row at such a point is then a unit vector, and the
-attempt projects it out with its column (_project) before the kernel sees
-the rest: the rank is the number of columns so removed plus the rank of
-what is left.
+attempt projects it out with its column (_cut) before the kernel sees the
+rest: the rank is the number of columns so removed plus the rank of what
+is left.  The cut is read off the nonzero pattern of the first rows, and
+only the rows and columns it keeps are built.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import ClassVar
@@ -59,10 +61,14 @@ MAX_PRIME = math.isqrt(_EXACT // _PANEL)
 # columns wide.
 _LEAF_COLS = 3 * _PANEL
 _SOLVE_BASE = 16
-# Rows per chunk of the blocked path's trailing update, of the input's first
-# reduction and of _project's compaction, so that no temporary is as tall as
-# the matrix.
-_CHUNK = 256
+# Rows per chunk of the build's buffer, of the input's first reduction and
+# of the blocked path's trailing update and row swaps, so that each of their
+# temporaries holds at most this many rows of the matrix.  Measured on the
+# oracle bench's matrices (about 1 000 x 1 000 after projection, 2-core
+# x86-64, OpenBLAS): rank_mod_p took the same time at 64, 128 and 256 rows
+# within the noise, and the tracemalloc peak of an attempt was the kept
+# matrix plus 1.1-1.3 MiB at 64 rows, against plus 2.4-2.9 MiB at 256.
+_CHUNK = 64
 
 DEFAULT_PRIME = 1_000_003
 FALLBACK_PRIME = 4_194_301
@@ -264,25 +270,32 @@ def sample_points(st: Statement, prime: int, seed: int) -> PointSet:
                                  for j in slot_of))
 
 
-def _outer_rows(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # row t: a[t] (x) b[t] mod p, flattened with a's index slowest
-    return (a[:, :, None] * b[:, None, :] % p).reshape(len(a), -1)
+def _outer_rows(a: np.ndarray | None, b: np.ndarray | None,
+                p: int) -> np.ndarray | None:
+    # row t: a[t] (x) b[t] mod p, flattened with a's index slowest; None is
+    # the empty product.  einsum and the reduction in place allocate only
+    # the product, where a broadcast multiply also takes buffers of up to
+    # 128 KiB.
+    if a is None or b is None:
+        return b if a is None else a
+    out = np.einsum("ij,ik->ijk", a, b)
+    out %= p
+    return out.reshape(len(a), -1)
 
 
 def _write_slot(out: np.ndarray, rows: np.ndarray, basis: np.ndarray,
-                xs: tuple[np.ndarray, ...], slot: int, p: int) -> None:
+                others: np.ndarray | None, sizes: tuple[int, ...],
+                slot: int) -> None:
     """Write row rows[t, r] of the zeroed `out`: point t's tensor with its
-    vector at `slot` replaced by basis vector basis[t, r].  The points are
-    given as in a PointSet, one array per slot whose row t is point t's
-    vector; the row's nonzero entries are the product of point t's vectors
-    before the slot (left) times that of those after it (right)."""
-    left = right = np.ones((len(xs[slot]), 1), dtype=np.int64)
-    for x in xs[:slot]:
-        left = _outer_rows(left, x, p)
-    for x in xs[slot + 1 :]:
-        right = _outer_rows(right, x, p)
-    view = out.reshape(len(out), left.shape[1], xs[slot].shape[1], right.shape[1])
-    view[rows, :, basis, :] = (left[:, :, None] * right[:, None, :] % p)[:, None]
+    vector at `slot` replaced by basis vector basis[t, r].  Row t of
+    `others` is the tensor of point t's other vectors in slot order (None
+    when there are none), and sizes[i] the length of a slot-i vector; the
+    row's nonzero entries are those of the vectors before the slot (left)
+    times those of the vectors after it (right)."""
+    left, right = math.prod(sizes[:slot]), math.prod(sizes[slot + 1 :])
+    view = out.reshape(len(out), left, sizes[slot], right)
+    view[rows, :, basis, :] = (1 if others is None else
+                               others.reshape(len(others), 1, left, right))
 
 
 def row_count(st: Statement) -> int:
@@ -305,48 +318,115 @@ def oracle_cells(st: Statement, force: bool) -> int:
     return rows * cols
 
 
-def build_terracini_matrix(st: Statement, pts: PointSet) -> np.ndarray:
+def _write_chunks(st: Statement, pts: PointSet, lo: int, hi: int,
+                  out: np.ndarray | None = None):
+    """Write the rows of build_terracini_matrix(st, pts) that meet rows lo
+    to hi in chunks of whole points, of at most _CHUNK rows (or one
+    point's), and yield each as (first row, end, its rows).  They are
+    written into the rows of `out`, the whole matrix, when it is given,
+    and otherwise into one buffer that each chunk reuses.  Each slot of a
+    chunk's points is written for all of them at once."""
+    p = pts.prime
+    dims = st.format.dims
+    sizes = tuple(n + 1 for n in dims)
+    per = 1 + sum(dims)  # rows of one tangent point
+    groups = [(per, len(pts.tangent[0]), None)] + [
+        (n + 1, len(xs[i]), i) for i, (xs, n) in enumerate(zip(pts.fibers, dims))]
+    reuse = out is None
+    if reuse:
+        out = np.empty((min(max(_CHUNK, per), parameter_count(st)),
+                        ambient_dim(st.format)))
+    top = 0
+    for size, count, fiber in groups:
+        step = max(1, _CHUNK // size)
+        for t in range(max(0, (lo - top) // size), count, step):
+            r0, u = top + t * size, min(t + step, count)
+            if r0 >= hi:
+                return
+            r1 = top + u * size
+            buf = out[: r1 - r0] if reuse else out[r0:r1]
+            buf.fill(0)
+            if fiber is not None:
+                others = None
+                for i, x in enumerate(pts.fibers[fiber]):
+                    if i != fiber:
+                        others = _outer_rows(others, x[t:u], p)
+                rows = np.arange((u - t) * size).reshape(u - t, size)
+                _write_slot(buf, rows, np.arange(size), others, sizes, fiber)
+                yield r0, r1, buf
+                continue
+            xs = tuple(x[t:u] for x in pts.tangent)
+            # the tensors of the vectors before each slot and after it
+            before, after = [None], [None]
+            for x, y in zip(xs[:-1], xs[:0:-1]):
+                before.append(_outer_rows(before[-1], x, p))
+                after.append(_outer_rows(y, after[-1], p))
+            starts = np.arange(u - t)[:, None] * per
+            first = 0
+            for j, x in enumerate(xs):
+                basis = np.arange(dims[j] + (j == 0))
+                rows = starts + first + basis
+                if j:
+                    # skip each point's first nonzero coordinate b: row r is
+                    # basis vector r below b and r + 1 from b on
+                    basis = basis + (basis >= (x != 0).argmax(axis=1)[:, None])
+                _write_slot(buf, rows, basis,
+                            _outer_rows(before[j], after[-1 - j], p), sizes, j)
+                first += rows.shape[1]
+            yield r0, r1, buf
+        top += count * size
+
+
+def build_terracini_matrix(st: Statement, pts: PointSet,
+                           rows: np.ndarray | None = None,
+                           cols: np.ndarray | None = None) -> np.ndarray:
     """Rows: per tangent point x = x_0 (x) ... (x) x_{k-1}, the whole slot-0
     block, then each slot block j >= 1 without its row at the first nonzero
     coordinate b of x_j; then the fiber blocks per factor, whole.  Columns:
     multi-indices in row-major order, first factor slowest.  The shape is
-    (parameter_count(st), ambient_dim(st.format)).
+    (parameter_count(st), ambient_dim(st.format)); given rows or columns,
+    as ascending indices into those, only they are built.
 
     The span is that of all row_count(st) generators, exactly, at every
     sample: the rows of block j weighted by x_j sum to x, which the slot-0
     block spans, so the dropped row is x_j[b]^-1 times a combination of rows
     kept (x_j[b] is a unit mod p).  A P^0 slot j >= 1 adds no row.
 
-    Returns float64 residues in [0, p), not int64: each slot is written
-    for all tangent points at once, and each factor's fiber rows at once,
-    straight into one zeroed array (exact since p < MAX_PRIME < 2^53),
-    which rank_mod_p(..., overwrite=True) then reduces in place."""
-    p = pts.prime
-    dims = st.format.dims
-    out = np.zeros((parameter_count(st), ambient_dim(st.format)), dtype=np.float64)
-    # each slot is written for all tangent points at once: point t's rows
-    # start at t * width, and its block for slot j at `top` past that
-    width = 1 + sum(dims)
-    count = len(pts.tangent[0])
-    if count:
-        starts = np.arange(count)[:, None] * width
-        top = 0
-        for j, x in enumerate(pts.tangent):
-            basis = np.arange(dims[j] + (j == 0))
-            rows = starts + top + basis
-            if j:
-                # skip each point's first nonzero coordinate b: row r is
-                # basis vector r below b and r + 1 from b on
-                basis = basis + (basis >= (x != 0).argmax(axis=1)[:, None])
-            _write_slot(out, rows, basis, pts.tangent, j, p)
-            top += rows.shape[1]
-    top = count * width
-    for i, xs in enumerate(pts.fibers):
-        count, m = xs[i].shape
-        if count:
-            rows = top + np.arange(count * m).reshape(count, m)
-            _write_slot(out, rows, np.arange(m), xs, i, p)
-            top += count * m
+    Returns float64 residues in [0, p), not int64, in one array of the
+    shape asked for, which rank_mod_p(..., overwrite=True) then reduces in
+    place (exact since p < MAX_PRIME < 2^53).  It is written in the chunks
+    of _write_chunks: straight into the array when it is whole, and
+    otherwise into a buffer of one chunk, from which the rows and columns
+    asked for are taken, so that nothing of the whole shape is allocated."""
+    total, width = parameter_count(st), ambient_dim(st.format)
+    if rows is not None and len(rows) == total:
+        rows = None
+    if cols is not None and len(cols) == width:
+        cols = None
+    out = np.empty((total if rows is None else len(rows),
+                    width if cols is None else len(cols)), dtype=np.float64)
+    if rows is None and cols is None:
+        for _ in _write_chunks(st, pts, 0, total, out):
+            pass
+        return out
+    if not len(out):
+        return out
+    lo, hi = (0, total) if rows is None else (int(rows[0]), int(rows[-1]) + 1)
+    end = 0
+    # the chunks follow each other from the one holding row lo, so the rows
+    # asked for in each are the next ones of `rows` below its end
+    for r0, r1, buf in _write_chunks(st, pts, lo, hi):
+        if rows is None:
+            at, end = r0, r1
+        else:
+            at = end
+            end += int(np.count_nonzero(rows[at : at + r1 - r0] < r1))
+            if end - at < r1 - r0:
+                buf = buf[rows[at:end] - r0]
+        if cols is None:
+            out[at:end] = buf
+        else:
+            np.take(buf, cols, axis=1, out=out[at:end], mode="clip")
     return out
 
 
@@ -363,8 +443,10 @@ def _eliminate(
     _LEAF_COLS of the leaf path or _SUB of _factor's narrow blocks, with
     room to spare).
 
-    Each pivot column is reduced once: its residues give the pivot row (the
-    first nonzero one), the pivot's inverse and the multipliers.
+    Each pivot column is reduced once, in place: its residues give the
+    pivot row (the first nonzero one) and the pivot's inverse, and below
+    the pivot they are the multipliers, left where they are.  A row swap
+    exchanges two rows of A through one saved copy.
 
     Leaves A as LAPACK's getrf does, in `at` transposed: each pivot row is
     scaled to 1 at its pivot, and below each pivot sits the multiplier that
@@ -379,21 +461,24 @@ def _eliminate(
     for c in range(cols):
         if rank == rows:
             break
-        col = at[c, rank:] % p
+        col = at[c, rank:]  # reduced in place: below the pivot, the multipliers
+        np.remainder(col, p, out=col)
         nz = col.nonzero()[0]
         if nz.size == 0:
             continue
         piv = int(nz[0])
-        if piv:
-            at[:, [rank, rank + piv]] = at[:, [rank + piv, rank]]
-            col[[0, piv]] = col[[piv, 0]]
+        if piv:  # the swap moves col's entries with the rest
+            saved = at[:, rank].copy()
+            at[:, rank] = at[:, rank + piv]
+            at[:, rank + piv] = saved
             swaps.append((rank, rank + piv))
         inv = pow(int(col[0]), p - 2, p)
-        at[c:, rank] = at[c:, rank] % p * inv % p
-        below = col[1:]
-        if below.size:
-            at[c + 1 :, rank + 1 :] -= at[c + 1 :, rank, None] * below[None, :]
-            at[c, rank + 1 :] = below
+        row = at[c:, rank]
+        np.remainder(row, p, out=row)
+        row *= inv
+        np.remainder(row, p, out=row)
+        if rank + 1 < rows:
+            at[c + 1 :, rank + 1 :] -= row[1:, None] * col[None, 1:]
         pivots.append(c)
         inverses.append(inv)
         rank += 1
@@ -418,12 +503,28 @@ def _reduce(x: np.ndarray, p: int) -> None:
 def _solve_unit_lower(lower: np.ndarray, y: np.ndarray, p: int) -> None:
     """Overwrite the rows of y by L^-1 y mod p, where L is the unit lower
     triangle of `lower` (its entries on and above the diagonal are ignored)
-    and y is reduced.  Halving turns most of the work into GEMMs."""
+    and y is reduced.  Halving turns most of the work into GEMMs, and so
+    does the base case: L = I + N with N strictly lower, so N^r = 0 and
+    L^-1 = (I - N)(I + N^2)(I + N^4)..., about log2(r) rounds of small
+    GEMMs where forward substitution makes one GEMV per row.  Every factor
+    is reduced, so each GEMM adds at most _SOLVE_BASE products of residues
+    per entry."""
     r = len(y)
     if r <= _SOLVE_BASE:
-        for i in range(1, r):
-            y[i] -= lower[i, :i] @ y[:i]
-            _reduce(y[i], p)
+        at = np.arange(r)
+        neg = -lower[:r, :r] * (at[:, None] > at)  # -N
+        inv = neg.copy()
+        inv[at, at] = 1
+        _reduce(inv, p)
+        power = neg @ neg
+        _reduce(power, p)
+        while power.any():
+            inv += inv @ power
+            _reduce(inv, p)
+            power = power @ power
+            _reduce(power, p)
+        y[...] = inv @ y
+        _reduce(y, p)
         return
     h = r // 2
     _solve_unit_lower(lower[:h, :h], y[:h], p)
@@ -434,12 +535,15 @@ def _solve_unit_lower(lower: np.ndarray, y: np.ndarray, p: int) -> None:
 
 def _swap_rows(x: np.ndarray, swaps: list[tuple[int, int]]) -> None:
     """Apply the row swaps, in order, to x (any view), moving each row
-    that ends up elsewhere once."""
+    that ends up elsewhere once, in column chunks that each copy at most
+    _CHUNK rows' worth of entries."""
     order = np.arange(len(x))
     for i, j in swaps:
         order[i], order[j] = order[j], order[i]
     moved = np.flatnonzero(order != np.arange(len(x)))
-    x[moved] = x[order[moved]]
+    step = _CHUNK * x.shape[1] // max(len(moved), _CHUNK)
+    for i in range(0, x.shape[1], step):
+        x[moved, i : i + step] = x[order[moved], i : i + step]
 
 
 def _factor(
@@ -491,6 +595,7 @@ def _factor(
             # scaled by the k-th pivot inverse, so the triangle to solve has
             # a unit diagonal.
             lower = block[piv].astype(np.float64, copy=False)
+            del block  # only the multipliers are read from here on
             lower *= np.array(inv, dtype=np.float64)[:, None]
             _reduce(lower, p)
             upper = at[e:, rank : rank + r].T  # the pivot rows right of the block
@@ -501,10 +606,12 @@ def _factor(
                 rest = at[e:, rank + i : rank + i + _CHUNK]
                 if reduce:
                     _reduce(rest, p)
-                chunk = lower[:, i : i + _CHUNK]
-                # the product in the layout of the entries it updates
-                rest -= (chunk.T @ upper).T if row_major else upper.T @ chunk
+                # the product in the layout of the entries it updates; no
+                # name holds a view of `lower` past this loop
+                rest -= ((lower[:, i : i + _CHUNK].T @ upper).T if row_major
+                         else upper.T @ lower[:, i : i + _CHUNK])
             bound = (p - 1 if reduce else bound) + r * step
+            del lower  # nor are they held while the next block is factored
         rank += r
     return rank, pivots, inverses, swaps
 
@@ -606,7 +713,7 @@ def _specialize(pts: PointSet) -> None:
 
 def _unit_head(st: Statement) -> int:
     """How many leading rows of the matrix built at specialized points
-    _project examines: those of the tangent points off the frame in at
+    _cut examines: those of the tangent points off the frame in at
     most one positive factor.  A point t on the frame has only unit rows;
     one off it in factor i alone, unit rows in its block of slot i, and
     rows in its other blocks that removals can leave unit.  A later point
@@ -618,20 +725,28 @@ def _unit_head(st: Statement) -> int:
     return points * (1 + sum(pos))
 
 
-def _project(out: np.ndarray, head: int) -> tuple[int, np.ndarray]:
-    """Remove each unit row (one nonzero entry) among the first `head` rows
-    of `out` with its column, and again while rows there become unit as
-    columns go, with the rows there that are left zero.  Returns the number
-    of columns removed, which adds to the rank of what is left, and what is
-    left: a C-contiguous view of out's own buffer, into which the kept rows
-    and columns are compacted in chunks of _CHUNK rows.  Chunk i goes to the
-    buffer's entries before those of its kept rows, and kept rows are read
-    in order, so no chunk overwrites a row still to be read."""
-    rows, cols = out.shape
-    nonzero = out[:head] != 0
+def _head_pattern(st: Statement, pts: PointSet) -> np.ndarray:
+    """Which entries of the first _unit_head(st) rows of the matrix at pts
+    are nonzero, built _CHUNK rows at a time."""
+    head = _unit_head(st)
+    nonzero = np.empty((head, ambient_dim(st.format)), dtype=bool)
+    for r0, r1, buf in _write_chunks(st, pts, 0, head):
+        e = min(r1, head)
+        np.not_equal(buf[: e - r0], 0, out=nonzero[r0:e])
+    return nonzero
+
+
+def _cut(nonzero: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The projection of a matrix of `rows` rows whose first rows have the
+    pattern `nonzero`: remove each unit row (one nonzero entry) among them
+    with its column, and again while rows there become unit as columns go,
+    with the rows there that are left zero.  Returns the rows and the
+    columns kept, ascending; the number of columns removed adds to the rank
+    of what is kept."""
+    head, cols = nonzero.shape
     count = nonzero.sum(axis=1)
     gone = np.zeros(cols, dtype=bool)
-    live = np.ones(len(nonzero), dtype=bool)
+    live = np.ones(head, dtype=bool)
     while True:
         unit = np.flatnonzero(live & (count == 1))
         if not unit.size:
@@ -642,30 +757,30 @@ def _project(out: np.ndarray, head: int) -> tuple[int, np.ndarray]:
         live[unit] = False
         count -= nonzero[:, cut].sum(axis=1)
     live &= count > 0
-    removed = int(gone.sum())
-    if live.all() and not removed:
-        return 0, out
-    keep = np.concatenate((np.flatnonzero(live), np.arange(len(live), rows)))
-    kept = np.flatnonzero(~gone)
-    flat = out.reshape(-1)
-    width = len(kept)
-    for i in range(0, len(keep), _CHUNK):
-        chunk = out[np.ix_(keep[i : i + _CHUNK], kept)]
-        flat[i * width : i * width + chunk.size] = chunk.reshape(-1)
-    return removed, flat[: len(keep) * width].reshape(len(keep), width)
+    return (np.concatenate((np.flatnonzero(live), np.arange(head, rows))),
+            np.flatnonzero(~gone))
 
 
 def recompute_rank(st: Statement, prime: int, seed: int) -> RankWitness:
     """One attempt from (prime, seed): terracini_oracle runs each of its
     plan through it, and verifiers re-run a recorded one.  The points are
     those sample_points draws, with the first on the frame (_specialize),
-    and the rank that of build_terracini_matrix at them: the unit rows it
-    projects out (_project) plus rank_mod_p of the rest."""
+    and the rank that of build_terracini_matrix at them: the columns of the
+    unit rows projected out (_cut, on the pattern of the rows that can hold
+    them) plus rank_mod_p of the rows and columns kept, the only ones
+    built."""
+    width = ambient_dim(st.format)
+    if parameter_count(st) * width > sys.maxsize // 8:
+        # past any array numpy can address (where it raises ValueError); a
+        # forged witness can name such a statement
+        raise MemoryError(
+            f"a {parameter_count(st)}x{width} matrix cannot be allocated")
     pts = sample_points(st, prime, seed)
     _specialize(pts)
-    # no name outlives the call: the matrix is freed before the next
-    # attempt builds
-    removed, rest = _project(build_terracini_matrix(st, pts), _unit_head(st))
-    rank = removed + rank_mod_p(rest, prime, overwrite=True)
-    return RankWitness(st.canonical(), prime, seed, row_count(st),
-                       ambient_dim(st.format), rank, target_dim(st))
+    rows, cols = _cut(_head_pattern(st, pts), parameter_count(st))
+    # the kernel's buffer is the one matrix built, of the kept shape; no
+    # name holds it, so it is freed before the next attempt builds
+    rank = width - len(cols) + rank_mod_p(
+        build_terracini_matrix(st, pts, rows, cols), prime, overwrite=True)
+    return RankWitness(st.canonical(), prime, seed, row_count(st), width, rank,
+                       target_dim(st))

@@ -12,7 +12,7 @@ from segredim.cli import main
 from segredim import ffrank
 from segredim.ffrank import (DEFAULT_PRIME, FALLBACK_PRIME, RankWitness,
                              derive_seed, recompute_rank)
-from segredim.formats import parse_statement
+from segredim.formats import ambient_dim, parse_statement, target_dim
 from segredim.induction import ProofEngine
 from segredim.induction import verify
 from segredim.induction.verify import evidence_holds
@@ -354,3 +354,59 @@ def test_fallback_evidence_holds_only_above_the_first_attempt(cold,
     monkeypatch.setattr(verify, "recompute_rank", first_lower)
     assert evidence_holds(fallback, 0)
     assert not evidence_holds(witness, 0)  # no longer recomputes
+
+
+def _plan_witness(text: str, attempt: int) -> RankWitness:
+    """A forged deficit of `text` at the seed the plan derives for its
+    attempt, every field consistent with the statement."""
+    st = parse_statement(text).canonical()
+    prime, index = ffrank.PLAN[attempt]
+    return RankWitness(st, prime, derive_seed(st.key(), prime, 0, index),
+                       ffrank.row_count(st), ambient_dim(st.format),
+                       target_dim(st) - 1, target_dim(st))
+
+
+@pytest.mark.parametrize("attempt", [0, 1])
+@pytest.mark.parametrize("text", [
+    "T(2000,2000,2000;2;0,0,0)",        # 700 TiB: the allocation fails
+    "T(100000,100000,100000;2;0,0,0)",  # past any size numpy can address
+])
+def test_evidence_on_a_matrix_that_cannot_be_allocated_does_not_hold(text,
+                                                                     attempt):
+    # the recheck builds the head pattern, a chunk buffer and the kept
+    # matrix; a forged witness can name a statement none of them fits,
+    # and that once ended evidence_holds in a ValueError traceback
+    assert not evidence_holds(_plan_witness(text, attempt), 0)
+
+
+def test_scan_treats_a_witness_it_cannot_recheck_as_a_miss(tmp_path, capsys,
+                                                           monkeypatch):
+    # two forged lines: one for a statement no grid row asks for, whose
+    # matrix cannot be allocated, and one for the grid's (2,4,4) s = 7 row
+    # whose recheck runs out of memory as the first one's would; both are
+    # misses, and the scan lists what a scan without a cache lists
+    argv = ["scan", "--k", "3", "--max-n", "4", "--max-r", "8"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    huge = _plan_witness("T(100000,100000,100000;2;0,0,0)", 0)
+    grid = _plan_witness(STATEMENT, 0)
+    path = tmp_path / "verdicts.ldjson"
+    path.write_text("".join(
+        json.dumps(undetermined(w, statement=w.statement.key())) + "\n"
+        for w in (huge, grid)))
+    assert len(VerdictCache(path)) == 2
+    real = verify.recompute_rank
+
+    def out_of_memory(st, prime, seed):
+        if st.key() == STATEMENT:
+            raise MemoryError
+        return real(st, prime, seed)
+    monkeypatch.setattr(verify, "recompute_rank", out_of_memory)
+    searches = count_searches(monkeypatch)
+    assert main(argv + ["--cache", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == cold and captured.err == ""
+    assert STATEMENT in searches  # the line was a miss: the row was searched
+    written = [json.loads(line) for line in path.read_text().splitlines()]
+    again = [r for r in written[2:] if r["statement"] == STATEMENT]
+    assert [r["witness"] for r in again] == [grid.to_json()]

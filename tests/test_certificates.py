@@ -497,6 +497,26 @@ class TestTamperRejection:
             "verification failed: certificate node 0: witness matrix "
             "12006x8012006001 cannot be allocated"]
 
+    def test_witness_matrix_past_what_numpy_can_address(self, tmp_path,
+                                                       capsys):
+        # as above, but the matrix has more bytes than numpy can index:
+        # numpy raises ValueError there, not MemoryError, and that once
+        # ended verify in a ValueError traceback
+        st = "T(100000,100000,100000;2;0,0,0)"
+        doc = {"version": "cert-v2", "statement": st, "verdict": True,
+               "nodes": [{"kind": "oracle", "statement": st,
+                          "witness": {"prime": DEFAULT_PRIME, "seed": 1,
+                                      "rows": 600006, "cols": 100001 ** 3,
+                                      "rank": 600002, "target": 600002}}]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "verification failed: certificate node 0: witness matrix "
+            f"600006x{100001 ** 3} cannot be allocated"]
+
     def test_witness_rank_above_matrix_size(self, true_cert_doc):
         doc = copy.deepcopy(true_cert_doc)
         at = witness_index(doc)

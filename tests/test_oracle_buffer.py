@@ -30,11 +30,16 @@ from segredim.ffrank import (
     _EXACT,
     _LEAF_COLS,
     _PANEL,
+    _SOLVE_BASE,
     _SUB,
+    PLAN,
+    _cut,
     _eliminate,
     _factor,
+    _head_pattern,
     _reduce,
     _solve_unit_lower,
+    _specialize,
     FieldConfig,
     _draw_points,
     build_terracini_matrix,
@@ -462,6 +467,26 @@ def test_panel_step_matches_the_single_loop(p):
     assert all(any(s[i] for s in seen) for i in range(3))
 
 
+@pytest.mark.parametrize("p", [97, DEFAULT_PRIME, FALLBACK_PRIME])
+def test_solve_unit_lower_matches_forward_substitution(p):
+    # the base case's product of log2(r) factors and the halving above it
+    # give L^-1 y mod p for reduced entries of either sign, whatever sits
+    # on and above the diagonal of `lower`
+    rng = np.random.default_rng(p % 977)
+    for r in (1, 2, 5, _SOLVE_BASE, _SOLVE_BASE + 1, 2 * _SOLVE_BASE + 7, _PANEL):
+        lower = rng.integers(-(p // 2), p // 2 + 1, size=(r, r)).astype(np.float64)
+        y = rng.integers(-(p // 2), p // 2 + 1, size=(r, 40)).astype(np.float64)
+        want = [[int(v) % p for v in row] for row in y]
+        for i in range(r):
+            for j in range(i):
+                m = int(lower[i, j])
+                want[i] = [(a - m * b) % p for a, b in zip(want[i], want[j])]
+        got = y.copy()
+        _solve_unit_lower(lower, got, p)
+        assert np.abs(got).max() <= p // 2 + 1
+        assert (got.astype(np.int64) % p).tolist() == want, r
+
+
 def late_swap_matrix(rng: np.random.Generator, rows: int, cols: int, p: int):
     """A matrix 2-4 panels wide whose first two panels have rank t, off the
     sub-panel grid, held by its first t rows; rows t to t+7 are zero up to
@@ -579,16 +604,41 @@ def test_recompute_reproduces_oracle_witness(text):
         assert recompute_rank(w.statement, w.prime, w.seed) == w
 
 
-def test_oracle_holds_one_matrix_copy():
-    # clock-free: the copying path peaked at 3.0x the float64 matrix here;
-    # the matrix the kernel gets has parameter_count rows
-    st = parse_statement("T(1,1,15,15;31)")
-    matrix_bytes = parameter_count(st) * ambient_dim(st.format) * 8
+def oracle_peak(st: Statement) -> tuple[int, int, object]:
+    """The tracemalloc peak of a forced oracle call on st, the bytes of the
+    float64 matrix its first attempt hands the kernel, and its result.
+    numpy.random is imported on first use, so a small call goes first."""
+    terracini_oracle(parse_statement("T(1,1,1;2)"))
+    p = PLAN[0][0]
+    pts = sample_points(st, p, derive_seed(st.key(), p, 0, PLAN[0][1]))
+    _specialize(pts)
+    rows, cols = _cut(_head_pattern(st, pts), parameter_count(st))
     tracemalloc.start()
     try:
         res = terracini_oracle(st, FieldConfig(force=True))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, len(rows) * len(cols) * 8, res
+
+
+def test_oracle_holds_one_matrix_copy():
+    # clock-free: the copying path peaked at 3.0x the float64 matrix here,
+    # and building the full matrix at 1.7x the kept one; the matrix the
+    # kernel gets has the kept shape
+    peak, kept_bytes, res = oracle_peak(parse_statement("T(1,1,15,15;31)"))
     assert len(res.attempts) == 2  # deficient: the fallback prime ran too
-    assert peak < 1.5 * matrix_bytes
+    assert peak < 1.25 * kept_bytes
+
+
+@pytest.mark.parametrize("text, shape", [("T(10,10,10;43)", (992, 990)),
+                                         ("T(5,5,5,5;61)", (1155, 1170))])
+def test_oracle_peak_is_the_kept_matrix_and_bounded_temporaries(text, shape):
+    # clock-free: building the full matrix and projecting it in place
+    # peaked at 18.0 and 17.6 MiB; the kept matrix is 7.49 and 10.31 MiB,
+    # and the build's buffer and the kernel's temporaries of at most _CHUNK
+    # or _PANEL rows took 1.1-1.3 MiB beside it
+    peak, kept_bytes, res = oracle_peak(parse_statement(text))
+    assert res.certified
+    assert kept_bytes == shape[0] * shape[1] * 8
+    assert peak < kept_bytes + 2 * 2**20

@@ -2,11 +2,13 @@
 projected out.
 
 recompute_rank puts tangent point t on e_t in every factor with n_t >= t
-(_specialize), builds the matrix at those points, removes its unit rows
-with their columns (_project) and adds the columns removed to the rank of
-the rest.  The tests check that this is the rank of the whole matrix at
-the same points, that it is the rank at the points as drawn, and that the
-projection keeps the rest in the build's own buffer.
+(_specialize), finds the unit rows among the first rows of the matrix at
+those points and removes them with their columns (_cut, on the nonzero
+pattern _head_pattern builds), builds only the rows and columns kept, and
+adds the columns removed to the rank of that.  The tests check that this
+is the rank of the whole matrix at the same points, that it is the rank at
+the points as drawn, and that the kept matrix is the one that projecting
+the whole matrix (ref_project, the compaction this build replaced) leaves.
 """
 import itertools
 import random
@@ -19,7 +21,8 @@ from segredim.ffrank import (
     FALLBACK_PRIME,
     _CHUNK,
     _LEAF_COLS,
-    _project,
+    _cut,
+    _head_pattern,
     _residues,
     _specialize,
     _unit_head,
@@ -85,14 +88,15 @@ def test_projected_rank_is_the_rank_of_the_whole_matrix():
         whole = build_terracini_matrix(st, specialized(st, p, seed))
         want = rank_mod_p(whole, p)
         assert recompute_rank(st, p, seed).rank == want, st
-        removed, rest = _project(whole.copy(), _unit_head(st))
+        rows, cols = _cut(whole[: _unit_head(st)] != 0, len(whole))
+        removed = whole.shape[1] - len(cols)
         pos = [n for n in st.format.dims if n]
         kinds |= {
             ("P0", 0 in st.format.dims),
             ("s below every n_i + 1", 0 < st.s < min(pos, default=0) + 1),
             ("two-factor overlap",
-             len(pos) == 2 and len(whole) - len(rest) > removed),
-            ("rest on the blocked path", rest.shape[1] > _LEAF_COLS),
+             len(pos) == 2 and len(whole) - len(rows) > removed),
+            ("rest on the blocked path", len(cols) > _LEAF_COLS),
         }
     assert {kind for kind, seen in kinds if seen} == {
         "P0", "s below every n_i + 1", "two-factor overlap",
@@ -126,11 +130,34 @@ def test_permuted_statement_gives_the_same_witness(text):
     assert terracini_oracle(st).witness == terracini_oracle(perm).witness
 
 
+def ref_project(out: np.ndarray, head: int) -> tuple[int, np.ndarray]:
+    """The projection as it ran on the whole built matrix: remove each unit
+    row among the first `head` rows with its column, again while rows
+    there become unit, and the rows there left zero; return the columns
+    removed and the rest."""
+    rows, cols = out.shape
+    nonzero = out[:head] != 0
+    count = nonzero.sum(axis=1)
+    gone = np.zeros(cols, dtype=bool)
+    live = np.ones(len(nonzero), dtype=bool)
+    while True:
+        unit = np.flatnonzero(live & (count == 1))
+        if not unit.size:
+            break
+        cut = np.zeros(cols, dtype=bool)
+        cut[(nonzero[unit] & ~gone).argmax(axis=1)] = True
+        gone |= cut
+        live[unit] = False
+        count -= nonzero[:, cut].sum(axis=1)
+    live &= count > 0
+    keep = np.concatenate((np.flatnonzero(live), np.arange(len(live), rows)))
+    return int(gone.sum()), out[np.ix_(keep, np.flatnonzero(~gone))]
+
+
 def project(rows: list[list[int]], head: int) -> tuple[int, list[list[int]]]:
     m = np.array(rows, dtype=np.float64)
-    removed, rest = _project(m, head)
-    assert rest.flags.c_contiguous and np.shares_memory(rest, m)
-    return removed, rest.astype(np.int64).tolist()
+    keep, kept = _cut(m[:head] != 0, len(m))
+    return m.shape[1] - len(kept), m[np.ix_(keep, kept)].astype(np.int64).tolist()
 
 
 def test_two_unit_rows_on_one_column():
@@ -169,22 +196,60 @@ def test_rows_past_the_head_and_rows_of_two_entries_stay():
     assert project(m, 3) == (1, [[3, 4]])
 
 
-def test_compaction_across_chunks_matches_fancy_indexing():
-    # more kept rows than one chunk, columns removed throughout: each chunk
-    # lands before the rows it has yet to read
-    rng = np.random.default_rng(5)
-    rows, cols, head = 2 * _CHUNK + 77, 300, 120
-    m = rng.integers(1, DEFAULT_PRIME, size=(rows, cols)).astype(np.float64)
-    unit = rng.choice(head, size=90, replace=False)
-    at = rng.choice(cols, size=90)  # some columns twice
-    m[unit] = 0
-    m[unit, at] = 5
-    keep_rows = [i for i in range(rows) if i not in set(unit)]
-    keep_cols = [c for c in range(cols) if c not in set(at)]
-    want = m[np.ix_(keep_rows, keep_cols)]
-    removed, rest = _project(m, head)
-    assert removed == len(set(at.tolist()))
-    assert np.array_equal(rest, want) and np.shares_memory(rest, m)
+def cut_sweep(count: int, seed: int) -> list[Statement]:
+    # k = 3 to 5, dims 0 to 6, fibers 0 to 3; up to a few chunks of rows
+    rng = random.Random(seed)
+    out = [parse_statement("T(1,1,1;2)"),  # the cut removes every column
+           parse_statement("T(4,4,0;9;1,0,2)")]
+    while len(out) < count:
+        k = rng.randint(3, 5)
+        dims = tuple(rng.choice([0, 1, 2, 3, 4, 5, 6]) for _ in range(k))
+        a = tuple(rng.choice([0, 0, 0, 1, 2, 3]) for _ in range(k))
+        st = Statement.of(dims, rng.randint(0, 14), a)
+        if parameter_count(st) * ambient_dim(st.format) <= 60_000:
+            out.append(st)
+    return out
+
+
+def test_kept_build_matches_the_projected_whole_build():
+    # the rows and columns the cut keeps, built alone, are what projecting
+    # the whole matrix at the same points leaves, entry for entry, and the
+    # columns removed are as many
+    kinds = set()
+    for i, st in enumerate(cut_sweep(520, seed=32)):
+        p, seed = attempt(i, st)
+        pts = specialized(st, p, seed)
+        want_removed, want = ref_project(build_terracini_matrix(st, pts), _unit_head(st))
+        rows, cols = _cut(_head_pattern(st, pts), parameter_count(st))
+        kept = build_terracini_matrix(st, pts, rows, cols)
+        assert ambient_dim(st.format) - len(cols) == want_removed, st
+        assert kept.shape == want.shape and kept.tobytes() == want.tobytes(), st
+        kinds |= {("k", st.format.k), ("P0", 0 in st.format.dims),
+                  ("fibers", sum(st.a) > 0), ("every column", len(cols) == 0),
+                  ("rows past one chunk", len(rows) > _CHUNK),
+                  ("prime", p)}
+    assert kinds == {("k", 3), ("k", 4), ("k", 5), ("P0", True), ("P0", False),
+                     ("fibers", True), ("fibers", False), ("every column", True),
+                     ("every column", False), ("rows past one chunk", True),
+                     ("rows past one chunk", False), ("prime", DEFAULT_PRIME),
+                     ("prime", FALLBACK_PRIME)}
+
+
+def test_build_of_any_rows_and_columns_is_the_whole_build_indexed():
+    # rows and columns in any subset, each side alone, across row chunks
+    rng = np.random.default_rng(7)
+    for i, text in enumerate(["T(3,4,2;9;1,0,2)", "T(2,2,2,2;17)", "T(6,0,5;14;2,1,0)"]):
+        st = parse_statement(text)
+        pts = sample_points(st, PRIMES[i % 2], i)
+        whole = build_terracini_matrix(st, pts)
+        assert len(whole) > _CHUNK
+        rows = np.flatnonzero(rng.random(len(whole)) < 0.7)
+        cols = np.flatnonzero(rng.random(whole.shape[1]) < 0.6)
+        every = np.arange(whole.shape[1])
+        for r, c in ((rows, cols), (rows, None), (None, cols), (rows, every)):
+            want = whole[slice(None) if r is None else r]
+            want = want[:, slice(None) if c is None else c]
+            assert np.array_equal(build_terracini_matrix(st, pts, r, c), want), text
 
 
 def float_chunks(p: int, bad) -> np.ndarray:
