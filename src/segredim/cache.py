@@ -1,6 +1,6 @@
 """Append-only verdict cache, one JSON record per line.
 
-Records are keyed by canonical statement text plus a digest of the run
+Records are keyed by statement text plus a digest of the run
 configuration, so results from a different seed, budget or certificate
 format never alias.  A decided record holds a verdict and its
 certificate's root digest, cert_sha256.  An undetermined record holds

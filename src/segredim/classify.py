@@ -185,8 +185,8 @@ def _catalog_row(fmt: Format, s: int) -> Optional[ProfileRow]:
 
 
 def _settle(st: Statement, engine: ProofEngine, cache) -> ProfileRow:
-    """The row of a canonical statement the catalog leaves open: the cache,
-    then the engine's proof search, then its oracle.
+    """The row of a statement the catalog leaves open: the cache, then
+    the engine's proof search, then its oracle.
 
     The source is read off what decided the row: `cache` for a decided
     cache record, whose root digest is then the proof; `oracle` for a
@@ -201,14 +201,14 @@ def _settle(st: Statement, engine: ProofEngine, cache) -> ProfileRow:
     whole plan and its kept outcome is read back.  On the bench scan grid
     (k<=3, n<=10, s<=60) no search stops at either, and this call
     certifies none of the 411 rows settled here.  A certified outcome is
-    the one-node oracle certificate the root leaf also writes, and is not
-    recorded in the cache.  Otherwise the row is Evidence-Defective, with
-    the best rank and the oracle's note, or Unknown after a refusal, and
-    the cache records the search's reason with the best witness, or with
-    none after a refusal.  Records are keyed by the digest of the engine's
-    config.  Under the same digest such a record is served as is, with no
-    search, once it holds up (_served); one that does not is a miss, and
-    its row is settled afresh.
+    the one-node oracle certificate the root leaf also writes, and the
+    cache records it like any other decided row.  Otherwise the row is
+    Evidence-Defective, with the best rank and the oracle's note, or
+    Unknown after a refusal, and the cache records the search's reason
+    with the best witness, or with none after a refusal.  Records are
+    keyed by the digest of the engine's config.  Under the same digest
+    such a record is served as is, with no search, once it holds up
+    (_served); one that does not is a miss, and its row is settled afresh.
     """
     s = st.s
     affine, _ = expected_secant_dim(st.format, s)
@@ -233,14 +233,16 @@ def _settle(st: Statement, engine: ProofEngine, cache) -> ProfileRow:
             cache.discard(st, digest)
     if oracle is None:
         v = engine.prove(st)
-        if v.status is not None:
+        verdict, proof = v.status, v.certificate
+        if verdict is None:
+            oracle = engine.oracle(st)
+            if isinstance(oracle, OracleResult) and oracle.certified:
+                verdict, proof = True, cert.Certificate(
+                    st, True, CertNode(cert.ORACLE, st, witness=oracle.witness))
+        if verdict is not None:
             if cache is not None:
-                cache.put(st, v.status, v.certificate, digest)
-            return decided(v.status, v.certificate.root)
-        oracle = engine.oracle(st)
-        if isinstance(oracle, OracleResult) and oracle.certified:
-            return decided(True, CertNode(cert.ORACLE, st,
-                                          witness=oracle.witness))
+                cache.put(st, verdict, proof, digest)
+            return decided(verdict, proof.root)
         if cache is not None:
             witness = (oracle.witness if isinstance(oracle, OracleResult)
                        else None)
@@ -296,7 +298,7 @@ def resolve_secant(fmt: FormatLike, s: int,
     f = Format.of(fmt)
     engine = engine or ProofEngine()
     row = _catalog_row(f, s) or _settle(
-        Statement.of(f, s, (0,) * f.k).canonical(), engine, cache)
+        Statement.of(f, s, (0,) * f.k), engine, cache)
     if row.status == DEFECTIVE and row.lower is None:
         return _measure(f, row, engine)
     return row
@@ -443,7 +445,7 @@ def perfect_check(fmt: FormatLike, engine: Optional[ProofEngine] = None,
     k = len(pos)
     if k <= 1:
         return PerfectCheck(PERFECT, s_star, source="catalog:single-factor")
-    st = Statement.of(pos, s_star, (0,) * k).canonical()
+    st = Statement.of(pos, s_star, (0,) * k)
     row = _settle(st, engine or ProofEngine(), cache)
     status = {NONDEFECTIVE: PERFECT, DEFECTIVE: NOT_PERFECT}.get(row.status,
                                                                   UNKNOWN)

@@ -122,11 +122,11 @@ def cmd_prove(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     if v.status is None:
         word = "UNDETERMINED"
-        summary = f"{word} {st.canonical()} -"
+        summary = f"{word} {st} -"
         if args.json:
             rec = {
                 "verdict": None,
-                "statement": str(st.canonical()),
+                "statement": str(st),
                 "stats": v.stats,
                 "reason": v.reason,
             }
@@ -151,13 +151,13 @@ def cmd_prove(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({
             "verdict": v.status,
-            "statement": str(st.canonical()),
+            "statement": str(st),
             "leaf_counts": dict(v.certificate.leaf_counts()),
             "certificate": str(out_path),
             "stats": v.stats,
         }, sort_keys=True))
     else:
-        print(f"{word} {st.canonical()} {_leaf_summary(v.certificate)}")
+        print(f"{word} {st} {_leaf_summary(v.certificate)}")
         print(f"certificate written to {out_path}", file=sys.stderr)
     return EXIT_OK if v.status else EXIT_FALSE
 
@@ -228,10 +228,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps({
             "verified": True,
             "verdict": cert.verdict,
-            "statement": str(cert.statement.canonical()),
+            "statement": str(cert.statement),
         }, sort_keys=True))
     else:
-        print(f"certificate OK: {verdict} {cert.statement.canonical()}")
+        print(f"certificate OK: {verdict} {cert.statement}")
     return EXIT_OK
 
 

@@ -60,7 +60,6 @@ MAX_PRIME = math.isqrt(_EXACT // _PANEL)
 # are leaves, one of them wider than 160 columns; the other 11 are 210-400
 # columns wide.
 _LEAF_COLS = 3 * _PANEL
-_SOLVE_BASE = 16
 # Rows per chunk of the build's buffer, of the input's first reduction and
 # of the blocked path's trailing update and row swaps, so that each of their
 # temporaries holds at most this many rows of the matrix.  Measured on the
@@ -93,31 +92,13 @@ INCONCLUSIVE_NOTE = (
     "only a full-rank outcome certifies"
 )
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all 64-bit inputs."""
+    """Trial division: exact for every n, and fewer than 2 900 divisions
+    below MAX_PRIME, the bound check_prime puts on what it asks."""
     if n < 2:
         return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def check_prime(p: int) -> int:
@@ -157,10 +138,10 @@ class FieldConfig:
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Random points backing one rank attempt, in the statement's own factor
-    order: tangent[j] holds the slot-j vectors of the tangent points, one
-    per row, an array of shape (s, n_j + 1), and fibers[i][j] those of the
-    fiber points of factor i, of shape (a_i, n_j + 1)."""
+    """Random points backing one rank attempt, in the order of the
+    statement's slots: tangent[j] holds the slot-j vectors of the tangent
+    points, one per row, an array of shape (s, n_j + 1), and fibers[i][j]
+    those of the fiber points of slot i, of shape (a_i, n_j + 1)."""
 
     prime: int
     seed: int
@@ -180,7 +161,7 @@ class RankWitness:
 
     def to_json(self) -> dict:
         return {
-            "statement": str(self.statement.canonical()),
+            "statement": str(self.statement),
             "prime": self.prime,
             "seed": self.seed,
             "rows": self.rows,
@@ -251,23 +232,19 @@ def _draw_points(rng: np.random.Generator, lengths: tuple[int, ...], count: int,
 
 
 def sample_points(st: Statement, prime: int, seed: int) -> PointSet:
-    """Deterministic given (canonical form of st, prime, seed); statements that
-    agree up to factor permutation get the same points, permuted to match.
-    Every vector is nonzero.  Draw order: the s tangent points, then the
-    fiber points of each canonical slot; each point's vectors in canonical
-    slot order.  The PointSet's arrays are views of the one drawn array."""
-    order = st.canonical_order()  # canonical slot j -> original factor order[j]
-    canon = st.canonical()
+    """Deterministic given (st, prime, seed).  Every vector is nonzero.
+    Draw order: the s tangent points, then the fiber points of each slot;
+    each point's vectors in slot order.  The PointSet's arrays are views of
+    the one drawn array."""
     rng = np.random.default_rng(np.random.PCG64(derive_seed(st.key(), prime, seed, 0)))
-    lengths = tuple(n + 1 for n in canon.format.dims)
-    drawn = _draw_points(rng, lengths, st.s + sum(canon.a), prime)
-    cols = list(accumulate(lengths, initial=0))  # canonical slot j: cols[j]:cols[j+1]
-    rows = list(accumulate(canon.a, initial=st.s))  # its fibers: rows[j]:rows[j+1]
-    slot_of = sorted(range(len(order)), key=order.__getitem__)  # factor i -> its slot
-    slots = [drawn[:, cols[j] : cols[j + 1]] for j in slot_of]
+    lengths = tuple(n + 1 for n in st.format.dims)
+    drawn = _draw_points(rng, lengths, st.s + sum(st.a), prime)
+    cols = list(accumulate(lengths, initial=0))  # slot j: cols[j]:cols[j+1]
+    rows = list(accumulate(st.a, initial=st.s))  # its fibers: rows[j]:rows[j+1]
+    slots = [drawn[:, cols[j] : cols[j + 1]] for j in range(st.format.k)]
     return PointSet(prime=prime, seed=seed, tangent=tuple(x[: st.s] for x in slots),
                     fibers=tuple(tuple(x[rows[j] : rows[j + 1]] for x in slots)
-                                 for j in slot_of))
+                                 for j in range(st.format.k)))
 
 
 def _outer_rows(a: np.ndarray | None, b: np.ndarray | None,
@@ -502,35 +479,27 @@ def _reduce(x: np.ndarray, p: int) -> None:
 
 def _solve_unit_lower(lower: np.ndarray, y: np.ndarray, p: int) -> None:
     """Overwrite the rows of y by L^-1 y mod p, where L is the unit lower
-    triangle of `lower` (its entries on and above the diagonal are ignored)
-    and y is reduced.  Halving turns most of the work into GEMMs, and so
-    does the base case: L = I + N with N strictly lower, so N^r = 0 and
-    L^-1 = (I - N)(I + N^2)(I + N^4)..., about log2(r) rounds of small
-    GEMMs where forward substitution makes one GEMV per row.  Every factor
-    is reduced, so each GEMM adds at most _SOLVE_BASE products of residues
-    per entry."""
+    triangle of `lower` (its entries on and above the diagonal are ignored),
+    y is reduced and has at most _PANEL rows, as many as L.  L = I + N with
+    N strictly lower, so N^r = 0 and L^-1 = (I - N)(I + N^2)(I + N^4)...:
+    about log2(r) rounds of small GEMMs where forward substitution makes one
+    GEMV per row, then one GEMM applies it.  Every factor is reduced, so
+    each GEMM adds at most r <= _PANEL products of residues per entry."""
     r = len(y)
-    if r <= _SOLVE_BASE:
-        at = np.arange(r)
-        neg = -lower[:r, :r] * (at[:, None] > at)  # -N
-        inv = neg.copy()
-        inv[at, at] = 1
+    at = np.arange(r)
+    neg = -lower[:r, :r] * (at[:, None] > at)  # -N
+    inv = neg.copy()
+    inv[at, at] = 1
+    _reduce(inv, p)
+    power = neg @ neg
+    _reduce(power, p)
+    while power.any():
+        inv += inv @ power
         _reduce(inv, p)
-        power = neg @ neg
+        power = power @ power
         _reduce(power, p)
-        while power.any():
-            inv += inv @ power
-            _reduce(inv, p)
-            power = power @ power
-            _reduce(power, p)
-        y[...] = inv @ y
-        _reduce(y, p)
-        return
-    h = r // 2
-    _solve_unit_lower(lower[:h, :h], y[:h], p)
-    y[h:] -= lower[h:, :h] @ y[:h]
-    _reduce(y[h:], p)
-    _solve_unit_lower(lower[h:, h:], y[h:], p)
+    y[...] = inv @ y
+    _reduce(y, p)
 
 
 def _swap_rows(x: np.ndarray, swaps: list[tuple[int, int]]) -> None:
@@ -688,8 +657,8 @@ def terracini_oracle(st: Statement, cfg: FieldConfig | None = None, *,
     ends it.  `stop` runs only the plan's first `stop` attempts.  Past
     MAX_CELLS cells it raises OracleBudgetError unless cfg.force
     (oracle_cells).  Each attempt is one recompute_rank call, whose seed
-    depends only on the canonical statement, its prime, cfg.seed and its
-    attempt index.  In the package, only ProofEngine.oracle calls it."""
+    depends only on the statement, its prime, cfg.seed and its attempt
+    index.  In the package, only ProofEngine.oracle calls it."""
     cfg = cfg or FieldConfig()
     oracle_cells(st, cfg.force)
     attempts = []
@@ -782,5 +751,5 @@ def recompute_rank(st: Statement, prime: int, seed: int) -> RankWitness:
     # name holds it, so it is freed before the next attempt builds
     rank = width - len(cols) + rank_mod_p(
         build_terracini_matrix(st, pts, rows, cols), prime, overwrite=True)
-    return RankWitness(st.canonical(), prime, seed, row_count(st), width, rank,
+    return RankWitness(st, prime, seed, row_count(st), width, rank,
                        target_dim(st))

@@ -53,9 +53,6 @@ class Format:
     def k(self) -> int:
         return len(self.dims)
 
-    def canonical(self) -> "Format":
-        return Format(tuple(sorted(self.dims, reverse=True)))
-
     def ascending(self) -> tuple[int, ...]:
         return tuple(sorted(self.dims))
 
@@ -71,16 +68,18 @@ class Statement:
     """Claim that s generic tangent spaces plus a_i generic fiber spans per
     factor together span a subspace of the expected dimension target_dim.
 
-    canonical() and key() are worked out once per instance and kept as
-    instance attributes that are not dataclass fields, so they take no
-    part in ==, hash, repr or dataclasses.replace."""
+    The claim does not depend on the order of the factors, so a statement
+    has none: construction sorts the (n_i, a_i) pairs into descending
+    order, and statements that differ only by a factor permutation are
+    equal.  key() is its text, worked out once per instance and kept as an
+    instance attribute that is not a dataclass field, so it takes no part
+    in ==, hash, repr or dataclasses.replace."""
 
     format: Format
     s: int
     a: tuple[int, ...]
 
-    # not fields (no annotation): None until canonical() or key() sets them
-    _canonical = None
+    # not a field (no annotation): None until key() sets it
     _key = None
 
     def __post_init__(self) -> None:
@@ -92,6 +91,11 @@ class Statement:
             )
         if any(type(x) is not int or x < 0 for x in self.a):
             raise ValueError(f"fiber counts must be non-negative integers: {self.a!r}")
+        pairs = sorted(zip(self.format.dims, self.a), reverse=True)
+        dims = tuple(n for n, _ in pairs)
+        if dims != self.format.dims:
+            object.__setattr__(self, "format", Format(dims))
+        object.__setattr__(self, "a", tuple(x for _, x in pairs))
 
     @classmethod
     def of(cls, fmt: FormatLike, s: int, a: Iterable[int] | None = None) -> "Statement":
@@ -99,38 +103,15 @@ class Statement:
         av = tuple(operator.index(x) for x in a) if a is not None else (0,) * f.k
         return cls(f, operator.index(s), av)
 
-    def canonical_order(self) -> tuple[int, ...]:
-        # stable joint sort of (n_i, a_i) pairs, descending
-        d, a = self.format.dims, self.a
-        return tuple(sorted(range(len(d)), key=lambda i: (-d[i], -a[i], i)))
-
     def canonical(self) -> "Statement":
-        """The statement with its slots in canonical order; `self` when
-        they already are."""
-        c = self._canonical
-        if c is None:
-            order = self.canonical_order()
-            if order == tuple(range(self.format.k)):
-                # True stands for self, so that no instance refers to itself
-                c = True
-            else:
-                c = Statement(
-                    Format(tuple(self.format.dims[i] for i in order)),
-                    self.s,
-                    tuple(self.a[i] for i in order),
-                )
-                object.__setattr__(c, "_canonical", True)
-            object.__setattr__(self, "_canonical", c)
-        return self if c is True else c
-
-    def is_canonical(self) -> bool:
-        return self.canonical() is self
+        """`self`, since construction sorts every statement; kept for
+        perfbench/spans.py, which calls it."""
+        return self
 
     def key(self) -> str:
         k = self._key
         if k is None:
-            c = self.canonical()
-            k = str(c) if c is self else c.key()
+            k = str(self)
             object.__setattr__(self, "_key", k)
         return k
 

@@ -2,10 +2,10 @@
 
 A certificate is a self-contained derivation: every node carries the
 statement it proves plus enough side data to re-check the step without
-re-running the search.  The search shares one node per canonical
-statement, and the serialized form keeps that sharing: `nodes` lists each
-distinct node once, children before parents, the root last, and a node
-names its children by their index in that list.  A node's digest is the
+re-running the search.  The search shares one node per statement, and
+the serialized form keeps that sharing: `nodes` lists each distinct node
+once, children before parents, the root last, and a node names its
+children by their index in that list.  A node's digest is the
 SHA-256 of its canonical JSON with child digests in place of child
 indices, so the root digest is a Merkle hash of the whole proof.
 """
@@ -103,7 +103,7 @@ class CertNode:
         if "witness" in data:
             try:
                 witness = RankWitness.from_json(
-                    {**data["witness"], "statement": str(st.canonical())})
+                    {**data["witness"], "statement": str(st)})
             except (KeyError, ValueError, TypeError) as exc:
                 bad(f"bad witness: {exc}")
         return CertNode(kind=kind, statement=st,
@@ -137,7 +137,7 @@ class Certificate:
         index = {node.digest: pos for pos, node in enumerate(self.nodes)}
         return {
             "version": CERT_VERSION,
-            "statement": str(self.statement.canonical()),
+            "statement": str(self.statement),
             "verdict": self.verdict,
             "nodes": [node.record([index[c.digest] for c in node.children])
                       for node in self.nodes],

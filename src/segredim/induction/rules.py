@@ -255,14 +255,13 @@ def two_factor_dim(st: Statement) -> Optional[int]:
     of those adds 1 until the ambient (m+1)(n+1) is filled.  A statement
     with one positive factor is the case n = 0.
     """
-    c = st.canonical()
     # dims descend; empty P^0 slots pad a single factor to three slots
-    dims, a = c.format.dims + (0, 0), c.a + (0, 0)
+    dims, a = st.format.dims + (0, 0), st.a + (0, 0)
     if dims[2] > 0:
         return None
     m, n = dims[0], dims[1]
-    alpha = min(c.s + a[1], m + 1)
-    beta = min(c.s + a[0], n + 1)
+    alpha = min(st.s + a[1], m + 1)
+    beta = min(st.s + a[0], n + 1)
     span = alpha * (n + 1) + (m + 1) * beta - alpha * beta
     return min(span + sum(a[2:]), (m + 1) * (n + 1))
 
@@ -280,7 +279,7 @@ class FalsityReason:
 # The four smallest cube-ish formats, ascending, whose false (s; a) tuples
 # are all known: those _fibration_false derives, and the rest, listed in
 # SMALL_FORMAT_FALSE with entries aligned with the ascending dims shown;
-# closed under the stated factor permutations via canonical membership keys.
+# closed under factor permutations, since a statement has no factor order.
 SMALL_FORMAT_DIMS = frozenset({(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)})
 SMALL_FORMAT_FALSE = {
     (1, 2, 2): (
@@ -330,18 +329,18 @@ def defective_family(asc: tuple[int, ...]):
     return None
 
 
-def _family_false(c: Statement) -> Optional[FalsityReason]:
-    dims = c.format.dims  # descending
+def _family_false(st: Statement) -> Optional[FalsityReason]:
+    dims = st.format.dims  # descending
     # two factors are two_factor_dim's
-    if any(c.a) or c.format.k < 3 or min(dims) < 1:
+    if any(st.a) or st.format.k < 3 or min(dims) < 1:
         return None
     family = defective_family(dims[::-1])
-    if family is None or not family[1] < c.s < family[2]:
+    if family is None or not family[1] < st.s < family[2]:
         return None
-    name, actual = family[0], family[3](c.s)
+    name, actual = family[0], family[3](st.s)
     if name == "unbalanced":
         return FalsityReason(cert.UNBALANCED_FALSE, None, {
-            "d": c.s, "actual_affine_dim": actual, "expected": target_dim(c)})
+            "d": st.s, "actual_affine_dim": actual, "expected": target_dim(st)})
     if name == "paired-square":
         return FalsityReason(cert.TABLE_FALSE, "family:1,1,n,n",
                              {"n": dims[0], "actual_affine_dim": actual})
@@ -349,14 +348,14 @@ def _family_false(c: Statement) -> Optional[FalsityReason]:
                          {"actual_affine_dim": actual})
 
 
-def _fibration_false(c: Statement) -> Optional[FalsityReason]:
+def _fibration_false(st: Statement) -> Optional[FalsityReason]:
     # The configuration sits inside a product fibration whose base is too
     # small; its members are forced to meet, so the span falls short of
     # the parameter count.  That only falsifies statements at or below
     # the ambient dimension.  With a P^0 slot two_factor_dim decides.
-    if c.format.k != 3 or min(c.format.dims) < 1 or not is_subabundant(c):
+    if st.format.k != 3 or min(st.format.dims) < 1 or not is_subabundant(st):
         return None
-    n, a, s = c.format.dims, c.a, c.s
+    n, a, s = st.format.dims, st.a, st.s
     for i in range(3):
         for j in range(3):
             if j == i:
@@ -381,9 +380,8 @@ def known_false(st: Statement) -> Optional[FalsityReason]:
     table_id = _SMALL_FALSE_KEYS.get(st.key())
     if table_id is not None:
         return FalsityReason(cert.TABLE_FALSE, table_id)
-    c = st.canonical()
     for check in (_family_false, _fibration_false):
-        reason = check(c)
+        reason = check(st)
         if reason is not None:
             return reason
     return None

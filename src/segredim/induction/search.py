@@ -106,8 +106,8 @@ class ProofEngine:
     `config`, one RunConfig, holds every setting of a run: the field
     settings and the node budget of each prove() call.  The classify entry
     points read theirs from the engine they are given, and a cache keys its
-    records by config.digest().  Verdicts are memoized by canonical
-    statement, so permuted inputs reuse earlier work.  Failed
+    records by config.digest().  Verdicts are memoized by statement, which
+    has no factor order, so permuted inputs reuse earlier work.  Failed
     (undetermined) subgoals are only remembered for the duration of one
     prove() call, letting later calls retry with a fresh budget.  Oracle
     outcomes are kept for the engine's lifetime, and oracle() is the
@@ -118,7 +118,7 @@ class ProofEngine:
     Each prove() call also has a cell budget when its root is admissible
     to the oracle: what the root's own call costs when inconclusive,
     rows x cols x len(PLAN).  Every subgoal oracle outcome the search
-    consults spends rows x cols x attempts, once per canonical statement,
+    consults spends rows x cols x attempts, once per statement,
     remembered outcomes included and refusals free: the whole plan's
     attempts when it did not certify, whatever ran, and the attempts run
     when it did.  Once the spend passes the budget the search unwinds and
@@ -142,9 +142,8 @@ class ProofEngine:
 
     def prove(self, statement) -> Verdict:
         """Search at most config.budget_nodes nodes."""
-        if isinstance(statement, str):
-            statement = parse_statement(statement)
-        st = statement.canonical()
+        st = (parse_statement(statement) if isinstance(statement, str)
+              else statement)
         self._dead = set()
         self._nodes_used = 0
         self._memo_hits = 0
@@ -191,7 +190,7 @@ class ProofEngine:
 
     def oracle(self, st: Statement) -> OracleResult | OracleBudgetError:
         """The one way to terracini_oracle: its OracleResult for `st`, or
-        the OracleBudgetError that refused it, kept by canonical statement.
+        the OracleBudgetError that refused it, kept by statement.
 
         A subgoal of the running search (any statement but its root) runs
         the first attempt of the oracle's plan only: reading deficient
@@ -199,8 +198,8 @@ class ProofEngine:
         call outside prove(), gets the whole plan; a kept result with fewer
         attempts is not continued but replaced by a run of the whole plan
         from attempt 0.  Each attempt's outcome depends only on the
-        canonical statement and the config, so a root's result is a fresh
-        engine's, and only such a rerun repeats an attempt."""
+        statement and the config, so a root's result is a fresh engine's,
+        and only such a rerun repeats an attempt."""
         key = st.key()
         kept = self._oracles.get(key)
         subgoal = self._root_key not in (None, key)
@@ -256,7 +255,7 @@ class ProofEngine:
 
         slot = rules.drop_slot(st)
         if slot is not None:
-            res = self._search(rules.drop_child(st, slot).canonical())
+            res = self._search(rules.drop_child(st, slot))
             if res is not None:
                 res = rules.drop_step(st, slot, res)
             if res is not None or st.a[slot] == 0:
@@ -305,7 +304,6 @@ class ProofEngine:
         tried = set()
         for choice in self._split_choices(st):
             kind, c1, c2 = rules.split_mode(st, choice)
-            c1, c2 = c1.canonical(), c2.canonical()
             pair = (c1.key(), c2.key())
             if pair in tried:
                 continue

@@ -13,7 +13,8 @@ from segredim import ffrank
 from segredim.ffrank import (DEFAULT_PRIME, FALLBACK_PRIME, RankWitness,
                              derive_seed, recompute_rank)
 from segredim.formats import ambient_dim, parse_statement, target_dim
-from segredim.induction import ProofEngine
+from segredim.induction import CertNode, ProofEngine
+from segredim.induction import certificate as cert
 from segredim.induction import verify
 from segredim.induction.verify import evidence_holds
 
@@ -143,6 +144,28 @@ def test_repeated_prove_appends_one_record(tmp_path, capsys, monkeypatch):
     row = json.loads(capsys.readouterr().out)
     assert (row["status"], row["cert_ref"]) == ("NonDefective", sha[:12])
     assert path.read_text().splitlines() == lines
+
+
+def test_row_the_oracle_certifies_after_a_stopped_search_is_cached(
+        tmp_path, capsys, monkeypatch):
+    # two nodes stop the search, and the root's oracle then certifies the
+    # row: it is recorded like any decided row, by the root digest of its
+    # one-node oracle certificate, and the next run reads it back
+    path = tmp_path / "F"
+    argv = ["dim", "4,4,4", "9", "--budget-nodes", "2", "--cache", str(path)]
+    assert main(argv) == 0
+    assert "status: NonDefective [oracle]" in capsys.readouterr().out
+    [line] = path.read_text().splitlines()
+    engine = ProofEngine(RunConfig(budget_nodes=2))
+    st = parse_statement("T(4,4,4;9)")
+    leaf = CertNode(cert.ORACLE, st, witness=engine.oracle(st).witness)
+    assert json.loads(line)["statement"] == "T(4,4,4;9;0,0,0)"
+    assert json.loads(line)["cert_sha256"] == leaf.digest
+    searches = count_searches(monkeypatch)
+    assert main(argv) == 0
+    assert "status: NonDefective [cache]" in capsys.readouterr().out
+    assert searches == []
+    assert path.read_text().splitlines() == [line]
 
 
 def test_config_digests_are_pinned():
@@ -328,7 +351,7 @@ def test_undetermined_put_never_downgrades_or_repeats(tmp_path, cold):
 def test_evidence_on_a_statement_a_closed_form_decides(cold):
     # T(3,3,2;5) is the hull-233 falsity leaf's; its honest deficit is no
     # evidence the cache may serve, since the catalog decides the row
-    st = parse_statement("T(3,3,2;5)").canonical()
+    st = parse_statement("T(3,3,2;5)")
     witness = ProofEngine().oracle(st).witness
     assert witness.rank < witness.target
     assert not evidence_holds(witness, 0)
@@ -359,7 +382,7 @@ def test_fallback_evidence_holds_only_above_the_first_attempt(cold,
 def _plan_witness(text: str, attempt: int) -> RankWitness:
     """A forged deficit of `text` at the seed the plan derives for its
     attempt, every field consistent with the statement."""
-    st = parse_statement(text).canonical()
+    st = parse_statement(text)
     prime, index = ffrank.PLAN[attempt]
     return RankWitness(st, prime, derive_seed(st.key(), prime, 0, index),
                        ffrank.row_count(st), ambient_dim(st.format),

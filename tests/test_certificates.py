@@ -282,7 +282,7 @@ class TestTamperRejection:
         sc = true_cert_doc["nodes"][-1]["side_conditions"]
         assert {"slot", "n_parts", "s_parts", "a_parts"} <= set(sc)
         # Rotating the slot is omitted: on a symmetric format the rebuilt
-        # children are canonically identical, so the proof stays valid.
+        # children are the same statements, so the proof stays valid.
         edits = []
         edits.append(lambda d: d["n_parts"].__setitem__(0, sc["n_parts"][0] + 1))
         edits.append(lambda d: d["s_parts"].__setitem__(0, sc["s_parts"][0] + 1))
@@ -532,12 +532,12 @@ class TestTamperRejection:
         real = verify_mod.recompute_rank
 
         def counting(st, prime, seed):
-            calls.append((st.canonical().key(), prime, seed))
+            calls.append((st.key(), prime, seed))
             return real(st, prime, seed)
 
         monkeypatch.setattr(verify_mod, "recompute_rank", counting)
         cert = Certificate.from_json(true_cert_doc)
-        witnesses = [(n.statement.canonical().key(), n.witness.prime, n.witness.seed)
+        witnesses = [(n.statement.key(), n.witness.prime, n.witness.seed)
                      for n in cert.nodes if n.witness is not None]
         assert len(witnesses) == len(set(witnesses))
         assert cert.leaf_counts()["oracle"] > len(witnesses)
@@ -563,7 +563,7 @@ class TestTamperRejection:
         st = parse_statement("T(3,2,1;1;2,0,0)")
         choice = rules.SplitChoice(1, (0, 1), (0, 1), ((0, 0, 0), (2, 0, 0)))
         kind, c1, c2 = rules.split_mode(st, choice)
-        (verdict, leaf1), (_, leaf2) = (rules.closed_leaf(c.canonical())
+        (verdict, leaf1), (_, leaf2) = (rules.closed_leaf(c)
                                         for c in (c1, c2))
         assert verdict is True and leaf1.kind == cert_mod.TWO_FACTOR
         node = CertNode(kind, st, side_conditions=choice.describe(),
@@ -762,7 +762,7 @@ class TestLargeCertificate:
 
 def oracle_leaf(text: str) -> CertNode:
     """An oracle node carrying the witness the oracle itself produces."""
-    st = parse_statement(text).canonical()
+    st = parse_statement(text)
     result = terracini_oracle(st)
     assert result.certified
     return CertNode(cert_mod.ORACLE, st, witness=result.witness)

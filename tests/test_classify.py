@@ -67,7 +67,7 @@ class TestResolveSecant:
         assert (row.status, row.source) == ("NonDefective", "oracle")
         assert row.proof.kind == cert.ORACLE
         assert row.cert_ref == row.proof.digest[:12]
-        st = Statement.of((3, 3, 3), 5).canonical()
+        st = Statement.of((3, 3, 3), 5)
         assert verify(Certificate(st, True, row.proof).dumps())
         pc = perfect_check((2, 2, 4), engine)
         assert (pc.status, pc.source) == ("Perfect", "oracle")

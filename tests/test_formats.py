@@ -1,4 +1,5 @@
-"""Format and statement arithmetic, canonical forms, and the text grammar."""
+"""Format and statement arithmetic, the slot order of a statement, and the
+text grammar."""
 
 import dataclasses
 import math
@@ -142,19 +143,22 @@ class TestBalance:
 
 
 class TestCanonical:
+    """Construction sorts the (n_i, a_i) pairs into descending order: a
+    statement has no factor order."""
+
     def test_sorts_by_dimension_then_conditions(self):
         s = Statement.of((1, 3, 2), 2, (5, 0, 1))
-        c = s.canonical()
-        assert c.format.dims == (3, 2, 1)
-        assert c.a == (0, 1, 5)
+        assert s.format.dims == (3, 2, 1)
+        assert s.a == (0, 1, 5)
 
     def test_equal_dims_order_by_fiber_count(self):
         s = Statement.of((2, 2, 2), 1, (0, 2, 1))
-        assert s.canonical().a == (2, 1, 0)
+        assert s.a == (2, 1, 0)
 
     @given(statement_strategy())
     def test_canonical_idempotent(self, s):
-        assert s.canonical().canonical() == s.canonical()
+        # fields already in order are kept as they are
+        assert Statement(s.format, s.s, s.a) == s
 
     @given(statement_strategy(), st.randoms(use_true_random=False))
     def test_permutation_invariants(self, s, rnd):
@@ -165,7 +169,7 @@ class TestCanonical:
             s.s,
             tuple(s.a[i] for i in order),
         )
-        assert permuted.canonical() == s.canonical()
+        assert permuted == s and permuted.key() == s.key()
         assert ambient_dim(permuted.format) == ambient_dim(s.format)
         assert parameter_count(permuted) == parameter_count(s)
         assert target_dim(permuted) == target_dim(s)
@@ -173,28 +177,27 @@ class TestCanonical:
 
 
 class TestStoredForms:
-    """canonical() and key() are kept on the instance after the first call;
-    what is kept never shows in the statement's value."""
+    """key() is kept on the instance after the first call; what is kept
+    never shows in the statement's value."""
 
     def test_canonical_statement_is_its_own_canonical_form(self):
         c = Statement.of((3, 2, 1), 2, (0, 1, 5))
         assert c.canonical() is c
-        assert c.is_canonical()
-        assert not Statement.of((1, 3, 2), 2, (5, 0, 1)).is_canonical()
+        # a permuted input builds the same fields, not an ordered variant
+        permuted = Statement.of((1, 3, 2), 2, (5, 0, 1))
+        assert permuted == c and hash(permuted) == hash(c)
+        assert (permuted.format, permuted.a) == (c.format, c.a)
 
     def test_repeated_calls_return_the_same_object(self):
         s = Statement.of((1, 3, 2), 2, (5, 0, 1))
-        c = s.canonical()
-        assert s.canonical() is c and c.canonical() is c
+        assert s.canonical() is s
         assert s.key() is s.key()
-        assert s.key() is c.key()
-        assert s.key() == str(c) == "T(3,2,1;2;0,1,5)"
+        assert s.key() == str(s) == "T(3,2,1;2;0,1,5)"
 
     @given(statement_strategy())
     def test_filled_statement_behaves_like_a_fresh_one(self, s):
         fresh = Statement(s.format, s.s, s.a)
         filled = Statement(s.format, s.s, s.a)
-        filled.canonical()
         filled.key()
         assert filled == fresh and hash(filled) == hash(fresh)
         assert repr(filled) == repr(fresh) and str(filled) == str(fresh)
@@ -248,16 +251,19 @@ class TestGrammar:
         assert parse_format("1^2,3").dims == (1, 1, 3)
 
     def test_parse_statement_full_and_short(self):
-        s = parse_statement("T(2,2,2;3;0,1,1)")
-        assert (s.format.dims, s.s, s.a) == ((2, 2, 2), 3, (0, 1, 1))
+        s = parse_statement("T(2,2,2;3;1,1,0)")
+        assert (s.format.dims, s.s, s.a) == ((2, 2, 2), 3, (1, 1, 0))
+        assert parse_statement("T(2,2,2;3;0,1,1)") == s
         s = parse_statement("T(3,3,3;7)")
         assert (s.s, s.a) == (7, (0, 0, 0))
         s = parse_statement("T(2^3; 4; 0^3)")
         assert (s.format.dims, s.s, s.a) == ((2, 2, 2), 4, (0, 0, 0))
 
     def test_statement_round_trip(self):
-        for text in ["T(2,2,2;3;0,1,1)", "T(3,3,3;7;0,0,0)", "T(1;0;0)"]:
+        for text in ["T(2,2,2;3;1,1,0)", "T(3,3,3;7;0,0,0)", "T(1;0;0)"]:
             assert str(parse_statement(text)) == text
+        # a text in another slot order reads back in the statement's order
+        assert str(parse_statement("T(1,3,2;2;5,0,1)")) == "T(3,2,1;2;0,1,5)"
 
     @given(statement_strategy())
     def test_round_trip_any_statement(self, s):

@@ -30,7 +30,6 @@ from segredim.ffrank import (
     _EXACT,
     _LEAF_COLS,
     _PANEL,
-    _SOLVE_BASE,
     _SUB,
     PLAN,
     _cut,
@@ -44,6 +43,7 @@ from segredim.ffrank import (
     _draw_points,
     build_terracini_matrix,
     derive_seed,
+    is_prime,
     rank_mod_p,
     recompute_rank,
     row_count,
@@ -63,22 +63,14 @@ def ref_draw_vector(rng: np.random.Generator, length: int, p: int) -> np.ndarray
 
 
 def ref_sample_points(st: Statement, prime: int, seed: int) -> PointSet:
-    order = st.canonical_order()
-    canon = st.canonical()
     rng = np.random.default_rng(np.random.PCG64(derive_seed(st.key(), prime, seed, 0)))
-    k = st.format.k
 
     def draw_point() -> tuple[np.ndarray, ...]:
-        vecs: list = [None] * k
-        for j, i in enumerate(order):
-            vecs[i] = ref_draw_vector(rng, canon.format.dims[j] + 1, prime)
-        return tuple(vecs)
+        return tuple(ref_draw_vector(rng, n + 1, prime) for n in st.format.dims)
 
     tangent = tuple(draw_point() for _ in range(st.s))
-    fibers: list = [()] * k
-    for j, i in enumerate(order):
-        fibers[i] = tuple(draw_point() for _ in range(canon.a[j]))
-    return PointSet(prime=prime, seed=seed, tangent=tangent, fibers=tuple(fibers))
+    fibers = tuple(tuple(draw_point() for _ in range(x)) for x in st.a)
+    return PointSet(prime=prime, seed=seed, tangent=tangent, fibers=fibers)
 
 
 def per_point(pts: PointSet) -> PointSet:
@@ -265,11 +257,11 @@ class Stream:
 
 
 def test_zero_vector_is_drawn_again_as_by_the_reference(monkeypatch):
-    # canonical slots (2, 1, 0) of lengths 3, 2, 1 and four points: the
-    # first vector comes out zero, the second point's P^0 vector twice in a
-    # row, and the last vector of the last point once, past the numbers the
-    # first call drew
-    st = parse_statement("T(0,2,1;2;1,0,1)")
+    # slots (2, 1, 0) of lengths 3, 2, 1 and four points: the first vector
+    # comes out zero, the second point's P^0 vector twice in a row, and the
+    # last vector of the last point once, past the numbers the first call
+    # drew
+    st = parse_statement("T(2,1,0;2;0,1,1)")
     draws = [[0, 0, 0], [1, 2, 3], [4, 5], [6],
              [7, 8, 9], [10, 11], [0], [0], [12],
              [13, 14, 15], [16, 17], [18],
@@ -286,9 +278,9 @@ def test_zero_vector_is_drawn_again_as_by_the_reference(monkeypatch):
     ref = ref_sample_points(st, DEFAULT_PRIME, 5)
     assert same_points(live, ref)
     assert streams[0].pos == streams[1].pos == len(numbers)
-    assert live.tangent[0][1].tolist() == [1, 2, 3]
-    assert live.tangent[1][0].tolist() == [12]
-    assert live.fibers[0][0][0].tolist() == [24]
+    assert live.tangent[0][0].tolist() == [1, 2, 3]
+    assert live.tangent[1][2].tolist() == [12]
+    assert live.fibers[2][0][2].tolist() == [24]
 
 
 def test_draw_points_shape_and_empty_draw():
@@ -348,12 +340,12 @@ def test_build_spans_what_reference_spans():
 def test_build_drops_first_nonzero_coordinate():
     # slot vectors that start with zeros: the row to drop is not row 0
     p = DEFAULT_PRIME
-    st = parse_statement("T(2,3,2;2;0,1,0)")
+    st = parse_statement("T(3,2,2;2;1,0,0)")
     v = lambda *xs: np.array(xs, dtype=np.int64)
     none = tuple(np.zeros((0, n + 1), dtype=np.int64) for n in st.format.dims)
     pts = PointSet(prime=p, seed=0, tangent=(
-        v((0, 4, 9), (6, 2, 5)), v((0, 0, 5, 7), (0, 8, 0, 1)), v((0, 3, 1), (0, 0, 2)),
-    ), fibers=(none, (v((1, 2, 3)), v((0, 1, 0, 4)), v((5, 0, 6))), none))
+        v((0, 0, 5, 7), (0, 8, 0, 1)), v((0, 4, 9), (6, 2, 5)), v((0, 3, 1), (0, 0, 2)),
+    ), fibers=((v((0, 1, 0, 4)), v((1, 2, 3)), v((5, 0, 6))), none, none))
     new = build_terracini_matrix(st, pts)
     pts = per_point(pts)
     old = ref_build_terracini_matrix(st, pts)
@@ -467,13 +459,15 @@ def test_panel_step_matches_the_single_loop(p):
     assert all(any(s[i] for s in seen) for i in range(3))
 
 
-@pytest.mark.parametrize("p", [97, DEFAULT_PRIME, FALLBACK_PRIME])
+@pytest.mark.parametrize("p", [97, DEFAULT_PRIME, FALLBACK_PRIME,
+                               next(q for q in range(MAX_PRIME - 1, 0, -1)
+                                    if is_prime(q))])
 def test_solve_unit_lower_matches_forward_substitution(p):
-    # the base case's product of log2(r) factors and the halving above it
-    # give L^-1 y mod p for reduced entries of either sign, whatever sits
-    # on and above the diagonal of `lower`
+    # the product of log2(r) factors, applied in one GEMM, gives L^-1 y mod
+    # p for reduced entries of either sign, whatever sits on and above the
+    # diagonal of `lower`, up to the _PANEL rows that MAX_PRIME is set for
     rng = np.random.default_rng(p % 977)
-    for r in (1, 2, 5, _SOLVE_BASE, _SOLVE_BASE + 1, 2 * _SOLVE_BASE + 7, _PANEL):
+    for r in (1, 2, 5, 16, 17, 39, _PANEL):
         lower = rng.integers(-(p // 2), p // 2 + 1, size=(r, r)).astype(np.float64)
         y = rng.integers(-(p // 2), p // 2 + 1, size=(r, 40)).astype(np.float64)
         want = [[int(v) % p for v in row] for row in y]

@@ -67,14 +67,14 @@ def specialized(st: Statement, p: int, seed: int):
 
 
 def test_specialize_puts_the_first_points_on_the_frame():
-    st = parse_statement("T(2,0,4;5;1,0,2)")
+    st = parse_statement("T(4,2,0;5;2,1,0)")
     p, seed = DEFAULT_PRIME, 9
     drawn, pts = sample_points(st, p, seed), specialized(st, p, seed)
     for x, y, n in zip(drawn.tangent, pts.tangent, st.format.dims):
         on = min(st.s, n + 1)
         assert y[:on].tolist() == np.eye(on, n + 1, dtype=np.int64).tolist()
         assert np.array_equal(y[on:], x[on:])  # the rest as drawn
-    assert pts.tangent[1][1:].all()  # P^0 scalars of points t > 0 kept
+    assert pts.tangent[2][1:].all()  # P^0 scalars of points t > 0 kept
     for xs, ys in zip(drawn.fibers, pts.fibers):
         assert all(np.array_equal(x, y) for x, y in zip(xs, ys))
 

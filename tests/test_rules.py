@@ -44,10 +44,10 @@ class TestSplit:
         parent = T("T(3,3,3;6)")
         choice = SplitChoice(0, (1, 1), (3, 3), ((0, 0, 0), (0, 0, 0)))
         c1, c2 = split_children(parent, choice)
-        assert str(c1.canonical()) == str(c2.canonical())
-        assert c1.format.dims == (1, 3, 3)
-        # the split slot's fiber count picks up the other child's tangents
-        assert c1.a == (3, 0, 0) and c1.s == 3
+        assert c1 == c2
+        assert c1.format.dims == (3, 3, 1)
+        # the split slot, now the P^1, picks up the other child's tangents
+        assert c1.a == (0, 0, 3) and c1.s == 3
         assert parameter_count(c1) + parameter_count(c2) == parameter_count(parent)
         assert (ambient_dim(c1.format) + ambient_dim(c2.format)
                 == ambient_dim(parent.format))
@@ -56,15 +56,17 @@ class TestSplit:
         parent = T("T(3,3,3;7)")
         choice = SplitChoice(0, (1, 1), (4, 3), ((0, 0, 0), (0, 0, 0)))
         c1, c2 = split_children(parent, choice)
-        assert {str(c1), str(c2)} == {"T(1,3,3;4;3,0,0)", "T(1,3,3;3;4,0,0)"}
+        assert {str(c1), str(c2)} == {"T(3,3,1;4;0,0,3)", "T(3,3,1;3;0,0,4)"}
 
     def test_fiber_conditions_split_on_other_slots_only(self):
         parent = Statement.of((3, 2, 2), 2, (1, 2, 0))
         choice = SplitChoice(0, (1, 1), (1, 1), ((0, 1, 0), (0, 1, 0)))
         c1, c2 = split_children(parent, choice)
-        # slot 0 keeps parent's a_0 plus the twin's tangent count
-        assert c1.a[0] == 1 + 1 and c2.a[0] == 1 + 1
-        assert c1.a[1:] == (1, 0) and c2.a[1:] == (1, 0)
+        # the split P^3 becomes the last slot, a P^1 that keeps parent's a_0
+        # plus the twin's tangent count; the P^2 slots split their counts
+        for c in (c1, c2):
+            assert c.format.dims == (2, 2, 1)
+            assert c.a == (1, 0, 1 + 1)
 
     def test_bad_arithmetic_rejected(self):
         parent = T("T(3,3,3;6)")
@@ -82,21 +84,24 @@ class TestSplit:
         parent = Statement.of((4, 3, 2), 3, (0, 2, 1))
         choice = SplitChoice(0, (2, 1), (2, 1), ((0, 1, 1), (0, 1, 0)))
         c1, c2 = split_children(parent, choice)
-        for j in (1, 2):
-            assert c1.a[j] + c2.a[j] == parent.a[j]
-        assert c1.format.dims == (2, 3, 2) and c2.format.dims == (1, 3, 2)
+        # the P^3 and the unsplit P^2 keep their slot in both children; the
+        # halves of the split P^4 carry the other half's tangent count
+        assert (c1.format.dims, c1.a) == ((3, 2, 2), (1, 1, 0 + 1))
+        assert (c2.format.dims, c2.a) == ((3, 2, 1), (1, 0, 0 + 2))
+        assert c1.a[0] + c2.a[0] == parent.a[1]  # P^3
+        assert c1.a[1] + c2.a[1] == parent.a[2]  # the unsplit P^2
 
 
 class TestDrops:
     def test_drop_zero_factor_removes_slot(self):
-        st_ = T("T(0,2,3;4;0,1,0)")
-        out = drop_child(st_, 0)
-        assert out.format.dims == (2, 3) and out.a == (1, 0)
+        st_ = T("T(3,2,0;4;0,1,0)")
+        out = drop_child(st_, 2)
+        assert out.format.dims == (3, 2) and out.a == (0, 1)
 
     def test_drop_zero_factor_needs_empty_slot(self):
         # a point factor with conditions loses them, not the slot
-        st_ = T("T(0,2,3;4;1,0,0)")
-        assert drop_child(st_, 0).format == st_.format
+        st_ = T("T(3,2,0;4;0,0,1)")
+        assert drop_child(st_, 2).format == st_.format
         # and a positive factor is no point factor
         with pytest.raises(RuleError, match="not a point factor"):
             drop_child(T("T(2,3;1;0,0)"), 0)
@@ -111,13 +116,13 @@ class TestDrops:
 
     def test_drop_conditions_zeroes_the_slot(self):
         # on either side of abundance: drop_step decides what it proves
-        for text in ("T(0,2,3,3;5;4,0,0,0)", "T(0,3,3;1;2,0,0)"):
+        for text in ("T(3,3,2,0;5;0,0,0,4)", "T(3,3,0;1;0,0,2)"):
             st_ = T(text)
-            out = drop_child(st_, 0)
+            out = drop_child(st_, st_.format.k - 1)
             assert out.a == (0,) * st_.format.k and out.format == st_.format
             assert out.s == st_.s
-        assert not is_subabundant(T("T(0,2,3,3;5;4,0,0,0)"))
-        assert is_subabundant(T("T(0,3,3;1;2,0,0)"))  # 7+2 = 9 <= 16
+        assert not is_subabundant(T("T(3,3,2,0;5;0,0,0,4)"))
+        assert is_subabundant(T("T(3,3,0;1;0,0,2)"))  # 7+2 = 9 <= 16
 
     def test_slots_out_of_range_rejected(self):
         # a negative slot used to index from the end and pass
@@ -199,7 +204,7 @@ class TestFalsityCatalog:
                                            (2, 2, 2)}
         for dims, entries in rules.SMALL_FORMAT_FALSE.items():
             for s, a in entries:
-                c = Statement.of(dims, s, a).canonical()
+                c = Statement.of(dims, s, a)
                 assert rules._fibration_false(c) is None, c
 
     def test_listed_cases_fire(self):
@@ -270,20 +275,21 @@ class TestFalsityCatalog:
 def random_split(draw):
     k = draw(st.integers(2, 4))
     dims = [draw(st.integers(1, 5)) for _ in range(k)]
+    a = [draw(st.integers(0, 3)) for _ in range(k)]
+    # in the parent's slot order, which construction sorts descending
+    dims, a = map(list, zip(*sorted(zip(dims, a), reverse=True)))
     slot = draw(st.integers(0, k - 1))
-    if dims[slot] < 1:
-        dims[slot] = 1
     n = dims[slot]
     n1 = draw(st.integers(0, n - 1))
     s = draw(st.integers(0, 6))
     s1 = draw(st.integers(0, s))
-    a = [draw(st.integers(0, 3)) for _ in range(k)]
     a1 = [draw(st.integers(0, a[j])) if j != slot else 0 for j in range(k)]
     a_parts = (
         tuple(a1[j] if j != slot else 0 for j in range(k)),
         tuple(a[j] - a1[j] if j != slot else 0 for j in range(k)),
     )
     parent = Statement.of(tuple(dims), s, tuple(a))
+    assert (parent.format.dims, parent.a) == (tuple(dims), tuple(a))
     choice = SplitChoice(slot, (n1, n - 1 - n1), (s1, s - s1), a_parts)
     return parent, choice
 

@@ -188,11 +188,11 @@ class TestEngineState:
 
     def test_certificate_statement_matches_input_canonical(self):
         v = prove("T(4,7,4;12)")
-        assert v.certificate.statement == parse_statement("T(4,7,4;12)").canonical()
+        assert v.certificate.statement == parse_statement("T(4,7,4;12)")
 
 
 def count_oracle_calls(monkeypatch) -> Counter:
-    """Count terracini_oracle calls per canonical statement, through the
+    """Count terracini_oracle calls per statement, through the
     name ProofEngine.oracle, its one caller, calls it by."""
     calls: Counter = Counter()
     search = importlib.import_module("segredim.induction.search")
@@ -206,7 +206,7 @@ def count_oracle_calls(monkeypatch) -> Counter:
 
 
 def record_attempts(monkeypatch) -> list:
-    """Record (canonical key, prime, seed) of every oracle attempt, in the
+    """Record (key, prime, seed) of every oracle attempt, in the
     order run: each attempt draws its points once."""
     attempts: list = []
     ffrank = importlib.import_module("segredim.ffrank")
@@ -221,7 +221,7 @@ def record_attempts(monkeypatch) -> list:
 
 
 class TestOracleDoor:
-    """ProofEngine.oracle runs each canonical statement once: a search's
+    """ProofEngine.oracle runs each statement once: a search's
     subgoals the first attempt of the plan, a root the whole plan, rerun
     from attempt 0 when only a subgoal's attempt was kept."""
 
@@ -358,7 +358,7 @@ class TestOracleDoor:
 
 
 def record_oracle_cells(monkeypatch) -> dict:
-    """Record, per canonical statement, the cells the cell budget charges
+    """Record, per statement, the cells the cell budget charges
     for its oracle result: rows x cols x the attempts it ran when it
     certified, x the whole plan when it did not.  Refusals record nothing."""
     cells: dict = {}
@@ -389,7 +389,7 @@ class TestCellBudget:
         v = engine.prove(root)
         assert v.status is None and not v.stats["exhausted"]
         w = v.evidence.witness
-        assert (w.statement, w.rank, w.target) == (root.canonical(), 362, 363)
+        assert (w.statement, w.rank, w.target) == (root, 362, 363)
         assert calls[root.key()] == 1
         assert sum(calls.values()) < 60
         # the budget is what the root's inconclusive call costs
@@ -413,7 +413,7 @@ class TestCellBudget:
     def test_spend_stays_within_one_call_of_the_budget(self, text, monkeypatch):
         cells = record_oracle_cells(monkeypatch)
         engine = ProofEngine()
-        root = parse_statement(text).canonical()
+        root = parse_statement(text)
         budget = engine.cell_budget(root)
         engine.prove(root)
         spent = [c for key, c in cells.items() if key != root.key()]
